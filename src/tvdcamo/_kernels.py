@@ -132,10 +132,3 @@ def integrate(*args):
     Returns -1 on success or the 1-based index of the first diverging step.
     """
     return _BACKENDS[_active_name](*args)
-
-
-def integrate_with(name: str, *args):
-    """Run the node integration with an explicit backend (for benchmarks)."""
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; have {available_backends()}")
-    return _BACKENDS[name](*args)

@@ -10,17 +10,21 @@ against observed responses.
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Mapping
 
 import numpy as np
 
 from .bench import (
+    ALL_ONES,
+    WORD_BITS,
+    ZERO,
     Gate,
     Netlist,
     eval_logic,
-    eval_vectors,
+    eval_words,
+    index_bit_words,
     input_vector_from_index,
+    unpack_words,
 )
 from .camo import FUNCTION_TO_KIND, CamoConfig
 from .errors import CapacityError, CoverageError, DomainError, UsageError
@@ -222,39 +226,51 @@ def oracle_attack(
             survivors=[()],
         )
 
-    all_funcs = list(TruthTable2)
-    matrix = np.array(list(product(range(16), repeat=g)), dtype=np.uint8)
+    # Lane L is the candidate whose gate j has function digit j of L in base
+    # 16 (gate 0 most significant), so lanes run in the order of
+    # product(range(16), repeat=g). Bit (3 - m) of a function is its output
+    # for minterm m, hence gate j's mask M_m is index bit 4(g-1-j) + 3 - m.
+    n_lanes = 16**g
+    n_words = -(-n_lanes // WORD_BITS)
+    lanes = {
+        nm: tuple(
+            index_bit_words(4 * (g - 1 - j) + 3 - m, 0, n_words) for m in range(4)
+        )
+        for j, nm in enumerate(names)
+    }
+    alive = np.full(n_words, ALL_ONES)
+    if n_lanes < WORD_BITS:
+        alive[0] = (1 << n_lanes) - 1
     state = CandidateState(
         camo_gates=names,
         mode="joint",
-        marginals={nm: set(all_funcs) for nm in names},
-        survivor_history=[matrix.shape[0]],
+        marginals={nm: set(TruthTable2) for nm in names},
+        survivor_history=[n_lanes],
     )
 
     for vec in _query_vectors(len(camo.inputs), strategy, n_queries, seed):
-        if matrix.shape[0] <= 1:
+        if state.survivor_history[-1] <= 1:
             break
         observed = eval_logic(oracle, vec, oracle_bindings)
-        count = matrix.shape[0]
-        arrays = {
-            name: np.full(count, bool(bit))
-            for name, bit in zip(camo.inputs, vec)
-        }
-        bindings = {nm: matrix[:, j] for j, nm in enumerate(names)}
-        outs = eval_vectors(camo, arrays, bindings)
-        keep = np.ones(count, dtype=bool)
+        outs = eval_words(camo, [ALL_ONES if bit else ZERO for bit in vec], lanes)
         for o, obs in zip(outs, observed):
-            keep &= o == bool(obs)
-        matrix = matrix[keep]
+            alive &= o if obs else ~o
         state.query_log.append((tuple(vec), tuple(observed)))
-        state.survivor_history.append(matrix.shape[0])
+        state.survivor_history.append(int(np.bitwise_count(alive).sum()))
+        if state.survivor_history[-1] == 0:
+            raise DomainError(
+                f"oracle response {tuple(observed)} to query {tuple(vec)} "
+                f"eliminates every candidate: the oracle is inconsistent "
+                f"with the camouflaged netlist"
+            )
 
+    funcs = tuple(TruthTable2)
     state.survivors = [
-        tuple(TruthTable2(int(v)) for v in row) for row in matrix
+        tuple(funcs[(lane >> 4 * (g - 1 - j)) & 15] for j in range(g))
+        for lane in np.flatnonzero(unpack_words(alive, n_lanes)).tolist()
     ]
     state.marginals = {
-        nm: {TruthTable2(int(v)) for v in matrix[:, j]}
-        for j, nm in enumerate(names)
+        nm: {s[j] for s in state.survivors} for j, nm in enumerate(names)
     }
     return state
 
@@ -365,10 +381,3 @@ def resilience_report(state: CandidateState) -> dict:
 
 def write_report_json(report: dict, fh) -> None:
     fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def write_report_csv(report: dict, fh) -> None:
-    """Flat CSV of the scalar metrics (one header row, one value row)."""
-    keys = [k for k, v in report.items() if not isinstance(v, (dict, list))]
-    fh.write(",".join(keys) + "\n")
-    fh.write(",".join(str(report[k]) for k in keys) + "\n")

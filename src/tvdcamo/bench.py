@@ -12,6 +12,7 @@ NOT, BUF (1 input), plus the extension token CAMO(a, b) for a camouflaged
 Net names are case-sensitive ``[A-Za-z0-9_]+``; CRLF input is tolerated.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -261,36 +262,144 @@ def serialize_bench(n: Netlist, header: str = "tvdcamo netlist") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _apply_gate(gate: Gate, fan: list[np.ndarray], bindings) -> np.ndarray:
-    kind = gate.kind
-    if kind == "NOT":
-        return ~fan[0]
-    if kind == "BUF":
-        return fan[0]
-    if kind == "AND":
-        return reduce(np.logical_and, fan)
-    if kind == "NAND":
-        return ~reduce(np.logical_and, fan)
-    if kind == "OR":
-        return reduce(np.logical_or, fan)
-    if kind == "NOR":
-        return ~reduce(np.logical_or, fan)
-    if kind == "XOR":
-        return reduce(np.logical_xor, fan)
-    if kind == "XNOR":
-        return ~reduce(np.logical_xor, fan)
-    # CAMO: the bound function may be one TruthTable2 for the whole batch or
-    # a uint8 array of per-element function values (used by attack pruning).
+# The word engine. Vectors are bit-packed 64 to a word: vector k sits at bit
+# k % 64 of word k // 64. It uses only & | ^ ~, so one gate pass serves numpy
+# uint64 word arrays, numpy uint64 scalars and Python ints alike; ~ sets the
+# bits past the last vector, so callers mask those off at the end.
+WORD_BITS = 64
+ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+ZERO = np.uint64(0)
+
+_REDUCERS = {
+    "AND": operator.and_,
+    "NAND": operator.and_,
+    "OR": operator.or_,
+    "NOR": operator.or_,
+    "XOR": operator.xor,
+    "XNOR": operator.xor,
+}
+_NEGATED = frozenset({"NAND", "NOR", "XNOR"})
+
+# A CAMO gate bound to one function for every vector, in its cheapest form.
+_FUNCTION_WORDS = {
+    TruthTable2.FALSE: lambda a, b: a & ~a,
+    TruthTable2.AND: lambda a, b: a & b,
+    TruthTable2.A_AND_NOT_B: lambda a, b: a & ~b,
+    TruthTable2.A: lambda a, b: a,
+    TruthTable2.NOT_A_AND_B: lambda a, b: ~a & b,
+    TruthTable2.B: lambda a, b: b,
+    TruthTable2.XOR: lambda a, b: a ^ b,
+    TruthTable2.OR: lambda a, b: a | b,
+    TruthTable2.NOR: lambda a, b: ~(a | b),
+    TruthTable2.XNOR: lambda a, b: ~(a ^ b),
+    TruthTable2.NOT_B: lambda a, b: ~b,
+    TruthTable2.A_OR_NOT_B: lambda a, b: a | ~b,
+    TruthTable2.NOT_A: lambda a, b: ~a,
+    TruthTable2.NOT_A_OR_B: lambda a, b: ~a | b,
+    TruthTable2.NAND: lambda a, b: ~(a & b),
+    TruthTable2.TRUE: lambda a, b: a | ~a,
+}
+
+
+def _camo_word(gate: Gate, a, b, bindings):
     if bindings is None or gate.name not in bindings:
         raise UnprogrammedGateError(
             f"unprogrammed camouflaged gate {gate.name!r}"
         )
     bound = bindings[gate.name]
-    m = (fan[0].astype(np.uint8) << 1) | fan[1].astype(np.uint8)
-    if isinstance(bound, np.ndarray):
-        return ((bound >> (3 - m).astype(np.uint8)) & 1).astype(bool)
-    bits = np.array(TruthTable2(bound).minterm_bits, dtype=bool)
-    return bits[m]
+    if isinstance(bound, tuple):
+        # Per-lane function: mask m holds, in each lane, the output bit for
+        # minterm m = 2*A + B.
+        m0, m1, m2, m3 = bound
+        na, nb = ~a, ~b
+        return (na & nb & m0) | (na & b & m1) | (a & nb & m2) | (a & b & m3)
+    return _FUNCTION_WORDS[TruthTable2(bound)](a, b)
+
+
+def eval_words(n: Netlist, input_words, bindings=None) -> list:
+    """Evaluate bit-packed input words in one topological pass.
+
+    ``input_words`` holds one word (or word array) per primary input, in
+    input order; returns one per primary output, in output order. A CAMO
+    binding is a ``TruthTable2`` for every vector, or a tuple of four masks
+    (M0, M1, M2, M3) whose bits give each vector's output for minterms
+    0..3. Bits past the last vector are left unspecified.
+    """
+    values = dict(zip(n.inputs, input_words))
+    for gate in n.topo_gates:
+        fan = [values[f] for f in gate.fanin]
+        kind = gate.kind
+        if kind == "BUF":
+            out = fan[0]
+        elif kind == "NOT":
+            out = ~fan[0]
+        elif kind == "CAMO":
+            out = _camo_word(gate, fan[0], fan[1], bindings)
+        else:
+            out = reduce(_REDUCERS[kind], fan)
+            if kind in _NEGATED:
+                out = ~out
+        values[gate.name] = out
+    return [values[o] for o in n.outputs]
+
+
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """Pack 0/1 values along the last axis into uint64 words, low bit first."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), axis=-1, bitorder="little")
+    n_bytes = packed.shape[-1]
+    padded = np.zeros(packed.shape[:-1] + (-(-n_bytes // 8) * 8,), dtype=np.uint8)
+    padded[..., :n_bytes] = packed
+    return padded.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_words(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` bits of a word array, as booleans."""
+    raw = np.asarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little").astype(bool)
+
+
+# Bit k < 6 of a vector index is a fixed pattern inside every word.
+_LOW_INDEX_BITS = tuple(
+    np.uint64(sum(1 << p for p in range(WORD_BITS) if p >> k & 1))
+    for k in range(6)
+)
+
+
+def index_bit_words(k: int, start_word: int, n_words: int) -> np.ndarray:
+    """Words whose bit for vector index i is bit k of i.
+
+    Covers indices from ``start_word * 64`` on: 0xAAAA..., 0xCCCC...,
+    0xF0F0... for k = 0, 1, 2 and so on, and all-0 or all-1 words for k >= 6.
+    """
+    if k < 6:
+        return np.full(n_words, _LOW_INDEX_BITS[k], dtype=np.uint64)
+    word = np.arange(start_word, start_word + n_words, dtype=np.uint64)
+    return np.where((word >> np.uint64(k - 6)) & np.uint64(1), ALL_ONES, ZERO)
+
+
+def exhaustive_input_words(n_inputs: int, start_word: int, n_words: int) -> list:
+    """Input words for every vector index from ``start_word * 64`` on.
+
+    Index bit (n-1-j) drives input j, so the first-listed input is the most
+    significant bit of the index.
+    """
+    return [
+        index_bit_words(n_inputs - 1 - j, start_word, n_words)
+        for j in range(n_inputs)
+    ]
+
+
+def _lane_bindings(bindings, width: int):
+    """Per-vector uint8 function arrays become the engine's minterm masks."""
+    if bindings is None:
+        return None
+    out = {}
+    for name, bound in bindings.items():
+        if isinstance(bound, np.ndarray):
+            codes = np.broadcast_to(bound.astype(np.uint8), (width,))
+            bound = tuple(pack_words((codes >> (3 - m)) & 1) for m in range(4))
+        out[name] = bound
+    return out
 
 
 def eval_vectors(n: Netlist, input_arrays: dict, bindings=None) -> list[np.ndarray]:
@@ -298,18 +407,20 @@ def eval_vectors(n: Netlist, input_arrays: dict, bindings=None) -> list[np.ndarr
 
     ``input_arrays`` maps every primary input name to a same-length boolean
     array; returns one boolean array per primary output, in output order.
+    A CAMO binding may also be a uint8 array of per-vector function values.
+    This is the boolean wrapper over ``eval_words``.
     """
     missing = [name for name in n.inputs if name not in input_arrays]
     if missing:
         raise UsageError(f"missing value arrays for inputs {missing}")
-    values: dict[str, np.ndarray] = {
-        name: np.asarray(input_arrays[name], dtype=bool) for name in n.inputs
-    }
-    for gate in n.topo_gates:
-        values[gate.name] = _apply_gate(
-            gate, [values[f] for f in gate.fanin], bindings
-        )
-    return [values[o] for o in n.outputs]
+    arrays = [np.asarray(input_arrays[name], dtype=bool) for name in n.inputs]
+    widths = {a.shape for a in arrays}
+    if len(widths) > 1 or any(len(shape) != 1 for shape in widths):
+        raise UsageError("input value arrays must be 1-D and of equal length")
+    width = len(arrays[0]) if arrays else 0
+    words = [pack_words(a) for a in arrays]
+    outs = eval_words(n, words, _lane_bindings(bindings, width))
+    return [unpack_words(o, width) for o in outs]
 
 
 def eval_logic(n: Netlist, inputs, bindings=None) -> tuple[int, ...]:
@@ -322,27 +433,8 @@ def eval_logic(n: Netlist, inputs, bindings=None) -> tuple[int, ...]:
     for bit in vec:
         if bit not in (0, 1, False, True):
             raise UsageError(f"input bits must be 0/1, got {bit!r}")
-    arrays = {
-        name: np.array([bool(bit)]) for name, bit in zip(n.inputs, vec)
-    }
-    outs = eval_vectors(n, arrays, bindings)
-    return tuple(int(o[0]) for o in outs)
-
-
-def exhaustive_input_arrays(
-    names: tuple[str, ...], start: int, count: int
-) -> dict[str, np.ndarray]:
-    """Input arrays for global vector indices [start, start+count).
-
-    Vector index bit (n-1-j) drives input j, so the first-listed input is the
-    most significant bit of the index.
-    """
-    n = len(names)
-    idx = np.arange(start, start + count, dtype=np.int64)
-    return {
-        name: ((idx >> (n - 1 - j)) & 1).astype(bool)
-        for j, name in enumerate(names)
-    }
+    outs = eval_words(n, [int(bit) for bit in vec], bindings)
+    return tuple(int(o) & 1 for o in outs)
 
 
 def input_vector_from_index(names: tuple[str, ...], index: int) -> tuple[int, ...]:

@@ -171,13 +171,6 @@ def simulate(
     )
 
 
-def simulate_all_minterms(
-    program: GatePhProgram, params: IsfetParams, cfg: SimConfig
-) -> list[GateTrace]:
-    """Simulate the four input pairs in minterm order (00, 01, 10, 11)."""
-    return [simulate(program, params, cfg, a, b) for a in (0, 1) for b in (0, 1)]
-
-
 def margin_report(
     program: GatePhProgram,
     params: IsfetParams,

@@ -1,10 +1,11 @@
 import math
 import random
+import re
 from itertools import product
 
 import pytest
 
-from conftest import random_netlist
+from conftest import naive_eval, random_netlist
 from tvdcamo.attack import (
     ELECTROLYTE,
     IMPLANT,
@@ -15,7 +16,8 @@ from tvdcamo.attack import (
     resilience_report,
 )
 from tvdcamo.camo import camouflage, decamouflage, verify_equivalence
-from tvdcamo.errors import CapacityError, CoverageError, UsageError
+from tvdcamo.bench import Gate, Netlist
+from tvdcamo.errors import CapacityError, CoverageError, DomainError, UsageError
 from tvdcamo.gates import TruthTable2
 
 
@@ -181,6 +183,55 @@ class TestOracleAttackJoint:
             for survivor in state.survivors:
                 bindings = dict(zip(state.camo_gates, survivor))
                 assert verify_equivalence(n, camo, bindings=bindings).equivalent
+
+
+def _brute_force_joint(camo, oracle, names, vectors):
+    """Filter all 16^g candidate tuples against the oracle, query by query."""
+    candidates = list(product(TruthTable2, repeat=len(names)))
+    history = [len(candidates)]
+    for vec in vectors:
+        if len(candidates) <= 1:
+            break
+        observed = naive_eval(oracle, vec)
+        candidates = [
+            c for c in candidates
+            if naive_eval(camo, vec, dict(zip(names, c))) == observed
+        ]
+        history.append(len(candidates))
+    return history, candidates
+
+
+class TestOracleAttackLanes:
+    @pytest.mark.parametrize(
+        "names", [["16"], ["22"], ["10", "22"], ["16", "19"], ["10", "16", "23"]]
+    )
+    @pytest.mark.parametrize("strategy", ["exhaustive", "random"])
+    def test_joint_mode_matches_brute_force(self, c17, names, strategy):
+        camo, _ = camo_c17(c17, names)
+        state = oracle_attack(
+            camo, c17, strategy=strategy, n_queries=6, seed=len(names)
+        )
+        vectors = [vec for vec, _ in state.query_log]
+        if strategy == "exhaustive":
+            assert vectors == list(product((0, 1), repeat=5))[: len(vectors)]
+        history, survivors = _brute_force_joint(camo, c17, state.camo_gates, vectors)
+        assert state.survivor_history == history
+        assert state.survivors == survivors
+        assert state.marginals == {
+            nm: {s[j] for s in survivors} for j, nm in enumerate(state.camo_gates)
+        }
+
+    def test_inconsistent_oracle_is_domain_error(self, c17):
+        camo, _ = camo_c17(c17, ["10"])
+        all_or = Netlist(
+            c17.inputs, c17.outputs, [Gate(g.name, "OR", g.fanin) for g in c17.gates]
+        )
+        vectors = list(product((0, 1), repeat=5))
+        history, _ = _brute_force_joint(camo, all_or, ("10",), vectors)
+        assert history[-1] == 0
+        emptied_by = vectors[len(history) - 2]
+        with pytest.raises(DomainError, match=re.escape(str(emptied_by))):
+            oracle_attack(camo, all_or)
 
 
 class TestMarginalFallback:

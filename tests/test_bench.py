@@ -12,9 +12,10 @@ from tvdcamo.bench import (
     Netlist,
     eval_logic,
     eval_vectors,
-    exhaustive_input_arrays,
+    exhaustive_input_words,
     parse_bench,
     serialize_bench,
+    unpack_words,
 )
 from tvdcamo.errors import (
     BenchParseError,
@@ -214,7 +215,76 @@ class TestEval:
             got = tuple(int(o[row]) for o in outs)
             assert got == naive_eval(n, vec)
 
-    def test_exhaustive_input_arrays_first_input_is_msb(self):
-        arrays = exhaustive_input_arrays(("a", "b"), 0, 4)
-        assert arrays["a"].tolist() == [False, False, True, True]
-        assert arrays["b"].tolist() == [False, True, False, True]
+    def test_exhaustive_input_words_first_input_is_msb(self):
+        a, b = exhaustive_input_words(2, 0, 1)
+        assert unpack_words(a, 4).tolist() == [False, False, True, True]
+        assert unpack_words(b, 4).tolist() == [False, True, False, True]
+
+
+class TestWordEngine:
+    """The bit-packed engine against ``naive_eval``, one vector at a time."""
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 1000])
+    def test_eval_vectors_matches_naive_across_word_widths(self, width):
+        # Widths around a word boundary leave padding bits that NOT, NAND,
+        # NOR and XNOR set; random_netlist also draws 3-input gates and
+        # outputs that are primary inputs.
+        for seed in range(8):
+            rng = random.Random(width * 100 + seed)
+            n = random_netlist(rng, unary_weight=0.25, wide_weight=0.2)
+            vectors = [
+                tuple(rng.randint(0, 1) for _ in n.inputs) for _ in range(width)
+            ]
+            arrays = {
+                name: np.array([vec[j] for vec in vectors], dtype=bool)
+                for j, name in enumerate(n.inputs)
+            }
+            outs = eval_vectors(n, arrays)
+            assert all(o.dtype == bool and o.shape == (width,) for o in outs)
+            for row, vec in enumerate(vectors):
+                expect = naive_eval(n, vec)
+                assert tuple(int(o[row]) for o in outs) == expect
+                if row < 4:
+                    assert eval_logic(n, vec) == expect
+
+    @pytest.mark.parametrize("width", [1, 16, 65, 300])
+    def test_per_lane_bindings_match_naive(self, width):
+        for seed in range(6):
+            rng = random.Random(width * 100 + seed)
+            plain = random_netlist(rng, max_gates=20)
+            picks = [
+                g.name for g in plain.gates
+                if len(g.fanin) == 2 and rng.random() < 0.4
+            ]
+            n = Netlist(
+                plain.inputs,
+                plain.outputs,
+                [Gate(g.name, "CAMO", g.fanin) if g.name in picks else g
+                 for g in plain.gates],
+            )
+            codes = {
+                name: np.array([rng.randrange(16) for _ in range(width)], dtype=np.uint8)
+                for name in picks
+            }
+            vectors = [
+                tuple(rng.randint(0, 1) for _ in n.inputs) for _ in range(width)
+            ]
+            arrays = {
+                name: np.array([vec[j] for vec in vectors], dtype=bool)
+                for j, name in enumerate(n.inputs)
+            }
+            outs = eval_vectors(n, arrays, codes)
+            for lane, vec in enumerate(vectors):
+                bound = {name: TruthTable2(int(c[lane])) for name, c in codes.items()}
+                assert tuple(int(o[lane]) for o in outs) == naive_eval(n, vec, bound)
+
+    def test_every_camo_function_matches_its_truth_table(self):
+        n = Netlist(["a", "b"], ["y"], [Gate("y", "CAMO", ("a", "b"))])
+        for f in TruthTable2:
+            for a, b in product((0, 1), repeat=2):
+                assert eval_logic(n, [a, b], {"y": f}) == (f.eval(a, b),)
+
+    def test_unequal_input_lengths_rejected(self):
+        n = Netlist(["a", "b"], ["y"], [Gate("y", "AND", ("a", "b"))])
+        with pytest.raises(UsageError):
+            eval_vectors(n, {"a": np.zeros(3, dtype=bool), "b": np.zeros(4, dtype=bool)})

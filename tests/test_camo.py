@@ -2,9 +2,11 @@ import json
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
-from conftest import random_netlist
+from conftest import naive_eval, random_netlist
+from tvdcamo import camo as camo_module
 from tvdcamo.bench import Gate, Netlist, eval_logic, parse_bench, serialize_bench
 from tvdcamo.camo import (
     CamoConfig,
@@ -221,6 +223,120 @@ class TestVerifyEquivalence:
             result = verify_equivalence(n, camo, bindings=cfg.bindings())
             assert result.equivalent, f"seed {seed}: {result}"
 
+
+def _wrong_binding_case(n_inputs: int, seed: int):
+    """A netlist with exactly ``n_inputs`` inputs, its camouflaged copy, and
+    a binding that flips one minterm of the camouflaged gate."""
+    rng = random.Random(seed)
+    while True:
+        plain = random_netlist(rng, max_inputs=n_inputs, max_gates=25)
+        eligible = [g.name for g in plain.gates if len(g.fanin) == 2]
+        if len(plain.inputs) == n_inputs and eligible:
+            break
+    victim = rng.choice(eligible)
+    if rng.random() < 0.5:
+        # Observe the gate only where the first input (the index MSB) is 1,
+        # so the first difference lies in the upper half of the index range.
+        guard = Gate("guard", "AND", (plain.inputs[0], victim))
+        plain = Netlist(plain.inputs, ["guard"], plain.gates + (guard,))
+    else:
+        outputs = [o for o in plain.outputs if o != victim] + [victim]
+        plain = Netlist(plain.inputs, outputs, plain.gates)
+    camo, cfg = camouflage(plain, gates=[victim])
+    flipped = cfg.bindings()[victim] ^ (1 << rng.randrange(4))
+    return plain, camo, {victim: TruthTable2(flipped)}
+
+
+def _first_mismatch_by_brute_force(a, b, bindings):
+    width = len(a.inputs)
+    for index in range(1 << width):
+        vec = tuple((index >> (width - 1 - j)) & 1 for j in range(width))
+        outs_a, outs_b = naive_eval(a, vec, bindings), naive_eval(b, vec, bindings)
+        if outs_a != outs_b:
+            return index, vec, outs_a, outs_b
+    return None
+
+
+class TestVerifyWordChunks:
+    @pytest.mark.parametrize("chunk_words", [1, 3, camo_module._CHUNK_WORDS])
+    @pytest.mark.parametrize("n_inputs", range(1, 9))
+    def test_exhaustive_first_counterexample_matches_brute_force(
+        self, n_inputs, chunk_words, monkeypatch
+    ):
+        monkeypatch.setattr(camo_module, "_CHUNK_WORDS", chunk_words)
+        for seed in range(8):
+            n, camo, wrong = _wrong_binding_case(n_inputs, 100 * n_inputs + seed)
+            expect = _first_mismatch_by_brute_force(n, camo, wrong)
+            result = verify_equivalence(n, camo, bindings=wrong)
+            assert result.vectors_total == 1 << n_inputs
+            if expect is None:
+                assert result.equivalent
+                assert result.vectors_checked == 1 << n_inputs
+                continue
+            index, vec, outs_a, outs_b = expect
+            assert not result.equivalent
+            assert result.vectors_checked == index + 1
+            assert result.counterexample == vec
+            assert (result.outputs_a, result.outputs_b) == (outs_a, outs_b)
+
+    def test_zero_inputs(self):
+        empty = Netlist([], [], [])
+        result = verify_equivalence(empty, empty)
+        assert result.equivalent and result.vectors_checked == 1
+
+    def test_first_counterexample_in_a_later_chunk(self):
+        # The first input is the index MSB, so with one more input than a
+        # chunk covers it selects the second chunk. The outputs differ only
+        # when it is 1, the last input (bit 1 of a word) is 1 and i1 = i2 = 0.
+        n_in = (camo_module._CHUNK_WORDS * 64).bit_length()
+        inputs = [f"i{k}" for k in range(n_in)]
+        gates = [
+            Gate("z", "AND", ("i1", "i2")),
+            Gate("y", "AND", ("i0", inputs[-1], "z")),
+        ]
+        plain = Netlist(inputs, ["y"], gates)
+        camo, _ = camouflage(plain, gates=["z"])
+        wrong = {"z": TruthTable2.NOR}
+        result = verify_equivalence(plain, camo, bindings=wrong)
+        assert result.vectors_checked == (1 << (n_in - 1)) + 2
+        assert result.counterexample == (1,) + (0,) * (n_in - 2) + (1,)
+        assert naive_eval(plain, result.counterexample) == result.outputs_a == (0,)
+        assert naive_eval(camo, result.counterexample, wrong) == result.outputs_b == (1,)
+
+    @pytest.mark.parametrize("chunk_words", [1, camo_module._CHUNK_WORDS])
+    @pytest.mark.parametrize("n_vectors", [1, 63, 64, 65, 300])
+    def test_random_first_counterexample_matches_brute_force(
+        self, n_vectors, chunk_words, monkeypatch
+    ):
+        monkeypatch.setattr(camo_module, "_CHUNK_WORDS", chunk_words)
+        # A rare difference (1 vector in 128) puts first hits past word 0.
+        inputs = [f"i{k}" for k in range(8)]
+        rare = Netlist(inputs, ["y"], [
+            Gate("z", "AND", ("i6", "i7")),
+            Gate("y", "AND", tuple(inputs[:6]) + ("z",)),
+        ])
+        rare_camo, _ = camouflage(rare, gates=["z"])
+        cases = [_wrong_binding_case(6, 900 + seed) for seed in range(4)]
+        cases.append((rare, rare_camo, {"z": TruthTable2.NOR}))
+        for n, camo, wrong in cases:
+            for seed in range(4):
+                result = verify_equivalence(
+                    n, camo, bindings=wrong, mode="random",
+                    n_vectors=n_vectors, seed=seed,
+                )
+                matrix = np.random.default_rng(seed).integers(
+                    0, 2, size=(n_vectors, len(n.inputs)), dtype=np.uint8
+                )
+                hits = [
+                    k for k, row in enumerate(matrix)
+                    if naive_eval(n, row, wrong) != naive_eval(camo, row, wrong)
+                ]
+                if not hits:
+                    assert result.equivalent
+                    assert result.vectors_checked == n_vectors
+                    continue
+                assert result.vectors_checked == hits[0] + 1
+                assert result.counterexample == tuple(int(v) for v in matrix[hits[0]])
 
 class TestLayoutIndistinguishability:
     def test_same_structure_yields_identical_camo_text(self, c17):
