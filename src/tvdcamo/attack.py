@@ -7,7 +7,6 @@ input/output access to a programmed chip and prunes candidate gate functions
 against observed responses.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -150,11 +149,7 @@ class CandidateState:
 
     @property
     def queries_to_resolution(self) -> int:
-        final = self.survivor_history[-1]
-        for q, count in enumerate(self.survivor_history):
-            if count == final:
-                return q
-        return len(self.survivor_history) - 1
+        return self.survivor_history.index(self.survivor_history[-1])
 
     @property
     def resolved_gate_fraction(self) -> float:
@@ -377,7 +372,3 @@ def resilience_report(state: CandidateState) -> dict:
             nm: sorted(f.name for f in s) for nm, s in state.marginals.items()
         },
     }
-
-
-def write_report_json(report: dict, fh) -> None:
-    fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

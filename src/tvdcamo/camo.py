@@ -7,7 +7,7 @@ secret), together with the pH pair that programs it.
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -72,6 +72,7 @@ class CamoGateSpec:
                 f"gate {self.name!r}: ph_low ({self.ph_low!r}) must be below "
                 f"ph_high ({self.ph_high!r})"
             )
+        self.program()  # PhRangeError for a pH outside [0, 14]
 
     def program(self) -> GatePhProgram:
         return GatePhProgram(
@@ -100,13 +101,7 @@ class CamoConfig:
 
     def to_json(self) -> str:
         doc = {
-            "params": {
-                "k_gain": self.params.k_gain,
-                "vth0": self.params.vth0,
-                "ph_ref": self.params.ph_ref,
-                "sensitivity": self.params.sensitivity,
-                "vdd": self.params.vdd,
-            },
+            "params": asdict(self.params),
             "gates": [
                 {
                     "name": g.name,
@@ -128,6 +123,11 @@ class CamoConfig:
         except json.JSONDecodeError as exc:
             raise DomainError(f"malformed camouflage config: {exc}") from exc
         try:
+            odd = set(doc["params"]) ^ {f.name for f in fields(IsfetParams)}
+            if odd:
+                raise DomainError(
+                    f"camouflage config params: missing or unknown keys {sorted(odd)}"
+                )
             params = IsfetParams(**doc["params"])
             gates = []
             for entry in doc["gates"]:

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from .attack import (
     profiling_attack,
     reconstruct,
     resilience_report,
-    write_report_json,
 )
 from .bench import parse_bench, serialize_bench
 from .camo import CamoConfig, camouflage, verify_equivalence
@@ -48,6 +48,10 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _write_manifest(outdir: Path, subcommand: str, args, inputs, outputs):
     params = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -62,29 +66,25 @@ def _write_manifest(outdir: Path, subcommand: str, args, inputs, outputs):
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    _write_json(outdir / "manifest.json", manifest)
 
 
-def _params_from_args(args) -> IsfetParams:
-    return IsfetParams(
-        k_gain=args.k_gain,
-        vth0=args.vth0,
-        ph_ref=args.ph_ref,
-        sensitivity=args.sensitivity,
-        vdd=args.vdd,
-    )
+def _add_field_flags(p, cls, skip=()):
+    """One float ``--field-name`` flag per dataclass field, with its default."""
+    for f in fields(cls):
+        if f.name not in skip:
+            p.add_argument(
+                "--" + f.name.replace("_", "-"),
+                type=float,
+                default=f.default,
+                help=f.metadata["help"],
+            )
 
 
-def _add_param_flags(p):
-    p.add_argument("--k-gain", type=float, default=1e-4, help="device gain, A/V^2")
-    p.add_argument("--vth0", type=float, default=0.3, help="threshold at ph-ref, V")
-    p.add_argument("--ph-ref", type=float, default=2.0, help="calibration pH")
-    p.add_argument(
-        "--sensitivity", type=float, default=0.059, help="threshold shift, V/pH"
-    )
-    p.add_argument("--vdd", type=float, default=1.8, help="supply rail, V")
+def _from_args(cls, args):
+    """Build ``cls`` from the parsed flags named like its fields."""
+    names = [f.name for f in fields(cls) if hasattr(args, f.name)]
+    return cls(**{name: getattr(args, name) for name in names})
 
 
 def _read_text(path) -> str:
@@ -96,14 +96,17 @@ def _read_text(path) -> str:
 
 def _cmd_sweep(args) -> int:
     outdir = _out_dir(args)
-    params = _params_from_args(args)
+    params = _from_args(IsfetParams, args)
     if args.vgs_steps < 1:
         raise UsageError("--vgs-steps must be at least 1")
     if args.vgs_steps == 1:
         grid = np.array([args.vgs_start])
     else:
         grid = np.linspace(args.vgs_start, args.vgs_stop, args.vgs_steps)
-    phs = [float(tok) for tok in args.ph.split(",") if tok.strip()]
+    try:
+        phs = [float(tok) for tok in args.ph.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"--ph must list numbers, got {args.ph!r}") from None
     table = iv_sweep(params, grid, args.vds, phs)
     csv_path = outdir / "sweep.csv"
     with open(csv_path, "w") as fh:
@@ -124,15 +127,8 @@ def _program_from_args(args) -> GatePhProgram:
 
 def _cmd_gate(args) -> int:
     outdir = _out_dir(args)
-    params = _params_from_args(args)
-    cfg = SimConfig(
-        vdd=args.vdd,
-        clock_freq=args.clock_freq,
-        c_node=args.c_node,
-        dt=args.dt,
-        trip=args.trip,
-        resolve_margin=args.resolve_margin,
-    )
+    params = _from_args(IsfetParams, args)
+    cfg = _from_args(SimConfig, args)
     program = _program_from_args(args)
     if args.inputs == "all":
         pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -151,8 +147,7 @@ def _cmd_gate(args) -> int:
         with open(csv_path, "w") as fh:
             write_trace_csv(trace, fh)
         meta_path = outdir / f"{stem}.meta.json"
-        meta = trace_metadata(program, params, cfg, a, b, trace)
-        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        _write_json(meta_path, trace_metadata(program, params, cfg, a, b, trace))
         outputs.extend([csv_path, meta_path])
         bits.append(trace.output_str)
         rt = "-" if trace.resolve_time is None else f"{trace.resolve_time:.3e} s"
@@ -194,7 +189,7 @@ def _cmd_camouflage(args) -> int:
         netlist,
         ph_low=args.ph_low,
         ph_high=args.ph_high,
-        params=_params_from_args(args),
+        params=_from_args(IsfetParams, args),
         **kwargs,
     )
     bench_path = outdir / args.out_bench
@@ -272,8 +267,7 @@ def _cmd_attack(args) -> int:
             recon_path = outdir / "reconstructed.bench"
             recon_path.write_text(serialize_bench(reconstruct(camo, resolution)))
             report["reconstructed"] = str(recon_path)
-        with open(report_path, "w") as fh:
-            write_report_json(report, fh)
+        _write_json(report_path, report)
         _write_manifest(
             outdir, "attack", args, [args.netlist, args.config], [report_path]
         )
@@ -299,8 +293,7 @@ def _cmd_attack(args) -> int:
         "strategy": args.strategy,
         **resilience_report(state),
     }
-    with open(report_path, "w") as fh:
-        write_report_json(report, fh)
+    _write_json(report_path, report)
     _write_manifest(
         outdir, "attack", args, [args.netlist, args.config], [report_path]
     )
@@ -324,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("sweep", help="export a v_gs/pH drain-current sweep as CSV")
-    _add_param_flags(p)
+    _add_field_flags(p, IsfetParams)
     p.add_argument("--vgs-start", type=float, default=0.0)
     p.add_argument("--vgs-stop", type=float, default=1.8)
     p.add_argument("--vgs-steps", type=int, default=37)
@@ -334,16 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func_impl=_cmd_sweep)
 
     p = sub.add_parser("gate", help="simulate one camouflaged gate transient")
-    _add_param_flags(p)
+    _add_field_flags(p, IsfetParams)
+    # vdd comes from the device flags; pmos_vth has no flag.
+    _add_field_flags(p, SimConfig, skip=("vdd", "pmos_vth"))
     p.add_argument("--func", required=True, help="function name or 0..15")
     p.add_argument("--ph-low", type=float, default=2.0)
     p.add_argument("--ph-high", type=float, default=10.0)
     p.add_argument("--inputs", default="all", help="two bits (e.g. 01) or 'all'")
-    p.add_argument("--clock-freq", type=float, default=2e7)
-    p.add_argument("--c-node", type=float, default=1e-14)
-    p.add_argument("--dt", type=float, default=1e-12)
-    p.add_argument("--trip", type=float, default=None)
-    p.add_argument("--resolve-margin", type=float, default=0.1)
     p.add_argument("--margin-csv", action="store_true", help="also write margin report")
     p.add_argument("-o", "--out-dir", default=None)
     p.set_defaults(func_impl=_cmd_gate)
@@ -355,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func_impl=_cmd_derive_table)
 
     p = sub.add_parser("camouflage", help="replace gates with camouflaged instances")
-    _add_param_flags(p)
+    _add_field_flags(p, IsfetParams)
     p.add_argument("netlist", help=".bench netlist to camouflage")
     p.add_argument("--gates", default=None, help="comma-separated gate names")
     p.add_argument("--rate", type=float, default=None, help="fraction of eligible gates")

@@ -5,8 +5,7 @@ around a calibration point), which is what makes the device role (LVT or HVT)
 programmable after fabrication by exchanging the electrolyte.
 """
 
-import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,11 +27,15 @@ def _check_ph(ph):
 class IsfetParams:
     """Device constants and the pH-to-threshold calibration for one ISFET."""
 
-    k_gain: float = 1e-4  # transconductance factor mu_n*c_ox*(W/L), A/V^2
-    vth0: float = 0.3  # threshold voltage at ph_ref, V
-    ph_ref: float = 2.0  # calibration pH
-    sensitivity: float = NERNST_SENSITIVITY  # threshold shift, V per pH unit
-    vdd: float = 1.8  # supply rail, V
+    k_gain: float = field(
+        default=1e-4, metadata={"help": "device gain mu_n*c_ox*(W/L), A/V^2"}
+    )
+    vth0: float = field(default=0.3, metadata={"help": "threshold at ph-ref, V"})
+    ph_ref: float = field(default=2.0, metadata={"help": "calibration pH"})
+    sensitivity: float = field(
+        default=NERNST_SENSITIVITY, metadata={"help": "threshold shift, V/pH"}
+    )
+    vdd: float = field(default=1.8, metadata={"help": "supply rail, V"})
 
     def __post_init__(self):
         if self.k_gain <= 0:
@@ -119,10 +122,3 @@ def write_sweep_csv(table: np.ndarray, fh) -> None:
     fh.write("v_gs,ph,i_ds\n")
     for v_gs, ph, i in table:
         fh.write(f"{v_gs:.6e},{ph:.6e},{i:.6e}\n")
-
-
-def sweep_csv_text(table: np.ndarray) -> str:
-    """Return the CSV text of an iv_sweep table."""
-    buf = io.StringIO()
-    write_sweep_csv(table, buf)
-    return buf.getvalue()

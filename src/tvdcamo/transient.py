@@ -6,8 +6,7 @@ the two conducting pull-down branches race while the cross-coupled PMOS pair
 regenerates the imbalance. Output inverters are ideal comparators.
 """
 
-import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,13 +26,24 @@ from .gates import (
 class SimConfig:
     """Simulation conditions for one gate-level transient run."""
 
-    vdd: float = 1.8  # supply rail, V
-    clock_freq: float = 2e7  # Hz; one simulated period = 1/clock_freq
-    c_node: float = 1e-14  # differential node capacitance, F
-    dt: float = 1e-12  # integration step, s
-    trip: float | None = None  # output inverter threshold, V (None -> vdd/2)
-    resolve_margin: float = 0.1  # |V_OUT - V̄_OUT| needed to call a winner, V
-    pmos_vth: float = 0.5  # sense-amp PMOS threshold magnitude, V
+    vdd: float = field(default=1.8, metadata={"help": "supply rail, V"})
+    clock_freq: float = field(
+        default=2e7, metadata={"help": "clock, Hz; one simulated period = 1/clock_freq"}
+    )
+    c_node: float = field(
+        default=1e-14, metadata={"help": "differential node capacitance, F"}
+    )
+    dt: float = field(default=1e-12, metadata={"help": "integration step, s"})
+    trip: float | None = field(
+        default=None, metadata={"help": "output inverter threshold, V (default vdd/2)"}
+    )
+    resolve_margin: float = field(
+        default=0.1,
+        metadata={"help": "|V_OUT - V̄_OUT| needed to call a winner, V"},
+    )
+    pmos_vth: float = field(
+        default=0.5, metadata={"help": "sense-amp PMOS threshold magnitude, V"}
+    )
 
     def __post_init__(self):
         if self.vdd <= 0:
@@ -210,12 +220,6 @@ def write_trace_csv(trace: GateTrace, fh) -> None:
     np.savetxt(fh, data, fmt="%.6e", delimiter=",")
 
 
-def trace_csv_text(trace: GateTrace) -> str:
-    buf = io.StringIO()
-    write_trace_csv(trace, buf)
-    return buf.getvalue()
-
-
 def write_margin_csv(rows: list[dict], fh) -> None:
     """Write a margin report as CSV."""
     fh.write("minterm,a,b,current_ratio,resolve_time,output\n")
@@ -241,22 +245,8 @@ def trace_metadata(
             "ph_high": program.ph_high,
             "lvt_on_out_side": list(program.assignment.lvt_on_out_side),
         },
-        "params": {
-            "k_gain": params.k_gain,
-            "vth0": params.vth0,
-            "ph_ref": params.ph_ref,
-            "sensitivity": params.sensitivity,
-            "vdd": params.vdd,
-        },
-        "config": {
-            "vdd": cfg.vdd,
-            "clock_freq": cfg.clock_freq,
-            "c_node": cfg.c_node,
-            "dt": cfg.dt,
-            "trip": cfg.trip_voltage,
-            "resolve_margin": cfg.resolve_margin,
-            "pmos_vth": cfg.pmos_vth,
-        },
+        "params": asdict(params),
+        "config": {**asdict(cfg), "trip": cfg.trip_voltage},
         "resolved_output": trace.resolved_output,
         "resolve_time": trace.resolve_time,
     }

@@ -9,6 +9,7 @@ from conftest import naive_eval, random_netlist
 from tvdcamo.attack import (
     ELECTROLYTE,
     IMPLANT,
+    CandidateState,
     DeviceVisibility,
     oracle_attack,
     profiling_attack,
@@ -297,6 +298,14 @@ class TestResilienceReport:
             survivors += ok
         assert state.joint_survivors == survivors
         assert resilience_report(state)["ambiguity_bits"] == math.log2(survivors)
+
+    def test_queries_to_resolution_is_first_query_at_final_count(self):
+        state = CandidateState(
+            camo_gates=(), mode="joint", marginals={}, survivor_history=[16, 4, 2, 2, 2]
+        )
+        assert state.queries_to_resolution == 2
+        state.survivor_history = [1]
+        assert state.queries_to_resolution == 0
 
     def test_report_keys(self, c17):
         camo, cfg = camo_c17(c17, ["16"])

@@ -20,6 +20,7 @@ from tvdcamo.errors import (
     CoverageError,
     DomainError,
     NotCamouflageableError,
+    PhRangeError,
     SignatureMismatchError,
     UsageError,
 )
@@ -84,6 +85,19 @@ class TestCamouflage:
     def test_degenerate_ph_pair_rejected(self, c17):
         with pytest.raises(DomainError):
             camouflage(c17, gates=["16"], ph_low=7.0, ph_high=7.0)
+
+    @pytest.mark.parametrize("ph_low, ph_high", [(2.0, 20.0), (-1.0, 10.0)])
+    def test_ph_outside_physical_range_rejected(self, c17, ph_low, ph_high):
+        with pytest.raises(PhRangeError):
+            camouflage(c17, gates=["16"], ph_low=ph_low, ph_high=ph_high)
+        with pytest.raises(PhRangeError):
+            CamoGateSpec(
+                name="16",
+                function=TruthTable2.NAND,
+                assignment=assignment_for(TruthTable2.NAND),
+                ph_low=ph_low,
+                ph_high=ph_high,
+            )
 
 
 class TestDecamouflage:
@@ -156,6 +170,25 @@ class TestConfigJson:
         doc = json.loads(cfg.to_json())
         doc["gates"][0]["function_name"] = "AND"
         with pytest.raises(DomainError):
+            CamoConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [(lambda p: p.pop("vdd"), "vdd"), (lambda p: p.update(bogus=1.0), "bogus")],
+        ids=["missing", "unknown"],
+    )
+    def test_params_key_set_must_match_isfet_params(self, c17, edit, key):
+        _, cfg = camouflage(c17, gates=["16"])
+        doc = json.loads(cfg.to_json())
+        edit(doc["params"])
+        with pytest.raises(DomainError, match=key):
+            CamoConfig.from_json(json.dumps(doc))
+
+    def test_impossible_ph_rejected(self, c17):
+        _, cfg = camouflage(c17, gates=["16"])
+        doc = json.loads(cfg.to_json())
+        doc["gates"][0]["ph_high"] = 20.0
+        with pytest.raises(PhRangeError):
             CamoConfig.from_json(json.dumps(doc))
 
     def test_inconsistent_assignment_rejected(self, c17):

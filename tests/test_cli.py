@@ -124,6 +124,13 @@ class TestSweepCommand:
         assert err.startswith("error:")
         assert "20" in err
 
+    def test_non_numeric_ph_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(["sweep", "--ph", "2,x", "-o", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "2,x" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestDeriveTable:
     def test_sixteen_rows(self, tmp_path, capsys):
@@ -266,6 +273,55 @@ class TestCamouflageVerifyAttack:
         ma.pop("outputs")
         mb.pop("outputs")
         assert ma == mb
+
+
+class TestParameterFlags:
+    def test_gate_flags_build_the_sim_config(self, tmp_path, capsys):
+        argv = ["gate", "--func", "AND", "--inputs", "11", "--vdd", "2.0",
+                "--clock-freq", "1e9", "--dt", "2e-12", "--trip", "0.8",
+                "--resolve-margin", "0.2", "--c-node", "2e-14", "-o", str(tmp_path)]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        meta = json.loads((tmp_path / "gate_and_a1b1.meta.json").read_text())
+        assert meta["config"] == {
+            "vdd": 2.0,
+            "clock_freq": 1e9,
+            "c_node": 2e-14,
+            "dt": 2e-12,
+            "trip": 0.8,
+            "resolve_margin": 0.2,
+            "pmos_vth": 0.5,
+        }
+        assert meta["params"]["vdd"] == 2.0
+
+    def test_device_flags_reach_the_config(self, tmp_path, capsys, c17_file):
+        code, _, _ = run(
+            ["camouflage", str(c17_file), "--gates", "16", "--vth0", "0.25",
+             "--k-gain", "2e-4", "-o", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "camo_config.json").read_text())
+        assert doc["params"] == {
+            "k_gain": 2e-4, "vth0": 0.25, "ph_ref": 2.0, "sensitivity": 0.059, "vdd": 1.8
+        }
+
+    def test_help_comes_from_field_metadata(self, capsys):
+        assert main(["gate", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "threshold shift, V/pH" in out
+        assert "differential node capacitance, F" in out
+
+    def test_impossible_ph_rejected_at_compile_time(self, tmp_path, capsys, c17_file):
+        code, _, err = run(
+            ["camouflage", str(c17_file), "--rate", "0.5", "--ph-high", "20",
+             "-o", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert "20" in err
+        assert not (tmp_path / "camo_config.json").exists()
 
 
 class TestExitCodes:

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from tvdcamo.device import (
     IsfetParams,
     ids,
     iv_sweep,
-    sweep_csv_text,
     vth_from_ph,
+    write_sweep_csv,
 )
 from tvdcamo.errors import PhRangeError, UsageError
 
@@ -169,8 +170,9 @@ class TestIvSweep:
         assert table.shape == (2, 3)
 
     def test_csv_format(self):
-        text = sweep_csv_text(iv_sweep(DEFAULTS, [1.8], 0.1, [2.0, 10.0]))
-        lines = text.strip().split("\n")
+        buf = io.StringIO()
+        write_sweep_csv(iv_sweep(DEFAULTS, [1.8], 0.1, [2.0, 10.0]), buf)
+        lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "v_gs,ph,i_ds"
         assert lines[1] == "1.800000e+00,2.000000e+00,1.450000e-05"
         assert lines[2] == "1.800000e+00,1.000000e+01,9.780000e-06"

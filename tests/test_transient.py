@@ -13,8 +13,8 @@ from tvdcamo.transient import (
     SimConfig,
     margin_report,
     simulate,
-    trace_csv_text,
     write_margin_csv,
+    write_trace_csv,
 )
 
 PARAMS = IsfetParams()
@@ -183,8 +183,9 @@ class TestMarginReport:
 class TestTraceCsv:
     def test_header_and_row_count(self):
         trace = simulate(XOR_PROGRAM, PARAMS, CFG, 0, 1)
-        text = trace_csv_text(trace)
-        lines = text.strip().split("\n")
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "t,v_out,v_out_bar,out,out_bar"
         assert len(lines) == len(trace.t) + 1
         assert lines[1].startswith("0.000000e+00,1.800000e+00,1.800000e+00")
