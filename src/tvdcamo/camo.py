@@ -21,11 +21,12 @@ from .bench import (
     input_vector_from_index,
     pack_words,
 )
-from .device import IsfetParams
+from .device import PH_MAX, PH_MIN, IsfetParams
 from .errors import (
     CoverageError,
     DomainError,
     NotCamouflageableError,
+    PhRangeError,
     SignatureMismatchError,
     UsageError,
 )
@@ -51,6 +52,17 @@ EXHAUSTIVE_INPUT_LIMIT = 24
 _CHUNK_WORDS = 2048
 
 
+def _check_ph_pair(ph_low: float, ph_high: float, where: str) -> None:
+    """DomainError unless ph_low < ph_high, both inside [0, 14]."""
+    if not ph_low < ph_high:
+        raise DomainError(
+            f"{where}: ph_low ({ph_low!r}) must be below ph_high ({ph_high!r})"
+        )
+    for ph in (ph_low, ph_high):
+        if not PH_MIN <= ph <= PH_MAX:
+            raise PhRangeError(ph)
+
+
 @dataclass(frozen=True)
 class CamoGateSpec:
     """Secret programming record for one camouflaged instance."""
@@ -67,12 +79,7 @@ class CamoGateSpec:
                 f"gate {self.name!r}: assignment does not realize "
                 f"{self.function.name}"
             )
-        if not self.ph_low < self.ph_high:
-            raise DomainError(
-                f"gate {self.name!r}: ph_low ({self.ph_low!r}) must be below "
-                f"ph_high ({self.ph_high!r})"
-            )
-        self.program()  # PhRangeError for a pH outside [0, 14]
+        _check_ph_pair(self.ph_low, self.ph_high, f"gate {self.name!r}")
 
     def program(self) -> GatePhProgram:
         return GatePhProgram(
@@ -128,7 +135,10 @@ class CamoConfig:
                 raise DomainError(
                     f"camouflage config params: missing or unknown keys {sorted(odd)}"
                 )
-            params = IsfetParams(**doc["params"])
+            try:
+                params = IsfetParams(**doc["params"])
+            except UsageError as exc:
+                raise DomainError(f"camouflage config params: {exc}") from exc
             gates = []
             for entry in doc["gates"]:
                 function = TruthTable2(entry["function_bits"])
@@ -183,6 +193,7 @@ def camouflage(
         params = IsfetParams()
     if (gates is None) == (fraction is None):
         raise UsageError("specify exactly one of gates= or fraction=")
+    _check_ph_pair(ph_low, ph_high, "camouflage")
 
     existing = [g.name for g in n.gates if g.kind == "CAMO"]
     if existing:

@@ -91,6 +91,8 @@ class TestCamouflage:
         with pytest.raises(PhRangeError):
             camouflage(c17, gates=["16"], ph_low=ph_low, ph_high=ph_high)
         with pytest.raises(PhRangeError):
+            camouflage(c17, fraction=0.0, ph_low=ph_low, ph_high=ph_high)
+        with pytest.raises(PhRangeError):
             CamoGateSpec(
                 name="16",
                 function=TruthTable2.NAND,
@@ -183,6 +185,14 @@ class TestConfigJson:
         edit(doc["params"])
         with pytest.raises(DomainError, match=key):
             CamoConfig.from_json(json.dumps(doc))
+
+    def test_invalid_params_value_is_domain_error(self, c17):
+        _, cfg = camouflage(c17, gates=["16"])
+        doc = json.loads(cfg.to_json())
+        doc["params"]["k_gain"] = -1
+        with pytest.raises(DomainError, match="k_gain") as exc:
+            CamoConfig.from_json(json.dumps(doc))
+        assert not isinstance(exc.value, UsageError)
 
     def test_impossible_ph_rejected(self, c17):
         _, cfg = camouflage(c17, gates=["16"])

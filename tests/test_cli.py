@@ -324,6 +324,36 @@ class TestParameterFlags:
         assert not (tmp_path / "camo_config.json").exists()
 
 
+    def test_impossible_ph_rejected_when_no_gate_is_selected(
+        self, tmp_path, capsys, c17_file
+    ):
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            ["camouflage", str(c17_file), "--rate", "0", "--ph-high", "20",
+             "-o", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert "20" in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_invalid_config_params_is_domain_error(self, tmp_path, capsys, c17_file):
+        run(["camouflage", str(c17_file), "--gates", "16", "-o", str(tmp_path)], capsys)
+        config = tmp_path / "camo_config.json"
+        doc = json.loads(config.read_text())
+        doc["params"]["k_gain"] = -1
+        config.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["verify", str(c17_file), str(tmp_path / "camo.bench"), "--config",
+             str(config), "-o", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert "k_gain" in err
+
+
 class TestExitCodes:
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(

@@ -4,9 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tvdcamo import _kernels
+from tvdcamo import _kernels, transient
 from tvdcamo.device import IsfetParams
-from tvdcamo.errors import UsageError
+from tvdcamo.errors import SimulationError, UsageError
 from tvdcamo.gates import GatePhProgram, TruthTable2, assignment_for, evaluate_static
 from tvdcamo.transient import (
     GateTrace,
@@ -180,7 +180,113 @@ class TestMarginReport:
         assert len(lines) == 5
 
 
+# name -> (program, config, passes the divergence bound, outcome). Only a
+# config that passes the bound may stop before the end of the period.
+RESOLVE_CASES = {
+    "20MHz": (XOR_PROGRAM, CFG, True, "resolved"),
+    "1GHz": (XOR_PROGRAM, SimConfig(clock_freq=1e9), True, "resolved"),
+    "2GHz": (XOR_PROGRAM, SimConfig(clock_freq=2e9), True, "resolved"),
+    "ph2-2.5-2GHz": (
+        program_for(TruthTable2.AND, 2.0, 2.5), SimConfig(clock_freq=2e9), True, "unresolved"
+    ),
+    "symmetric": (
+        program_for(TruthTable2.XOR, 5.0, 5.0), SimConfig(clock_freq=1e9), True, "unresolved"
+    ),
+    "diverging": (XOR_PROGRAM, SimConfig(dt=4e-10), False, "diverged"),
+    # One step can move a node by 0.056 V: not provably inside the guard
+    # band, so the whole half is integrated, but it never leaves it.
+    "fallback": (
+        program_for(TruthTable2.NOR),
+        SimConfig(clock_freq=1e9, c_node=1.5e-15),
+        False,
+        "resolved",
+    ),
+}
+
+
+class TestResolveOnly:
+    @pytest.mark.parametrize("case", sorted(RESOLVE_CASES))
+    def test_margin_report_matches_full_simulation(self, case):
+        program, cfg, bounded, outcome = RESOLVE_CASES[case]
+        assert transient._cannot_diverge(transient._race(program, PARAMS, cfg, 0, 0)) is bounded
+        if outcome == "diverged":
+            with pytest.raises(SimulationError) as slow:
+                simulate(program, PARAMS, cfg, 0, 0)
+            with pytest.raises(SimulationError) as fast:
+                margin_report(program, PARAMS, cfg)
+            assert str(fast.value) == str(slow.value)
+            return
+        full = [simulate(program, PARAMS, cfg, a, b) for a, b in product((0, 1), repeat=2)]
+        rows = margin_report(program, PARAMS, cfg)
+        assert [r["output"] for r in rows] == [t.resolved_output for t in full]
+        assert [r["resolve_time"] for r in rows] == [t.resolve_time for t in full]
+        assert all(t.is_resolved == (outcome == "resolved") for t in full)
+
+    @pytest.mark.parametrize("cfg", [CFG, SimConfig(dt=4e-10)], ids=["stable", "diverging"])
+    def test_chunked_kernel_calls_continue_one_call(self, cfg):
+        race = transient._race(XOR_PROGRAM, PARAMS, cfg, 0, 1)
+        n_total = cfg.n_steps
+        n_pre = n_total // 2
+        whole = [np.full(n_total + 1, cfg.vdd) for _ in range(2)]
+        chunked = [np.full(n_total + 1, cfg.vdd) for _ in range(2)]
+        bad_whole = _kernels.integrate(*whole, n_pre, n_total, *race)
+        bounds = [n_pre, n_pre + 1, n_pre + 8, n_pre + 300, n_pre + 4097, n_total]
+        bad_chunked = -1
+        for start, stop in zip(bounds, bounds[1:]):
+            bad_chunked = _kernels.integrate(*chunked, start, stop, *race)
+            if bad_chunked >= 0:
+                break
+        assert bad_chunked == bad_whole
+        if bad_whole < 0:
+            for w, c in zip(whole, chunked):
+                assert w.tobytes() == c.tobytes()
+            trace = simulate(XOR_PROGRAM, PARAMS, cfg, 0, 1)
+            assert trace.v_out.tobytes() == whole[0].tobytes()
+
+
+def savetxt_reference(trace: GateTrace) -> str:
+    buf = io.StringIO()
+    buf.write("t,v_out,v_out_bar,out,out_bar\n")
+    data = np.column_stack([trace.t, trace.v_out, trace.v_out_bar, trace.out, trace.out_bar])
+    np.savetxt(buf, data, fmt="%.6e", delimiter=",")
+    return buf.getvalue()
+
+
+def csv_text(trace: GateTrace) -> str:
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    return buf.getvalue()
+
+
 class TestTraceCsv:
+    def test_resolved_20mhz_trace_matches_savetxt(self):
+        trace = simulate(XOR_PROGRAM, PARAMS, CFG, 1, 0)
+        assert trace.is_resolved
+        assert len(trace.t) % transient._CSV_BLOCK_ROWS != 0
+        assert csv_text(trace) == savetxt_reference(trace)
+
+    def test_unresolved_2ghz_trace_matches_savetxt(self):
+        cfg = SimConfig(clock_freq=2e9)
+        trace = simulate(program_for(TruthTable2.AND, 2.0, 2.5), PARAMS, cfg, 1, 1)
+        assert not trace.is_resolved
+        assert csv_text(trace) == savetxt_reference(trace)
+
+    def test_partial_last_block_and_special_values(self, monkeypatch):
+        monkeypatch.setattr(transient, "_CSV_BLOCK_ROWS", 4)
+        values = np.array([0.0, -0.0, -1.5, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.5])
+        trace = GateTrace(
+            t=np.arange(9) * 1e-12,
+            v_out=values,
+            v_out_bar=values[::-1].copy(),
+            out=np.zeros(9),
+            out_bar=np.full(9, 1.8),
+            resolved_output=None,
+            resolve_time=None,
+            eval_start_index=4,
+        )
+        assert csv_text(trace) == savetxt_reference(trace)
+        assert ",-0.000000e+00," in csv_text(trace)
+
     def test_header_and_row_count(self):
         trace = simulate(XOR_PROGRAM, PARAMS, CFG, 0, 1)
         buf = io.StringIO()
