@@ -38,6 +38,13 @@ _IO_RE = re.compile(r"^\s*(INPUT|OUTPUT)\s*\(\s*([A-Za-z0-9_]+)\s*\)\s*$")
 _GATE_RE = re.compile(
     r"^\s*([A-Za-z0-9_]+)\s*=\s*([A-Za-z0-9_]+)\s*\(\s*([^()]*?)\s*\)\s*$"
 )
+# A gate line whose net names are all valid, comment included: the parser's
+# fast path. _GATE_RE takes any argument text so that a bad name is located.
+_GATE_LINE_RE = re.compile(
+    r"\s*([A-Za-z0-9_]+)\s*=\s*([A-Za-z0-9_]+)\s*"
+    r"\(\s*([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)\s*\)\s*(?:#.*)?"
+)
+_find_names = re.compile(r"[A-Za-z0-9_]+").findall
 
 
 def _check_arity(kind: str, n: int) -> str | None:
@@ -73,6 +80,15 @@ class Gate:
             if not _NAME_RE.match(f):
                 raise NetlistError(f"gate {self.name!r}: invalid net name {f!r}")
 
+    @classmethod
+    def _unchecked(cls, name: str, kind: str, fanin: tuple[str, ...]) -> "Gate":
+        """A gate whose name, kind, arity and fan-in names are already checked."""
+        gate = object.__new__(cls)
+        object.__setattr__(gate, "name", name)
+        object.__setattr__(gate, "kind", kind)
+        object.__setattr__(gate, "fanin", fanin)
+        return gate
+
 
 class Netlist:
     """An immutable combinational netlist with single-driver nets.
@@ -87,6 +103,21 @@ class Netlist:
         self.outputs: tuple[str, ...] = tuple(outputs)
         self.gates: tuple[Gate, ...] = tuple(gates)
         self._validate()
+
+    @classmethod
+    def _from_checked(cls, inputs, outputs, gates, ordered=False) -> "Netlist":
+        """A netlist whose nets are known to be valid, single-driven and defined.
+
+        Only the gate map and the topological order (with its cycle check)
+        are built; ``ordered`` says ``gates`` already is one.
+        """
+        self = cls.__new__(cls)
+        self.inputs = tuple(inputs)
+        self.outputs = tuple(outputs)
+        self.gates = tuple(gates)
+        self.gate_map = {g.name: g for g in self.gates}
+        self.topo_gates = self.gates if ordered else self._topo_sort()
+        return self
 
     def _validate(self):
         drivers: set[str] = set()
@@ -116,26 +147,29 @@ class Netlist:
         self.topo_gates: tuple[Gate, ...] = self._topo_sort()
 
     def _topo_sort(self) -> tuple[Gate, ...]:
-        # Kahn's algorithm over gate-to-gate dependencies; leftovers form a cycle.
-        indeg = {g.name: 0 for g in self.gates}
-        users: dict[str, list[str]] = {g.name: [] for g in self.gates}
-        for g in self.gates:
+        # Kahn's algorithm over gate-to-gate dependencies, by position in
+        # self.gates; leftovers form a cycle.
+        gates = self.gates
+        position = {g.name: k for k, g in enumerate(gates)}
+        indeg = [0] * len(gates)
+        users: list[list[int]] = [[] for _ in gates]
+        for k, g in enumerate(gates):
             for f in g.fanin:
-                if f in self.gate_map:
-                    indeg[g.name] += 1
-                    users[f].append(g.name)
-        ready = [g.name for g in self.gates if indeg[g.name] == 0]
+                j = position.get(f)
+                if j is not None:
+                    indeg[k] += 1
+                    users[j].append(k)
+        ready = [k for k, d in enumerate(indeg) if d == 0]
         order: list[Gate] = []
         while ready:
-            name = ready.pop()
-            order.append(self.gate_map[name])
-            for u in users[name]:
+            k = ready.pop()
+            order.append(gates[k])
+            for u in users[k]:
                 indeg[u] -= 1
                 if indeg[u] == 0:
                     ready.append(u)
-        if len(order) != len(self.gates):
-            stuck = [g.name for g in self.gates if indeg[g.name] > 0]
-            raise CycleError(stuck)
+        if len(order) != len(gates):
+            raise CycleError([g.name for g, d in zip(gates, indeg) if d > 0])
         return tuple(order)
 
     @property
@@ -159,91 +193,122 @@ class Netlist:
         )
 
 
-def parse_bench(text: str) -> Netlist:
-    """Parse .bench source into a Netlist, or raise a located BenchParseError."""
-    inputs: list[str] = []
-    outputs: list[str] = []
-    gates: list[Gate] = []
-    driver_lines: dict[str, int] = {}
-    output_lines: dict[str, int] = {}
-    gate_lines: dict[str, int] = {}
-    fanin_sites: list[tuple[str, str, int, int]] = []  # gate, net, line, col
+def _fanin_columns(line: str) -> list[int]:
+    """The 1-based column of each comma-separated fan-in token of a gate line."""
+    gate_m = _GATE_RE.match(line.split("#", 1)[0])
+    base = gate_m.start(3)
+    cols = []
+    pos = 0
+    for tok in gate_m.group(3).split(","):
+        stripped = tok.strip()
+        cols.append(base + pos + (tok.index(stripped) if stripped else 0) + 1)
+        pos += len(tok) + 1
+    return cols
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip("\r")
-        if not line.strip():
-            continue
-        io_m = _IO_RE.match(line)
-        if io_m:
-            keyword, name = io_m.group(1), io_m.group(2)
-            if keyword == "INPUT":
-                if name in driver_lines:
-                    raise BenchParseError(
-                        f"net {name!r} already driven at line {driver_lines[name]}",
-                        lineno,
-                        io_m.start(2) + 1,
-                    )
-                driver_lines[name] = lineno
-                inputs.append(name)
-            else:
-                if name in output_lines:
-                    raise BenchParseError(
-                        f"output {name!r} already listed at line {output_lines[name]}",
-                        lineno,
-                        io_m.start(2) + 1,
-                    )
-                output_lines[name] = lineno
-                outputs.append(name)
-            continue
-        gate_m = _GATE_RE.match(line)
-        if gate_m:
-            name, kind_tok, args = gate_m.group(1), gate_m.group(2), gate_m.group(3)
-            kind = kind_tok.upper()
-            if kind not in GATE_KINDS:
-                raise BenchParseError(
-                    f"unknown gate kind {kind_tok!r}", lineno, gate_m.start(2) + 1
-                )
+
+def _parse_statement(raw, lineno, inputs, outputs, gates, driver_lines, output_lines):
+    """Parse one line the fast path did not take, locating any error in it."""
+    line = raw.split("#", 1)[0]
+    if not line.strip():
+        return
+    io_m = _IO_RE.match(line)
+    if io_m:
+        keyword, name = io_m.group(1), io_m.group(2)
+        if keyword == "INPUT":
             if name in driver_lines:
                 raise BenchParseError(
                     f"net {name!r} already driven at line {driver_lines[name]}",
                     lineno,
-                    gate_m.start(1) + 1,
+                    io_m.start(2) + 1,
                 )
-            fanin: list[str] = []
-            args_base = gate_m.start(3)
-            pos = 0
-            for tok in args.split(","):
-                stripped = tok.strip()
-                col = args_base + pos + tok.index(stripped) + 1 if stripped else args_base + pos + 1
-                if not stripped or not _NAME_RE.match(stripped):
-                    raise BenchParseError(
-                        f"invalid net name {stripped!r}", lineno, col
-                    )
-                fanin.append(stripped)
-                fanin_sites.append((name, stripped, lineno, col))
-                pos += len(tok) + 1
-            problem = _check_arity(kind, len(fanin))
-            if problem:
-                raise BenchParseError(problem, lineno, gate_m.start(2) + 1)
             driver_lines[name] = lineno
-            gate_lines[name] = lineno
-            gates.append(Gate(name=name, kind=kind, fanin=tuple(fanin)))
-            continue
-        col = len(line) - len(line.lstrip()) + 1
-        raise BenchParseError(f"unrecognized statement {line.strip()!r}", lineno, col)
+            inputs.append(name)
+        else:
+            if name in output_lines:
+                raise BenchParseError(
+                    f"output {name!r} already listed at line {output_lines[name]}",
+                    lineno,
+                    io_m.start(2) + 1,
+                )
+            output_lines[name] = lineno
+            outputs.append(name)
+        return
+    gate_m = _GATE_RE.match(line)
+    if gate_m:
+        name, kind_tok, args = gate_m.group(1), gate_m.group(2), gate_m.group(3)
+        kind = kind_tok.upper()
+        if kind not in GATE_KINDS:
+            raise BenchParseError(
+                f"unknown gate kind {kind_tok!r}", lineno, gate_m.start(2) + 1
+            )
+        if name in driver_lines:
+            raise BenchParseError(
+                f"net {name!r} already driven at line {driver_lines[name]}",
+                lineno,
+                gate_m.start(1) + 1,
+            )
+        fanin = [tok.strip() for tok in args.split(",")]
+        for net, col in zip(fanin, _fanin_columns(line)):
+            if not _NAME_RE.match(net):
+                raise BenchParseError(f"invalid net name {net!r}", lineno, col)
+        problem = _check_arity(kind, len(fanin))
+        if problem:
+            raise BenchParseError(problem, lineno, gate_m.start(2) + 1)
+        driver_lines[name] = lineno
+        gates.append(Gate._unchecked(name, kind, tuple(fanin)))
+        return
+    col = len(line) - len(line.lstrip()) + 1
+    raise BenchParseError(f"unrecognized statement {line.strip()!r}", lineno, col)
 
-    for gate_name, net, lineno, col in fanin_sites:
-        if net not in driver_lines:
-            raise BenchParseError(f"undefined net {net!r}", lineno, col)
+
+def parse_bench(text: str) -> Netlist:
+    """Parse .bench source into a Netlist, or raise a located BenchParseError.
+
+    A well-formed gate line is checked once, by ``_GATE_LINE_RE`` and the
+    kind, driver and arity tests; every other line, and a gate line failing
+    one of those tests, goes through ``_parse_statement``, which locates the
+    error. Columns of undefined fan-in nets are worked out only on error.
+    """
+    inputs: list[str] = []
+    outputs: list[str] = []
+    gates: list[Gate] = []
+    driver_lines: dict[str, int] = {}  # net -> line of its INPUT or gate
+    output_lines: dict[str, int] = {}
+    lines = text.splitlines()
+
+    for lineno, raw in enumerate(lines, start=1):
+        gate_m = _GATE_LINE_RE.fullmatch(raw)
+        if gate_m:
+            name, kind_tok, args = gate_m.groups()
+            kind = kind_tok.upper()
+            fanin = tuple(_find_names(args))
+            if (
+                kind in GATE_KINDS
+                and name not in driver_lines
+                and _check_arity(kind, len(fanin)) is None
+            ):
+                driver_lines[name] = lineno
+                gates.append(Gate._unchecked(name, kind, fanin))
+                continue
+        _parse_statement(
+            raw, lineno, inputs, outputs, gates, driver_lines, output_lines
+        )
+
+    for g in gates:
+        for k, net in enumerate(g.fanin):
+            if net not in driver_lines:
+                lineno = driver_lines[g.name]
+                col = _fanin_columns(lines[lineno - 1])[k]
+                raise BenchParseError(f"undefined net {net!r}", lineno, col)
     for name in outputs:
         if name not in driver_lines:
             raise BenchParseError(f"undefined net {name!r}", output_lines[name])
 
     try:
-        return Netlist(inputs, outputs, gates)
+        return Netlist._from_checked(inputs, outputs, gates)
     except CycleError as exc:
-        first = min(exc.cycle, key=lambda n: gate_lines.get(n, 0))
-        raise BenchParseError(str(exc), gate_lines.get(first, 1)) from exc
+        first = min(exc.cycle, key=driver_lines.__getitem__)
+        raise BenchParseError(str(exc), driver_lines[first]) from exc
 
 
 def serialize_bench(n: Netlist, header: str = "tvdcamo netlist") -> str:

@@ -28,6 +28,7 @@ from .errors import (
     NotCamouflageableError,
     PhRangeError,
     SignatureMismatchError,
+    UnprogrammedGateError,
     UsageError,
 )
 from .gates import BranchAssignment, GatePhProgram, TruthTable2, assignment_for
@@ -241,7 +242,8 @@ def camouflage(
             )
         else:
             new_gates.append(g)
-    camo_netlist = Netlist(n.inputs, n.outputs, new_gates)
+    # Same nets and fan-ins as the validated n: only the order is rebuilt.
+    camo_netlist = Netlist._from_checked(n.inputs, n.outputs, new_gates)
     return camo_netlist, CamoConfig(params=params, gates=tuple(specs))
 
 
@@ -290,22 +292,116 @@ class EquivalenceResult:
     outputs_b: tuple[int, ...] | None = None
 
 
-def _first_mismatch(a: Netlist, b: Netlist, bindings, input_words, total: int):
+# Two-input functions with f(a, b) == f(b, a): minterms 1 and 2 agree.
+_SYMMETRIC = frozenset(f for f in TruthTable2 if f.minterm(1) == f.minterm(2))
+
+
+class _Miter:
+    """Netlist ``a`` plus the gates of ``b`` that hash to no node of ``a``.
+
+    Structural hashing: a node's key is its function and its fan-in nodes.
+    A 2-input AND/OR/NAND/NOR/XOR/XNOR gate and a CAMO gate bound to the
+    same ``TruthTable2`` share a key (fan-ins sorted when the function is
+    symmetric), NOT and n-ary gates key on their kind and sorted fan-ins,
+    and BUF aliases its input. A CAMO gate with per-lane masks is never
+    merged. Gates are hashed in ``a``'s topological order, then ``b``'s, so
+    the first unbound CAMO gate raises just as evaluating a, then b would.
+    """
+
+    def __init__(self, a: Netlist, b: Netlist, bindings):
+        self._inputs = a.inputs
+        self._bindings = bindings
+        self._keys: dict = {}
+        # node -> the miter net that carries it; inputs are nodes 0..n-1.
+        self._nets: list[str] = list(a.inputs)
+        self._taken = set(a.inputs) | a.gate_map.keys()
+        self._gates = list(a.topo_gates)
+        self._fresh_bindings: dict = {}
+        self.outs_a = self._hash(a, copy=False)
+        self.outs_b = self._hash(b, copy=True)
+        self.merged = self.outs_a == self.outs_b
+
+    def _hash(self, n: Netlist, copy: bool) -> list[int]:
+        """Hash n's gates; with ``copy``, add each new node as a renamed gate."""
+        keys, nets, bindings = self._keys, self._nets, self._bindings
+        node_of = dict(zip(n.inputs, range(len(n.inputs))))
+        for g in n.topo_gates:
+            kind, fanin = g.kind, g.fanin
+            if kind == "BUF":
+                node_of[g.name] = node_of[fanin[0]]
+                continue
+            function = KIND_TO_FUNCTION.get(kind) if len(fanin) == 2 else None
+            if kind == "CAMO":
+                if bindings is None or g.name not in bindings:
+                    raise UnprogrammedGateError(
+                        f"unprogrammed camouflaged gate {g.name!r}"
+                    )
+                bound = bindings[g.name]
+                if not isinstance(bound, tuple):
+                    function = TruthTable2(bound)
+            if function is not None:
+                x, y = node_of[fanin[0]], node_of[fanin[1]]
+                if x > y and function in _SYMMETRIC:
+                    x, y = y, x
+                key = (function, x, y)
+            elif kind == "CAMO":
+                key = None  # per-lane masks: never merged
+            else:
+                key = (kind,) + tuple(sorted(node_of[f] for f in fanin))
+            node = keys.get(key)
+            if node is None:
+                node = len(nets)
+                if key is not None:
+                    keys[key] = node
+                nets.append(self._copy(g, node_of) if copy else g.name)
+            node_of[g.name] = node
+        return [node_of[o] for o in n.outputs]
+
+    def _copy(self, g: Gate, node_of: dict) -> str:
+        """Add gate g, renamed apart from a, reading the nets of its fan-in nodes."""
+        name = g.name
+        while name in self._taken:
+            name += "_"
+        self._taken.add(name)
+        fanin = tuple(self._nets[node_of[f]] for f in g.fanin)
+        self._gates.append(Gate._unchecked(name, g.kind, fanin))
+        if g.kind == "CAMO":
+            self._fresh_bindings[name] = self._bindings[g.name]
+        return name
+
+    def netlist(self) -> tuple[Netlist, dict, list[int], list[int]]:
+        """The miter netlist and its CAMO bindings, with the position in its
+        outputs of each output of ``a`` and of ``b``."""
+        outputs = list(dict.fromkeys(self._nets[o] for o in self.outs_a + self.outs_b))
+        position = {net: k for k, net in enumerate(outputs)}
+        bindings = self._bindings
+        if self._fresh_bindings:
+            bindings = {**bindings, **self._fresh_bindings}
+        miter = Netlist._from_checked(self._inputs, outputs, self._gates, ordered=True)
+        return (
+            miter,
+            bindings,
+            [position[self._nets[o]] for o in self.outs_a],
+            [position[self._nets[o]] for o in self.outs_b],
+        )
+
+
+def _first_mismatch(miter: _Miter, input_words, total: int):
     """The lowest vector index below ``total`` where a and b differ.
 
     ``input_words(start, count)`` gives the input words of words
     [start, start+count). Returns (index, outputs of a, outputs of b), or
     None when every vector agrees.
     """
+    net, bindings, outs_a, outs_b = miter.netlist()
+    pairs = [(i, j) for i, j in zip(outs_a, outs_b) if i != j]
     n_words = -(-total // WORD_BITS)
     for start in range(0, n_words, _CHUNK_WORDS):
         count = min(_CHUNK_WORDS, n_words - start)
-        words = input_words(start, count)
-        outs_a = eval_words(a, words, bindings)
-        outs_b = eval_words(b, words, bindings)
+        outs = eval_words(net, input_words(start, count), bindings)
         diff = np.zeros(count, dtype=np.uint64)
-        for oa, ob in zip(outs_a, outs_b):
-            diff |= oa ^ ob
+        for i, j in pairs:
+            diff |= outs[i] ^ outs[j]
         hits = np.flatnonzero(diff)
         if hits.size == 0:
             continue
@@ -317,8 +413,8 @@ def _first_mismatch(a: Netlist, b: Netlist, bindings, input_words, total: int):
             return None
         return (
             index,
-            tuple(int(o[w]) >> bit & 1 for o in outs_a),
-            tuple(int(o[w]) >> bit & 1 for o in outs_b),
+            tuple(int(outs[i][w]) >> bit & 1 for i in outs_a),
+            tuple(int(outs[j][w]) >> bit & 1 for j in outs_b),
         )
     return None
 
@@ -336,7 +432,10 @@ def verify_equivalence(
     ``bindings`` programs CAMO instances in either netlist (keyed by gate
     name). Exhaustive mode enumerates every input vector and is sound and
     complete up to 24 inputs; random mode samples ``n_vectors`` vectors from
-    ``seed`` and reports the first counterexample it finds, if any.
+    ``seed`` and reports the first counterexample it finds, if any. Both
+    evaluate one structurally hashed miter of a and b, and none at all when
+    every output pair hashes to the same node; ``vectors_checked`` counts
+    the vectors the answer covers.
     """
     if a.inputs != b.inputs or a.outputs != b.outputs:
         raise SignatureMismatchError(
@@ -352,43 +451,44 @@ def verify_equivalence(
                 f"inputs, netlist has {n_in}"
             )
         total = 1 << n_in
-        hit = _first_mismatch(
-            a, b, bindings,
-            lambda start, count: exhaustive_input_words(n_in, start, count),
-            total,
-        )
-        if hit is None:
-            return EquivalenceResult(
-                equivalent=True, mode=mode, vectors_checked=total, vectors_total=total
-            )
-        index, outputs_a, outputs_b = hit
-        counterexample = input_vector_from_index(a.inputs, index)
+
+        def input_words(start, count):
+            return exhaustive_input_words(n_in, start, count)
+
+        def vector(index):
+            return input_vector_from_index(a.inputs, index)
+
     elif mode == "random":
         if n_vectors <= 0:
             raise UsageError(f"n_vectors must be positive, got {n_vectors!r}")
-        rng = np.random.default_rng(seed)
-        matrix = rng.integers(0, 2, size=(n_vectors, n_in), dtype=np.uint8)
-        packed = pack_words(matrix.T)
         total = n_vectors
-        hit = _first_mismatch(
-            a, b, bindings,
-            lambda start, count: list(packed[:, start : start + count]),
-            total,
+        matrix = np.random.default_rng(seed).integers(
+            0, 2, size=(n_vectors, n_in), dtype=np.uint8
         )
-        if hit is None:
-            return EquivalenceResult(
-                equivalent=True, mode=mode, vectors_checked=total, vectors_total=total
-            )
-        index, outputs_a, outputs_b = hit
-        counterexample = tuple(int(v) for v in matrix[index])
+        packed = pack_words(matrix.T)
+
+        def input_words(start, count):
+            return list(packed[:, start : start + count])
+
+        def vector(index):
+            return tuple(int(v) for v in matrix[index])
+
     else:
         raise UsageError(f"unknown equivalence mode {mode!r}")
+
+    miter = _Miter(a, b, bindings)
+    hit = None if miter.merged else _first_mismatch(miter, input_words, total)
+    if hit is None:
+        return EquivalenceResult(
+            equivalent=True, mode=mode, vectors_checked=total, vectors_total=total
+        )
+    index, outputs_a, outputs_b = hit
     return EquivalenceResult(
         equivalent=False,
         mode=mode,
         vectors_checked=index + 1,
         vectors_total=total,
-        counterexample=counterexample,
+        counterexample=vector(index),
         outputs_a=outputs_a,
         outputs_b=outputs_b,
     )

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 
 from .device import BiasPoint, IsfetParams, ids
-from .errors import PhRangeError, UnresolvableGateError, UsageError
+from .errors import DomainError, PhRangeError, UnresolvableGateError, UsageError
 
 # Each pull-down branch stacks two devices in series; collapse the stack into
 # one effective device with the gain halved.
@@ -151,7 +151,7 @@ class GatePhProgram:
             if not 0 <= ph <= 14:
                 raise PhRangeError(ph)
         if self.ph_low > self.ph_high:
-            raise UsageError(
+            raise DomainError(
                 f"ph_low ({self.ph_low!r}) must not exceed ph_high ({self.ph_high!r})"
             )
 

@@ -1,12 +1,20 @@
+import collections
 import random
+import re
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_eval, random_netlist
+from conftest import (
+    naive_eval,
+    random_netlist,
+    reference_parse_bench,
+    reference_topo_order,
+)
 from tvdcamo.bench import (
     Gate,
     Netlist,
@@ -109,6 +117,124 @@ class TestParse:
             parse_bench("INPUT(a)\nOUTPUT(z)\n")
         assert "undefined net 'z'" in str(exc.value)
         assert exc.value.line == 2
+
+
+_PUNCT = "(),=#"
+# ASCII and Unicode whitespace; \x85 and \u2028 also end a line.
+_SPACES = " \t\f\v\xa0\x1f\x85\u2028"
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """Serialized .bench text with one to three random edits."""
+    lines = text.splitlines()
+    gate_names = re.findall(r"^(\w+) =", text, flags=re.M)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(lines))
+        line = lines[k]
+        move = rng.randrange(10)
+        if move == 0:
+            spots = [i for i, c in enumerate(line) if c in _PUNCT or c.isspace()]
+            if spots:
+                i = rng.choice(spots)
+                line = line[:i] + line[i + 1 :]
+        elif move == 1:
+            i = rng.randrange(len(line) + 1)
+            line = line[:i] + rng.choice(_PUNCT + _SPACES) + line[i:]
+        elif move == 2:
+            lines.insert(k, line)
+            continue
+        elif move == 3:
+            kind = re.search(r"= (\w+)\(", line)
+            if kind:
+                token = rng.choice(["XAND", "INPUT", kind[1].lower(), kind[1].title()])
+                line = line.replace(kind[1], token, 1)
+        elif move == 4:
+            note = rng.choice(["", " x = AND(a, b)", " (", " # again"])
+            if rng.random() < 0.5:
+                line += rng.choice(["", "  ", "\t"]) + "#" + note
+            else:
+                lines.insert(k, rng.choice(["", "   ", "#" + note]))
+                continue
+        elif move == 5 and "(" in line:
+            line = re.sub(r"\(\w+", f"(zz{k}", line, count=1)
+        elif move == 6 and gate_names and " = " in line:
+            target = rng.choice(gate_names)
+            line = re.sub(r"(\(|, )\w+", lambda m: m[1] + target, line, count=1)
+        elif move == 7:
+            line = rng.choice(_SPACES[:4]) + line + rng.choice(["", " ", "\t"])
+        elif move == 8:
+            names = list(re.finditer(r"\w+", line))
+            if names:
+                i = rng.choice(names).end()
+                line = line[:i] + rng.choice("-.$") + line[i:]
+        elif move == 9 and "(" in line:
+            # One fan-in fewer or one more: arity errors for NOT, BUF, CAMO.
+            if ", " in line and rng.random() < 0.5:
+                line = re.sub(r", \w+\)", ")", line)
+            else:
+                line = line.replace(")", ", i0)", 1)
+        lines[k] = line
+    sep = "\r\n" if rng.random() < 0.3 else "\n"
+    return sep.join(lines) + (sep if rng.random() < 0.8 else "")
+
+
+_PARSE_ERRORS = (
+    "unrecognized statement", "already driven", "already listed", "undefined net",
+    "invalid net name", "unknown gate kind", "combinational cycle", "takes exactly",
+    "takes at least",
+)
+
+
+def _parse_outcome(parse, text):
+    try:
+        n = parse(text)
+    except BenchParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+    return ("netlist", n, n.topo_gates, n.gate_map)
+
+
+class TestParserReference:
+    def test_mutated_text_parses_like_the_reference(self):
+        seen = collections.Counter()
+        for seed in range(2000):
+            rng = random.Random(seed)
+            text = _mutate(serialize_bench(random_netlist(rng, max_gates=12)), rng)
+            got = _parse_outcome(parse_bench, text)
+            assert got == _parse_outcome(reference_parse_bench, text), repr(text)
+            if got[0] == "netlist":
+                assert got[2] == reference_topo_order(got[1])
+                seen["netlist"] += 1
+            else:
+                seen[next(e for e in _PARSE_ERRORS if e in got[1])] += 1
+        # Every outcome, and every error the parser can raise, shows up.
+        assert seen["netlist"] > 400
+        assert set(seen) == {"netlist", *_PARSE_ERRORS}, seen
+
+    def test_topological_order_and_cycle_match_the_reference(self):
+        cycles = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = random_netlist(rng, max_gates=15)
+            gates = list(n.gates)
+            # Point one fan-in at a gate at or after it: a cycle or a
+            # forward reference.
+            k = rng.randrange(len(gates))
+            g = gates[k]
+            gates[k] = Gate(g.name, g.kind, (rng.choice(gates[k:]).name,) + g.fanin[1:])
+            outcomes = []
+            for order in (
+                lambda: reference_topo_order(
+                    SimpleNamespace(gates=gates, gate_map={g.name: g for g in gates})
+                ),
+                lambda: Netlist(n.inputs, [], gates).topo_gates,
+            ):
+                try:
+                    outcomes.append(order())
+                except CycleError as exc:
+                    outcomes.append(exc.cycle)
+            assert outcomes[0] == outcomes[1]
+            cycles += isinstance(outcomes[0], list)
+        assert 50 < cycles < 250
 
 
 class TestNetlistValidation:

@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 
 from conftest import naive_eval, random_netlist
+from tvdcamo import bench as bench_module
 from tvdcamo import camo as camo_module
-from tvdcamo.bench import Gate, Netlist, eval_logic, parse_bench, serialize_bench
+from tvdcamo.bench import (
+    Gate,
+    Netlist,
+    eval_logic,
+    pack_words,
+    parse_bench,
+    serialize_bench,
+)
 from tvdcamo.camo import (
     CamoConfig,
     CamoGateSpec,
+    EquivalenceResult,
     camouflage,
     decamouflage,
     verify_equivalence,
@@ -22,6 +31,7 @@ from tvdcamo.errors import (
     NotCamouflageableError,
     PhRangeError,
     SignatureMismatchError,
+    UnprogrammedGateError,
     UsageError,
 )
 from tvdcamo.gates import BranchAssignment, TruthTable2, assignment_for
@@ -380,6 +390,207 @@ class TestVerifyWordChunks:
                     continue
                 assert result.vectors_checked == hits[0] + 1
                 assert result.counterexample == tuple(int(v) for v in matrix[hits[0]])
+
+
+def _brute_force_result(a, b, bindings, mode, n_vectors=0, seed=0):
+    """The EquivalenceResult of evaluating a and b separately, vector by vector."""
+    n_in = len(a.inputs)
+    if mode == "exhaustive":
+        vectors = list(product((0, 1), repeat=n_in))
+    else:
+        matrix = np.random.default_rng(seed).integers(
+            0, 2, size=(n_vectors, n_in), dtype=np.uint8
+        )
+        vectors = [tuple(int(v) for v in row) for row in matrix]
+    for k, vec in enumerate(vectors):
+        outs_a, outs_b = naive_eval(a, vec, bindings), naive_eval(b, vec, bindings)
+        if outs_a != outs_b:
+            return EquivalenceResult(
+                False, mode, k + 1, len(vectors), vec, outs_a, outs_b
+            )
+    return EquivalenceResult(True, mode, len(vectors), len(vectors))
+
+
+def _rewrite(n: Netlist, rng: random.Random) -> Netlist:
+    """An equivalent netlist of another structure: commuted fan-ins, De Morgan,
+    BUF and NOT-NOT insertions, redundant n-ary fan-ins, n-ary gates split."""
+    gates = []
+
+    def helper(tag, kind, fanin):
+        name = f"{owner}_{tag}{len(gates)}"
+        gates.append(Gate(name, kind, tuple(fanin)))
+        return name
+
+    for g in n.gates:
+        owner, kind, fanin = g.name, g.kind, list(g.fanin)
+        if kind in ("NOT", "BUF", "CAMO"):
+            gates.append(g)
+            continue
+        move = rng.randrange(6)
+        if move == 0:
+            fanin.reverse()
+        elif move == 1 and kind in ("AND", "OR", "NAND", "NOR"):
+            # De Morgan: AND = NOR of the complements, NAND = OR of them, ...
+            dual = {"AND": "NOR", "NAND": "OR", "OR": "NAND", "NOR": "AND"}[kind]
+            fanin = [helper("n", "NOT", [f]) for f in fanin]
+            kind = dual
+        elif move == 2:
+            k = rng.randrange(len(fanin))
+            if rng.random() < 0.5:
+                fanin[k] = helper("b", "BUF", [fanin[k]])
+            else:
+                fanin[k] = helper("n", "NOT", [helper("n", "NOT", [fanin[k]])])
+        elif move == 3:
+            extra = rng.choice(fanin)
+            # x AND x = x, and x XOR x = 0, so parity gates take the net twice.
+            fanin += [extra, extra] if kind in ("XOR", "XNOR") else [extra]
+        elif move == 4 and len(fanin) > 2:
+            inner = {"NAND": "AND", "NOR": "OR", "XNOR": "XOR"}.get(kind, kind)
+            fanin = [helper("t", inner, fanin[:-1]), fanin[-1]]
+        gates.append(Gate(owner, kind, tuple(fanin)))
+    return Netlist(n.inputs, n.outputs, gates)
+
+
+def _unrelated(n: Netlist, rng: random.Random) -> Netlist:
+    """A random netlist with n's inputs and output names."""
+    nets = list(n.inputs)
+    gates = []
+    for j in range(rng.randint(1, 30)):
+        kind = rng.choice(("AND", "OR", "NAND", "NOR", "XOR", "XNOR"))
+        gates.append(Gate(f"h{j}", kind, (rng.choice(nets), rng.choice(nets))))
+        nets.append(f"h{j}")
+    gates += [
+        Gate(o, "BUF", (rng.choice(nets),)) for o in n.outputs if o not in n.inputs
+    ]
+    return Netlist(n.inputs, n.outputs, gates)
+
+
+def _miter_cases(seed: int):
+    """(a, b, bindings) pairs of every kind the miter has to get right."""
+    rng = random.Random(seed)
+    n = random_netlist(rng, max_inputs=8, max_gates=30)
+    cases = [(n, n, None), (n, _rewrite(n, rng), None), (n, _unrelated(n, rng), None)]
+    if any(camo_module._eligible(g) is None for g in n.gates):
+        camo, cfg = camouflage(n, fraction=rng.choice([0.3, 1.0]), seed=seed)
+        true = cfg.bindings()
+        flipped = dict(true)
+        victim = rng.choice(sorted(flipped))
+        flipped[victim] = flipped[victim].complement()
+        scrambled = {name: TruthTable2(rng.randrange(16)) for name in true}
+        rewritten = _rewrite(n, rng)
+        for bindings in (true, flipped, scrambled):
+            cases += [(camo, n, bindings), (n, camo, bindings), (camo, rewritten, bindings)]
+    return cases
+
+
+class TestVerifyMiter:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_separate_evaluation(self, seed):
+        for a, b, bindings in _miter_cases(seed):
+            assert verify_equivalence(a, b, bindings=bindings) == _brute_force_result(
+                a, b, bindings, "exhaustive"
+            )
+            for n_vectors in (1, 70, 300):
+                got = verify_equivalence(
+                    a, b, bindings=bindings, mode="random", n_vectors=n_vectors, seed=seed
+                )
+                assert got == _brute_force_result(
+                    a, b, bindings, "random", n_vectors, seed
+                )
+
+    def test_rewrites_are_equivalent(self):
+        for seed in range(40):
+            n = random_netlist(random.Random(seed), max_inputs=8, max_gates=30)
+            rewritten = _rewrite(n, random.Random(seed))
+            assert rewritten != n
+            assert _brute_force_result(n, rewritten, None, "exhaustive").equivalent
+            assert verify_equivalence(n, rewritten).equivalent
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_unbound_camo_error_names_the_first_gate(self, c17, side):
+        camo, cfg = camouflage(c17, gates=["10", "16", "22"])
+        partial = {"16": cfg.bindings()["16"]}
+        a, b = (camo, c17) if side == "a" else (c17, camo)
+        expected = None
+        for n in (a, b):
+            try:
+                eval_logic(n, [0] * 5, partial)
+            except UnprogrammedGateError as exc:
+                expected = str(exc)
+                break
+        with pytest.raises(UnprogrammedGateError) as exc:
+            verify_equivalence(a, b, bindings=partial)
+        assert str(exc.value) == expected
+        with pytest.raises(UnprogrammedGateError) as exc:
+            verify_equivalence(a, b, bindings=partial, mode="random")
+        assert str(exc.value) == expected
+
+    def test_merged_outputs_evaluate_nothing(self, c17, monkeypatch):
+        camo, cfg = camouflage(c17, gates=["10", "16", "19", "23"])
+
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated a vector")
+
+        monkeypatch.setattr(bench_module, "eval_words", fail)
+        monkeypatch.setattr(camo_module, "eval_words", fail)
+        result = verify_equivalence(c17, camo, bindings=cfg.bindings())
+        assert result == EquivalenceResult(True, "exhaustive", 32, 32)
+
+    def test_structural_matches_evaluate_nothing(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated a vector")
+
+        monkeypatch.setattr(bench_module, "eval_words", fail)
+        monkeypatch.setattr(camo_module, "eval_words", fail)
+        inputs = ["x", "y", "z"]
+        a = Netlist(inputs, ["p", "q", "r"], [
+            Gate("p", "NAND", ("x", "y")),
+            Gate("q", "XOR", ("x", "y", "z")),
+            Gate("r", "CAMO", ("p", "z")),
+        ])
+        b = Netlist(inputs, ["p", "q", "r"], [
+            Gate("y1", "BUF", ("y",)),
+            Gate("p", "CAMO", ("y1", "x")),
+            Gate("q", "XOR", ("z", "x", "y1")),
+            Gate("p1", "BUF", ("p",)),
+            Gate("r", "OR", ("z", "p1")),
+        ])
+        bindings = {"p": TruthTable2.NAND, "r": TruthTable2.OR}
+        assert verify_equivalence(a, b, bindings=bindings) == EquivalenceResult(
+            True, "exhaustive", 8, 8
+        )
+
+    @pytest.mark.parametrize("pair", [
+        # An asymmetric function of swapped fan-ins: x AND NOT y vs y AND NOT x.
+        (("CAMO", ("x", "y")), ("CAMO", ("y", "x"))),
+        # Parity of x, y, y is x; parity of x, x, y is y.
+        (("XOR", ("x", "y", "y")), ("XOR", ("x", "x", "y"))),
+    ])
+    def test_look_alike_gates_stay_apart(self, pair):
+        (kind_a, fanin_a), (kind_b, fanin_b) = pair
+        a = Netlist(["x", "y"], ["g"], [Gate("g", kind_a, fanin_a)])
+        b = Netlist(["x", "y"], ["g"], [Gate("g", kind_b, fanin_b)])
+        bindings = {"g": TruthTable2.A_AND_NOT_B}
+        assert verify_equivalence(a, b, bindings=bindings) == _brute_force_result(
+            a, b, bindings, "exhaustive"
+        )
+        assert not verify_equivalence(a, b, bindings=bindings).equivalent
+
+    def test_per_lane_bindings_are_evaluated(self, c17):
+        camo, _ = camouflage(c17, gates=["16"])
+        codes = np.random.default_rng(3).integers(0, 16, size=32, dtype=np.uint8)
+        lanes = {"16": tuple(pack_words((codes >> (3 - m)) & 1) for m in range(4))}
+        # The same per-lane gate on both sides computes the same values.
+        assert verify_equivalence(camo, camo, bindings=lanes).equivalent
+        result = verify_equivalence(c17, camo, bindings=lanes)
+        for index, vec in enumerate(product((0, 1), repeat=5)):
+            per_vector = {"16": TruthTable2(int(codes[index]))}
+            if naive_eval(c17, vec) != naive_eval(camo, vec, per_vector):
+                break
+        assert result.counterexample == vec
+        assert result.vectors_checked == index + 1
+        assert result.outputs_b == naive_eval(camo, vec, per_vector)
+
 
 class TestLayoutIndistinguishability:
     def test_same_structure_yields_identical_camo_text(self, c17):

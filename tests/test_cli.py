@@ -1,8 +1,13 @@
 import json
+from itertools import product
 
 import pytest
 
+from conftest import naive_eval
+from tvdcamo.bench import parse_bench
+from tvdcamo.camo import CamoConfig
 from tvdcamo.cli import main
+from tvdcamo.gates import TruthTable2, assignment_for
 
 
 def run(argv, capsys):
@@ -201,6 +206,42 @@ class TestCamouflageVerifyAttack:
         }
         assert report["camo_gates"] == ["16", "19"]
 
+    @pytest.mark.parametrize("flipped", ["16", "19", "23"])
+    def test_verify_prints_first_mismatch(
+        self, tmp_path, capsys, c17_file, c17, flipped
+    ):
+        run(
+            ["camouflage", str(c17_file), "--gates", "16,19,23", "-o", str(tmp_path)],
+            capsys,
+        )
+        config = tmp_path / "camo_config.json"
+        doc = json.loads(config.read_text())
+        for entry in doc["gates"]:
+            if entry["name"] == flipped:
+                function = TruthTable2(entry["function_bits"]).complement()
+                entry["function_bits"] = int(function)
+                entry["function_name"] = function.name
+                entry["assignment"] = list(assignment_for(function).lvt_on_out_side)
+        config.write_text(json.dumps(doc))
+        code, out, _ = run(
+            ["verify", str(c17_file), str(tmp_path / "camo.bench"), "--config",
+             str(config), "-o", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        camo = parse_bench((tmp_path / "camo.bench").read_text())
+        bindings = CamoConfig.from_json(config.read_text()).bindings()
+        for vec in product((0, 1), repeat=len(c17.inputs)):
+            outs_a, outs_b = naive_eval(c17, vec), naive_eval(camo, vec, bindings)
+            if outs_a != outs_b:
+                break
+        else:
+            pytest.fail("the flipped gate changes no output")
+        line = "not equivalent: counterexample {} -> {} vs {}".format(
+            *("".join(map(str, bits)) for bits in (vec, outs_a, outs_b))
+        )
+        assert out.strip() == line
+
     def test_rate_zero_identity(self, tmp_path, capsys, c17_file, c17_text):
         code, out, _ = run(
             [
@@ -216,8 +257,6 @@ class TestCamouflageVerifyAttack:
             capsys,
         )
         assert code == 0
-        from tvdcamo.bench import parse_bench
-
         assert parse_bench((tmp_path / "camo.bench").read_text()) == parse_bench(
             c17_text
         )
@@ -336,6 +375,22 @@ class TestParameterFlags:
         assert code == 1
         assert err.startswith("error:")
         assert "20" in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("subcommand", ["gate", "camouflage"])
+    def test_reversed_ph_pair_is_domain_error(
+        self, tmp_path, capsys, c17_file, subcommand
+    ):
+        out_dir = tmp_path / "out"
+        head = {
+            "gate": ["gate", "--func", "XOR", "--inputs", "all"],
+            "camouflage": ["camouflage", str(c17_file), "--rate", "0.5"],
+        }[subcommand]
+        code, _, err = run(
+            head + ["--ph-low", "10", "--ph-high", "2", "-o", str(out_dir)], capsys
+        )
+        assert code == 1
+        assert err.startswith("error:")
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_invalid_config_params_is_domain_error(self, tmp_path, capsys, c17_file):

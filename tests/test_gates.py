@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from tvdcamo.device import IsfetParams
-from tvdcamo.errors import PhRangeError, UnresolvableGateError, UsageError
+from tvdcamo.errors import DomainError, PhRangeError, UnresolvableGateError, UsageError
 from tvdcamo.gates import (
     BranchAssignment,
     GatePhProgram,
@@ -121,7 +121,7 @@ class TestGatePhProgram:
             GatePhProgram(ph_low=-1.0, ph_high=10.0, assignment=assignment_for(TruthTable2.XOR))
 
     def test_inverted_ph_pair_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(DomainError):
             GatePhProgram(ph_low=10.0, ph_high=2.0, assignment=assignment_for(TruthTable2.XOR))
 
     def test_degenerate_pair_constructible(self):
