@@ -34,7 +34,6 @@ from .gates import (
     assignment_for,
     evaluate_static,
     function_of,
-    realizable_functions,
 )
 from .transient import GateTrace, SimConfig, margin_report, simulate
 
@@ -68,7 +67,6 @@ __all__ = [
     "oracle_attack",
     "parse_bench",
     "profiling_attack",
-    "realizable_functions",
     "reconstruct",
     "resilience_report",
     "serialize_bench",

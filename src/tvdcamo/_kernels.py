@@ -1,25 +1,14 @@
 """Forward-Euler integration kernel for the differential sense-node pair.
 
-This is the transient simulator's hot loop. It runs either as a
-numba-compiled kernel or as the plain-Python fallback; the fallback is
-selected at import time by setting the environment variable
-``TVDCAMO_NO_NUMBA=1`` (and automatically when numba is unavailable).
-Both backends share one function body, so traces are identical.
+This is the transient simulator's hot loop, in plain Python.
 """
-
-import os
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
 
 
 # A step that leaves [-GUARD_V, vdd + GUARD_V] counts as diverged.
 GUARD_V = 0.1
 
 
-def _integrate_py(
+def integrate(
     v_out,
     v_bar,
     n_pre,
@@ -34,6 +23,13 @@ def _integrate_py(
     k_pmos,
     vth_pmos,
 ):
+    """Integrate the node pair over samples ``n_pre + 1 .. n_total``.
+
+    The arguments after ``n_total`` are the circuit constants. Both arrays
+    are filled from the state stored at sample ``n_pre``, so consecutive
+    calls over adjacent ranges continue one another bit for bit. Returns -1
+    on success or the index of the first sample whose step diverged.
+    """
     # Continue from the state stored at sample n_pre. Python floats: the loop
     # runs 2.4x slower on numpy scalars.
     x = float(v_out[n_pre])
@@ -96,44 +92,6 @@ def _integrate_py(
     return -1
 
 
-if numba is not None:
-    _integrate_numba = numba.njit(cache=True)(_integrate_py)
-else:  # pragma: no cover
-    _integrate_numba = None
-
-_FLAG = os.environ.get("TVDCAMO_NO_NUMBA", "").strip().lower()
-_DISABLED = _FLAG in {"1", "true", "yes", "on"}
-
-_BACKENDS = {"python": _integrate_py}
-if _integrate_numba is not None:
-    _BACKENDS["numba"] = _integrate_numba
-
-_active_name = "numba" if ("numba" in _BACKENDS and not _DISABLED) else "python"
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
 def get_backend() -> str:
-    return _active_name
-
-
-def set_backend(name: str) -> None:
-    """Select the integration backend ('numba' or 'python')."""
-    global _active_name
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; have {available_backends()}")
-    _active_name = name
-
-
-def integrate(*args):
-    """Run the node integration with the active backend.
-
-    Arguments: ``v_out, v_bar, n_pre, n_total`` and then the circuit
-    constants. Fills samples ``n_pre + 1 .. n_total`` of both arrays from the
-    state stored at sample ``n_pre``, so consecutive calls over adjacent
-    ranges continue one another bit for bit. Returns -1 on success or the
-    index of the first sample whose step diverged.
-    """
-    return _BACKENDS[_active_name](*args)
+    """Name of the integration backend, recorded with benchmark results."""
+    return "python"

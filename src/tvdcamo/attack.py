@@ -181,6 +181,14 @@ def _query_vectors(n_inputs: int, strategy: str, n_queries, seed):
     raise UsageError(f"unknown query strategy {strategy!r}")
 
 
+def _inconsistent_oracle(vec, observed) -> DomainError:
+    return DomainError(
+        f"oracle response {tuple(observed)} to query {tuple(vec)} "
+        f"eliminates every candidate: the oracle is inconsistent "
+        f"with the camouflaged netlist"
+    )
+
+
 def oracle_attack(
     camo: Netlist,
     oracle: Netlist,
@@ -253,11 +261,7 @@ def oracle_attack(
         state.query_log.append((tuple(vec), tuple(observed)))
         state.survivor_history.append(int(np.bitwise_count(alive).sum()))
         if state.survivor_history[-1] == 0:
-            raise DomainError(
-                f"oracle response {tuple(observed)} to query {tuple(vec)} "
-                f"eliminates every candidate: the oracle is inconsistent "
-                f"with the camouflaged netlist"
-            )
+            raise _inconsistent_oracle(vec, observed)
 
     funcs = tuple(TruthTable2)
     state.survivors = [
@@ -356,6 +360,8 @@ def _marginal_attack(camo, oracle, oracle_bindings, strategy, n_queries, seed):
                 state.marginals[nm].discard(candidate)
         state.query_log.append((tuple(vec), tuple(observed)))
         state.survivor_history.append(state.joint_survivors)
+        if state.survivor_history[-1] == 0:
+            raise _inconsistent_oracle(vec, observed)
     return state
 
 

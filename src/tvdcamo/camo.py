@@ -104,9 +104,6 @@ class CamoConfig:
     def bindings(self) -> dict[str, TruthTable2]:
         return {g.name: g.function for g in self.gates}
 
-    def programs(self) -> dict[str, GatePhProgram]:
-        return {g.name: g.program() for g in self.gates}
-
     def to_json(self) -> str:
         doc = {
             "params": asdict(self.params),

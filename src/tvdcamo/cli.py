@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .attack import (
+    DEFAULT_JOINT_LIMIT,
     DeviceVisibility,
     oracle_attack,
     profiling_attack,
@@ -99,6 +101,9 @@ def _cmd_sweep(args) -> int:
     params = _from_args(IsfetParams, args)
     if args.vgs_steps < 1:
         raise UsageError("--vgs-steps must be at least 1")
+    # Before np.linspace, which warns on an infinite endpoint.
+    if not (math.isfinite(args.vgs_start) and math.isfinite(args.vgs_stop)):
+        raise UsageError("--vgs-start and --vgs-stop must be finite")
     if args.vgs_steps == 1:
         grid = np.array([args.vgs_start])
     else:
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["exhaustive", "random"], default="exhaustive")
     p.add_argument("--queries", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--joint-limit", type=int, default=65536)
+    p.add_argument("--joint-limit", type=int, default=DEFAULT_JOINT_LIMIT)
     p.add_argument("--marginal-fallback", action="store_true")
     p.add_argument("--out-report", default="attack_report.json")
     p.add_argument("-o", "--out-dir", default=None)

@@ -5,6 +5,7 @@ around a calibration point), which is what makes the device role (LVT or HVT)
 programmable after fabrication by exchanging the electrolyte.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,12 @@ def _check_ph(ph):
         raise PhRangeError(ph)
 
 
+def _check_positive(name: str, value) -> None:
+    """UsageError unless value is a finite number above zero (NaN fails)."""
+    if not (value > 0 and math.isfinite(value)):
+        raise UsageError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IsfetParams:
     """Device constants and the pH-to-threshold calibration for one ISFET."""
@@ -38,13 +45,11 @@ class IsfetParams:
     vdd: float = field(default=1.8, metadata={"help": "supply rail, V"})
 
     def __post_init__(self):
-        if self.k_gain <= 0:
-            raise UsageError(f"k_gain must be positive, got {self.k_gain!r}")
-        if self.vdd <= 0:
-            raise UsageError(f"vdd must be positive, got {self.vdd!r}")
-        if self.sensitivity < 0:
+        _check_positive("k_gain", self.k_gain)
+        _check_positive("vdd", self.vdd)
+        if not (self.sensitivity >= 0 and math.isfinite(self.sensitivity)):
             raise UsageError(
-                f"sensitivity must be non-negative, got {self.sensitivity!r}"
+                f"sensitivity must be non-negative and finite, got {self.sensitivity!r}"
             )
         _check_ph(self.ph_ref)
         if not 0 < self.vth0 < self.vdd:
@@ -92,7 +97,8 @@ def iv_sweep(params: IsfetParams, v_gs_values, v_ds: float, ph_values) -> np.nda
 
     Returns a float array of shape (len(v_gs_values) * len(ph_values), 3)
     with columns (v_gs, ph, i_ds), row-major: the v_gs grid is the outer
-    loop. The v_gs grid must be non-empty and strictly monotone.
+    loop. The v_gs grid must be non-empty, finite and strictly monotone, and
+    v_ds finite and non-negative.
     """
     grid = [float(v) for v in v_gs_values]
     phs = [float(p) for p in ph_values]
@@ -100,6 +106,10 @@ def iv_sweep(params: IsfetParams, v_gs_values, v_ds: float, ph_values) -> np.nda
         raise UsageError("v_gs grid is empty")
     if not phs:
         raise UsageError("pH list is empty")
+    if not all(map(math.isfinite, grid)):
+        raise UsageError("v_gs grid must be finite")
+    if not (v_ds >= 0 and math.isfinite(v_ds)):
+        raise UsageError(f"v_ds must be non-negative and finite, got {v_ds!r}")
     diffs = np.diff(grid)
     if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise UsageError("v_gs grid must be strictly monotone")

@@ -52,18 +52,6 @@ class TruthTable2(IntEnum):
         """Output bit for inputs (a, b)."""
         return self.minterm(minterm_index(a, b))
 
-    @property
-    def minterm_bits(self) -> tuple[int, int, int, int]:
-        """Output bits ordered by minterm (m = 0..3)."""
-        return tuple((self.value >> (3 - m)) & 1 for m in range(4))
-
-    @classmethod
-    def from_minterms(cls, bits) -> "TruthTable2":
-        bits = tuple(int(bool(b)) for b in bits)
-        if len(bits) != 4:
-            raise ValueError(f"expected 4 minterm bits, got {len(bits)}")
-        return cls(sum(b << (3 - m) for m, b in enumerate(bits)))
-
     @classmethod
     def from_name(cls, text: str) -> "TruthTable2":
         """Look up a function by canonical name, decimal, or 0b literal."""
@@ -112,6 +100,14 @@ class BranchAssignment:
         return self.lvt_on_out_side[m]
 
 
+# The cell has one layout for all 16 functions, so a function's branch
+# assignment is one entry of a fixed table, indexed by truth-table value.
+_ASSIGNMENTS = tuple(
+    BranchAssignment(tuple(bool(f.minterm(m)) for m in range(4))) for f in TruthTable2
+)
+_FUNCTIONS = {a: f for f, a in zip(TruthTable2, _ASSIGNMENTS)}
+
+
 def assignment_for(f: TruthTable2) -> BranchAssignment:
     """Branch assignment realizing a Boolean function.
 
@@ -120,17 +116,12 @@ def assignment_for(f: TruthTable2) -> BranchAssignment:
     output inversion. Placing the LVT branch on the V_OUT side exactly when
     f(m) = 1 therefore realizes f.
     """
-    return BranchAssignment(tuple(bool(f.minterm(m)) for m in range(4)))
+    return _ASSIGNMENTS[f]
 
 
 def function_of(a: BranchAssignment) -> TruthTable2:
     """Boolean function realized by a branch assignment (inverse of assignment_for)."""
-    return TruthTable2.from_minterms(a.lvt_on_out_side)
-
-
-def realizable_functions() -> set[TruthTable2]:
-    """Every function the camouflaged cell can be programmed to (all 16)."""
-    return set(TruthTable2)
+    return _FUNCTIONS[a]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels
-from .device import IsfetParams, vth_from_ph
+from .device import IsfetParams, _check_positive, vth_from_ph
 from .errors import SimulationError, UsageError
 from .gates import (
     SERIES_K_FACTOR,
@@ -46,14 +46,8 @@ class SimConfig:
     )
 
     def __post_init__(self):
-        if self.vdd <= 0:
-            raise UsageError(f"vdd must be positive, got {self.vdd!r}")
-        if self.clock_freq <= 0:
-            raise UsageError(f"clock_freq must be positive, got {self.clock_freq!r}")
-        if self.c_node <= 0:
-            raise UsageError(f"c_node must be positive, got {self.c_node!r}")
-        if self.dt <= 0:
-            raise UsageError(f"dt must be positive, got {self.dt!r}")
+        for name in ("vdd", "clock_freq", "c_node", "dt"):
+            _check_positive(name, getattr(self, name))
         if self.dt > self.period / 100:
             raise UsageError(
                 f"dt {self.dt!r} too coarse for clock period {self.period!r}"

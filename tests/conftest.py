@@ -12,6 +12,13 @@ DATA_DIR = Path(__file__).parent / "data"
 BINARY_KINDS = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR")
 
 
+def pytest_configure(config):
+    # Any warning fails the suite. Set here, not in pyproject.toml, so that
+    # `python -m pytest perfbench`, run on its own, keeps the default
+    # settings: perfbench/compare.py leaves files open (ResourceWarning).
+    config.addinivalue_line("filterwarnings", "error")
+
+
 @pytest.fixture(scope="session")
 def c17_text() -> str:
     return (DATA_DIR / "c17.bench").read_text()

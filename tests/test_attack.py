@@ -258,6 +258,19 @@ class TestMarginalFallback:
         assert state.joint_survivors < 16 ** 6
 
 
+    def test_inconsistent_oracle_is_domain_error(self, c17):
+        camo, _ = camo_c17(c17, ["22"])
+        oracle = Netlist(
+            c17.inputs,
+            c17.outputs,
+            [Gate("22", "XOR", ("1", "7")), Gate("23", "AND", ("1", "1"))],
+        )
+        # Gate 22's candidates fall 16 -> 8 -> 0 over the first two queries.
+        emptied_by = list(product((0, 1), repeat=5))[1]
+        with pytest.raises(DomainError, match=re.escape(str(emptied_by))):
+            oracle_attack(camo, oracle, joint_limit=1, marginal_fallback=True)
+
+
 class TestResilienceReport:
     def test_zero_queries_eight_bits(self, c17):
         camo, cfg = camo_c17(c17, ["16", "19"])

@@ -393,6 +393,31 @@ class TestParameterFlags:
         assert err.startswith("error:")
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gate", "--func", "AND", "--clock-freq", "nan"],
+            ["gate", "--func", "AND", "--dt", "nan"],
+            ["gate", "--func", "AND", "--k-gain", "nan"],
+            ["gate", "--func", "AND", "--c-node", "inf"],
+            ["sweep", "--k-gain", "inf"],
+            ["sweep", "--sensitivity", "nan"],
+            ["sweep", "--vds", "nan"],
+            ["sweep", "--vds", "inf"],
+            ["sweep", "--vgs-steps", "1", "--vgs-start", "nan"],
+            ["sweep", "--vgs-stop", "inf"],
+            ["camouflage", "C17", "--rate", "0.5", "--k-gain", "nan"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_non_finite_flag_is_usage_error(self, tmp_path, capsys, c17_file, argv):
+        out_dir = tmp_path / "out"
+        argv = [str(c17_file) if tok == "C17" else tok for tok in argv]
+        code, _, err = run(argv + ["-o", str(out_dir)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_invalid_config_params_is_domain_error(self, tmp_path, capsys, c17_file):
         run(["camouflage", str(c17_file), "--gates", "16", "-o", str(tmp_path)], capsys)
         config = tmp_path / "camo_config.json"

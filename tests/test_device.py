@@ -165,6 +165,14 @@ class TestIvSweep:
         with pytest.raises(UsageError):
             iv_sweep(DEFAULTS, [0.5, 1.8, 1.0], 0.1, [2.0])
 
+    @pytest.mark.parametrize(
+        "grid, v_ds",
+        [([0.0, math.inf], 0.1), ([math.nan], 0.1), ([1.8], math.nan), ([1.8], math.inf)],
+    )
+    def test_non_finite_bias_rejected(self, grid, v_ds):
+        with pytest.raises(UsageError):
+            iv_sweep(DEFAULTS, grid, v_ds, [2.0])
+
     def test_decreasing_grid_accepted(self):
         table = iv_sweep(DEFAULTS, [1.8, 1.0], 0.1, [2.0])
         assert table.shape == (2, 3)

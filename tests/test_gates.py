@@ -11,7 +11,6 @@ from tvdcamo.gates import (
     assignment_for,
     evaluate_static,
     function_of,
-    realizable_functions,
 )
 
 PARAMS = IsfetParams()
@@ -25,7 +24,7 @@ def static_truth_table(assignment: BranchAssignment) -> TruthTable2:
     """What the current race actually computes for an assignment."""
     prog = GatePhProgram(ph_low=2.0, ph_high=10.0, assignment=assignment)
     bits = [evaluate_static(prog, PARAMS, a, b) for a, b in product((0, 1), repeat=2)]
-    return TruthTable2.from_minterms(bits)
+    return TruthTable2(sum(bit << (3 - m) for m, bit in enumerate(bits)))
 
 
 class TestTruthTable2:
@@ -47,9 +46,12 @@ class TestTruthTable2:
             assert TruthTable2.NOT_A.eval(a, b) == 1 - a
             assert TruthTable2.B.eval(a, b) == b
 
-    def test_minterm_round_trip(self):
+    def test_assignment_table_matches_minterms(self):
         for f in TruthTable2:
-            assert TruthTable2.from_minterms(f.minterm_bits) is f
+            assert assignment_for(f).lvt_on_out_side == tuple(
+                bool(f.minterm(m)) for m in range(4)
+            )
+            assert function_of(assignment_for(f)) is f
 
     def test_from_name_aliases(self):
         assert TruthTable2.from_name("xor") is TruthTable2.XOR
@@ -165,18 +167,9 @@ class TestEvaluateStatic:
 
 
 class TestRealizableFunctions:
-    def test_all_sixteen(self):
-        assert realizable_functions() == set(TruthTable2)
-        assert len(realizable_functions()) == 16
-
-    def test_contains_named_gates_and_constants(self):
-        fs = realizable_functions()
-        assert {TruthTable2.XOR, TruthTable2.AND, TruthTable2.OR} <= fs
-        assert {TruthTable2.TRUE, TruthTable2.FALSE} <= fs
-
     def test_matches_enumeration_through_function_of(self):
         enumerated = {
             function_of(BranchAssignment(bits))
             for bits in product((False, True), repeat=4)
         }
-        assert enumerated == realizable_functions()
+        assert enumerated == set(TruthTable2)
