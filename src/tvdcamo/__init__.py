@@ -14,7 +14,6 @@ from .attack import (
     DeviceVisibility,
     oracle_attack,
     profiling_attack,
-    reconstruct,
     resilience_report,
 )
 from .bench import Gate, Netlist, eval_logic, eval_vectors, parse_bench, serialize_bench
@@ -24,6 +23,7 @@ from .camo import (
     EquivalenceResult,
     camouflage,
     decamouflage,
+    reconstruct,
     verify_equivalence,
 )
 from .device import BiasPoint, IsfetParams, ids, iv_sweep, vth_from_ph

@@ -25,7 +25,7 @@ from .bench import (
     input_vector_from_index,
     unpack_words,
 )
-from .camo import FUNCTION_TO_KIND, CamoConfig
+from .camo import CamoConfig, reconstruct  # noqa: F401  (attack.reconstruct)
 from .errors import CapacityError, CoverageError, DomainError, UsageError
 from .gates import BranchAssignment, TruthTable2, function_of
 
@@ -94,23 +94,6 @@ def profiling_attack(
         else:
             resolution[name] = None
     return resolution
-
-
-def reconstruct(camo: Netlist, resolution: Mapping[str, TruthTable2 | None]) -> Netlist:
-    """Rebuild a netlist from profiling results; unresolved gates stay CAMO."""
-    new_gates = []
-    for g in camo.gates:
-        f = resolution.get(g.name) if g.kind == "CAMO" else None
-        if f is None:
-            new_gates.append(g)
-            continue
-        kind = FUNCTION_TO_KIND.get(f)
-        if kind is None:
-            raise DomainError(
-                f"gate {g.name!r}: function {f.name} has no concrete gate kind"
-            )
-        new_gates.append(Gate(name=g.name, kind=kind, fanin=g.fanin))
-    return Netlist(camo.inputs, camo.outputs, new_gates)
 
 
 @dataclass
@@ -219,15 +202,6 @@ def oracle_attack(
 
     if marginal_fallback and 16**g > joint_limit:
         return _marginal_attack(camo, oracle, oracle_bindings, strategy, n_queries, seed)
-
-    if g == 0:
-        return CandidateState(
-            camo_gates=names,
-            mode="joint",
-            marginals={},
-            survivor_history=[1],
-            survivors=[()],
-        )
 
     # Lane L is the candidate whose gate j has function digit j of L in base
     # 16 (gate 0 most significant), so lanes run in the order of

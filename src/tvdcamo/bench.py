@@ -311,14 +311,14 @@ def parse_bench(text: str) -> Netlist:
         raise BenchParseError(str(exc), driver_lines[first]) from exc
 
 
-def serialize_bench(n: Netlist, header: str = "tvdcamo netlist") -> str:
+def serialize_bench(n: Netlist) -> str:
     """Serialize a Netlist to .bench text.
 
     The output round-trips: parsing it yields a structurally equal Netlist.
     CAMO instances keep the CAMO token, so the text never encodes their
     function.
     """
-    lines = [f"# {header}"]
+    lines = ["# tvdcamo netlist"]
     lines.extend(f"INPUT({name})" for name in n.inputs)
     lines.extend(f"OUTPUT({name})" for name in n.outputs)
     lines.extend(
@@ -345,40 +345,26 @@ _REDUCERS = {
 }
 _NEGATED = frozenset({"NAND", "NOR", "XNOR"})
 
-# A CAMO gate bound to one function for every vector, in its cheapest form.
-_FUNCTION_WORDS = {
-    TruthTable2.FALSE: lambda a, b: a & ~a,
-    TruthTable2.AND: lambda a, b: a & b,
-    TruthTable2.A_AND_NOT_B: lambda a, b: a & ~b,
-    TruthTable2.A: lambda a, b: a,
-    TruthTable2.NOT_A_AND_B: lambda a, b: ~a & b,
-    TruthTable2.B: lambda a, b: b,
-    TruthTable2.XOR: lambda a, b: a ^ b,
-    TruthTable2.OR: lambda a, b: a | b,
-    TruthTable2.NOR: lambda a, b: ~(a | b),
-    TruthTable2.XNOR: lambda a, b: ~(a ^ b),
-    TruthTable2.NOT_B: lambda a, b: ~b,
-    TruthTable2.A_OR_NOT_B: lambda a, b: a | ~b,
-    TruthTable2.NOT_A: lambda a, b: ~a,
-    TruthTable2.NOT_A_OR_B: lambda a, b: ~a | b,
-    TruthTable2.NAND: lambda a, b: ~(a & b),
-    TruthTable2.TRUE: lambda a, b: a | ~a,
-}
-
 
 def _camo_word(gate: Gate, a, b, bindings):
+    """A CAMO gate as the minterm mux: mask m holds, in each lane, the output
+    bit for minterm m = 2*A + B. A ``TruthTable2`` binding becomes constant
+    masks of the type of ``a``."""
     if bindings is None or gate.name not in bindings:
         raise UnprogrammedGateError(
             f"unprogrammed camouflaged gate {gate.name!r}"
         )
     bound = bindings[gate.name]
     if isinstance(bound, tuple):
-        # Per-lane function: mask m holds, in each lane, the output bit for
-        # minterm m = 2*A + B.
         m0, m1, m2, m3 = bound
-        na, nb = ~a, ~b
-        return (na & nb & m0) | (na & b & m1) | (a & nb & m2) | (a & b & m3)
-    return _FUNCTION_WORDS[TruthTable2(bound)](a, b)
+    else:
+        # Bit (3 - m) of the function is its output for minterm m.
+        bits = int(TruthTable2(bound))
+        pick = (a & ~a, a | ~a)
+        m0, m1 = pick[bits >> 3], pick[bits >> 2 & 1]
+        m2, m3 = pick[bits >> 1 & 1], pick[bits & 1]
+    na, nb = ~a, ~b
+    return (na & nb & m0) | (na & b & m1) | (a & nb & m2) | (a & b & m3)
 
 
 def eval_words(n: Netlist, input_words, bindings=None) -> list:
@@ -454,26 +440,12 @@ def exhaustive_input_words(n_inputs: int, start_word: int, n_words: int) -> list
     ]
 
 
-def _lane_bindings(bindings, width: int):
-    """Per-vector uint8 function arrays become the engine's minterm masks."""
-    if bindings is None:
-        return None
-    out = {}
-    for name, bound in bindings.items():
-        if isinstance(bound, np.ndarray):
-            codes = np.broadcast_to(bound.astype(np.uint8), (width,))
-            bound = tuple(pack_words((codes >> (3 - m)) & 1) for m in range(4))
-        out[name] = bound
-    return out
-
-
 def eval_vectors(n: Netlist, input_arrays: dict, bindings=None) -> list[np.ndarray]:
     """Evaluate many input vectors at once.
 
     ``input_arrays`` maps every primary input name to a same-length boolean
     array; returns one boolean array per primary output, in output order.
-    A CAMO binding may also be a uint8 array of per-vector function values.
-    This is the boolean wrapper over ``eval_words``.
+    This is the boolean wrapper over ``eval_words``, and takes its bindings.
     """
     missing = [name for name in n.inputs if name not in input_arrays]
     if missing:
@@ -484,7 +456,7 @@ def eval_vectors(n: Netlist, input_arrays: dict, bindings=None) -> list[np.ndarr
         raise UsageError("input value arrays must be 1-D and of equal length")
     width = len(arrays[0]) if arrays else 0
     words = [pack_words(a) for a in arrays]
-    outs = eval_words(n, words, _lane_bindings(bindings, width))
+    outs = eval_words(n, words, bindings)
     return [unpack_words(o, width) for o in outs]
 
 

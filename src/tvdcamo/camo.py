@@ -8,6 +8,7 @@ secret), together with the pH pair that programs it.
 import json
 import random
 from dataclasses import asdict, dataclass, fields
+from typing import Mapping
 
 import numpy as np
 
@@ -258,21 +259,23 @@ def decamouflage(camo: Netlist, cfg: CamoConfig) -> Netlist:
         raise CoverageError(
             f"config entries with no camouflaged instance: {extra}"
         )
-    kind_for = {}
-    for spec in cfg.gates:
-        kind = FUNCTION_TO_KIND.get(spec.function)
+    return reconstruct(camo, cfg.bindings())
+
+
+def reconstruct(camo: Netlist, resolution: Mapping[str, TruthTable2 | None]) -> Netlist:
+    """Rebuild a netlist from resolved functions; unresolved gates stay CAMO."""
+    new_gates = []
+    for g in camo.gates:
+        f = resolution.get(g.name) if g.kind == "CAMO" else None
+        if f is None:
+            new_gates.append(g)
+            continue
+        kind = FUNCTION_TO_KIND.get(f)
         if kind is None:
             raise DomainError(
-                f"gate {spec.name!r}: function {spec.function.name} has no "
-                f"concrete gate kind"
+                f"gate {g.name!r}: function {f.name} has no concrete gate kind"
             )
-        kind_for[spec.name] = kind
-    new_gates = [
-        Gate(name=g.name, kind=kind_for[g.name], fanin=g.fanin)
-        if g.kind == "CAMO"
-        else g
-        for g in camo.gates
-    ]
+        new_gates.append(Gate(name=g.name, kind=kind, fanin=g.fanin))
     return Netlist(camo.inputs, camo.outputs, new_gates)
 
 

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: sweep, gate, derive-table, camouflage, verify, attack. Every
-run writes a manifest.json next to its outputs recording the resolved
-parameters, so identical argv (and seed) reproduce byte-identical artifacts.
+Subcommands: sweep, gate, derive-table, camouflage, verify, attack. Each
+``_cmd_*`` writes its outputs into the out dir and returns the paths it read
+and wrote; ``main`` then writes a manifest.json next to them recording the
+resolved parameters, so identical argv (and seed) reproduce byte-identical
+artifacts. A failing command writes no manifest.
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
@@ -54,14 +56,14 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(outdir: Path, subcommand: str, args, inputs, outputs):
+def _write_manifest(outdir: Path, args, inputs, outputs):
     params = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in sorted(vars(args).items())
         if k != "func_impl"
     }
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "parameters": params,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
@@ -96,8 +98,7 @@ def _read_text(path) -> str:
     return p.read_text()
 
 
-def _cmd_sweep(args) -> int:
-    outdir = _out_dir(args)
+def _cmd_sweep(args, outdir: Path) -> tuple[list, list]:
     params = _from_args(IsfetParams, args)
     if args.vgs_steps < 1:
         raise UsageError("--vgs-steps must be at least 1")
@@ -116,9 +117,8 @@ def _cmd_sweep(args) -> int:
     csv_path = outdir / "sweep.csv"
     with open(csv_path, "w") as fh:
         write_sweep_csv(table, fh)
-    _write_manifest(outdir, "sweep", args, [], [csv_path])
     print(f"wrote {csv_path} ({table.shape[0]} rows)")
-    return 0
+    return [], [csv_path]
 
 
 def _program_from_args(args) -> GatePhProgram:
@@ -130,8 +130,7 @@ def _program_from_args(args) -> GatePhProgram:
     )
 
 
-def _cmd_gate(args) -> int:
-    outdir = _out_dir(args)
+def _cmd_gate(args, outdir: Path) -> tuple[list, list]:
     params = _from_args(IsfetParams, args)
     cfg = _from_args(SimConfig, args)
     program = _program_from_args(args)
@@ -164,23 +163,19 @@ def _cmd_gate(args) -> int:
             write_margin_csv(margin_report(program, params, cfg), fh)
         outputs.append(margin_path)
     print(f"outputs: {','.join(bits)}")
-    _write_manifest(outdir, "gate", args, [], outputs)
-    return 0
+    return [], outputs
 
 
-def _cmd_derive_table(args) -> int:
-    outdir = _out_dir(args)
+def _cmd_derive_table(args, outdir: Path) -> tuple[list, list]:
     print("bits  name         lvt_on_out_side (m=00,01,10,11)")
     for f in TruthTable2:
         assignment = assignment_for(f)
         flags = ",".join("L" if x else "H" for x in assignment.lvt_on_out_side)
         print(f"{f.value:04b}  {f.name:<12} {flags}")
-    _write_manifest(outdir, "derive-table", args, [], [])
-    return 0
+    return [], []
 
 
-def _cmd_camouflage(args) -> int:
-    outdir = _out_dir(args)
+def _cmd_camouflage(args, outdir: Path) -> tuple[list, list]:
     netlist = parse_bench(_read_text(args.netlist))
     if (args.gates is None) == (args.rate is None):
         raise UsageError("specify exactly one of --gates or --rate")
@@ -201,18 +196,14 @@ def _cmd_camouflage(args) -> int:
     bench_path.write_text(serialize_bench(camo_netlist))
     config_path = outdir / args.out_config
     config_path.write_text(cfg.to_json())
-    _write_manifest(
-        outdir, "camouflage", args, [args.netlist], [bench_path, config_path]
-    )
     print(
         f"camouflaged {len(cfg.gates)} of {len(netlist.gates)} gates; "
         f"wrote {bench_path} and {config_path}"
     )
-    return 0
+    return [args.netlist], [bench_path, config_path]
 
 
-def _cmd_verify(args) -> int:
-    outdir = _out_dir(args)
+def _cmd_verify(args, outdir: Path) -> tuple[list, list]:
     a = parse_bench(_read_text(args.netlist_a))
     b = parse_bench(_read_text(args.netlist_b))
     bindings = None
@@ -226,25 +217,17 @@ def _cmd_verify(args) -> int:
         n_vectors=args.vectors,
         seed=args.seed,
     )
-    _write_manifest(
-        outdir,
-        "verify",
-        args,
-        [args.netlist_a, args.netlist_b] + ([args.config] if args.config else []),
-        [],
-    )
     if result.equivalent:
         print(f"equivalent ({result.vectors_checked}/{result.vectors_total} vectors)")
-        return 0
-    vec = "".join(str(v) for v in result.counterexample)
-    outs_a = "".join(str(v) for v in result.outputs_a)
-    outs_b = "".join(str(v) for v in result.outputs_b)
-    print(f"not equivalent: counterexample {vec} -> {outs_a} vs {outs_b}")
-    return 0
+    else:
+        vec = "".join(str(v) for v in result.counterexample)
+        outs_a = "".join(str(v) for v in result.outputs_a)
+        outs_b = "".join(str(v) for v in result.outputs_b)
+        print(f"not equivalent: counterexample {vec} -> {outs_a} vs {outs_b}")
+    return [args.netlist_a, args.netlist_b] + ([args.config] if args.config else []), []
 
 
-def _cmd_attack(args) -> int:
-    outdir = _out_dir(args)
+def _cmd_attack(args, outdir: Path) -> tuple[list, list]:
     camo = parse_bench(_read_text(args.netlist))
     cfg = CamoConfig.from_json(_read_text(args.config))
     report_path = outdir / args.out_report
@@ -254,8 +237,6 @@ def _cmd_attack(args) -> int:
         resolution = profiling_attack(camo, vis)
         resolved = {k: v for k, v in resolution.items() if v is not None}
         report = {
-            "netlist": str(args.netlist),
-            "camo_gates": list(camo.camo_gates),
             "strategy": f"profiling-{args.mechanism}",
             "queries": 0,
             "joint_survivors": 16 ** (len(resolution) - len(resolved)),
@@ -272,42 +253,31 @@ def _cmd_attack(args) -> int:
             recon_path = outdir / "reconstructed.bench"
             recon_path.write_text(serialize_bench(reconstruct(camo, resolution)))
             report["reconstructed"] = str(recon_path)
-        _write_json(report_path, report)
-        _write_manifest(
-            outdir, "attack", args, [args.netlist, args.config], [report_path]
-        )
-        print(
+        summary = (
             f"profiling ({args.mechanism}): resolved "
-            f"{len(resolved)}/{len(resolution)} gates; wrote {report_path}"
+            f"{len(resolved)}/{len(resolution)} gates"
         )
-        return 0
-
-    state = oracle_attack(
-        camo,
-        camo,
-        oracle_bindings=cfg.bindings(),
-        strategy=args.strategy,
-        n_queries=args.queries,
-        seed=args.seed,
-        joint_limit=args.joint_limit,
-        marginal_fallback=args.marginal_fallback,
-    )
-    report = {
-        "netlist": str(args.netlist),
-        "camo_gates": list(state.camo_gates),
-        "strategy": args.strategy,
-        **resilience_report(state),
-    }
+    else:
+        state = oracle_attack(
+            camo,
+            camo,
+            oracle_bindings=cfg.bindings(),
+            strategy=args.strategy,
+            n_queries=args.queries,
+            seed=args.seed,
+            joint_limit=args.joint_limit,
+            marginal_fallback=args.marginal_fallback,
+        )
+        report = {"strategy": args.strategy, **resilience_report(state)}
+        summary = (
+            f"oracle attack: {state.queries} queries, "
+            f"{state.joint_survivors} joint survivors "
+            f"({state.ambiguity_bits:.1f} bits)"
+        )
+    report.update(netlist=str(args.netlist), camo_gates=list(camo.camo_gates))
     _write_json(report_path, report)
-    _write_manifest(
-        outdir, "attack", args, [args.netlist, args.config], [report_path]
-    )
-    print(
-        f"oracle attack: {state.queries} queries, "
-        f"{state.joint_survivors} joint survivors "
-        f"({state.ambiguity_bits:.1f} bits); wrote {report_path}"
-    )
-    return 0
+    print(f"{summary}; wrote {report_path}")
+    return [args.netlist, args.config], [report_path]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +370,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func_impl(args)
+        outdir = _out_dir(args)
+        inputs, outputs = args.func_impl(args, outdir)
+        _write_manifest(outdir, args, inputs, outputs)
+        return 0
     except UsageError as exc:
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels
-from .device import IsfetParams, _check_positive, vth_from_ph
+from .device import IsfetParams, _check_positive, _write_csv, vth_from_ph
 from .errors import SimulationError, UsageError
 from .gates import (
     SERIES_K_FACTOR,
@@ -20,6 +20,11 @@ from .gates import (
     minterm_branch_phs,
     minterm_index,
 )
+
+
+# Most Euler steps one simulated clock period may take: 10**7 steps are
+# 400 MB of waveform arrays (five float64 samples per step).
+_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,13 @@ class SimConfig:
         if self.dt > self.period / 100:
             raise UsageError(
                 f"dt {self.dt!r} too coarse for clock period {self.period!r}"
+            )
+        # Checked as a float, which may be inf, before n_steps rounds it.
+        steps = self.period / self.dt
+        if steps > _MAX_STEPS + 0.5:
+            raise UsageError(
+                f"one clock period takes {steps:.3e} steps of dt, more than "
+                f"{_MAX_STEPS}; raise --clock-freq or --dt"
             )
         if self.trip is not None and not 0 < self.trip < self.vdd:
             raise UsageError(f"trip must lie inside (0, vdd), got {self.trip!r}")
@@ -234,21 +246,20 @@ def _resolve(program: GatePhProgram, params: IsfetParams, cfg: SimConfig, a: int
     return None, None
 
 
-def margin_report(
-    program: GatePhProgram,
-    params: IsfetParams,
-    cfg: SimConfig,
-    probe_v_ds: float = 0.1,
-) -> list[dict]:
+# Drain bias at which margin_report compares branch currents: the triode
+# region, where the race is decided as the nodes approach ground.
+_PROBE_V_DS = 0.1
+
+
+def margin_report(program: GatePhProgram, params: IsfetParams, cfg: SimConfig) -> list[dict]:
     """Per-minterm drive imbalance and resolution timing.
 
     The current ratio compares the LVT-role branch against the HVT-role
-    branch at full gate drive and a small probe v_ds (default 0.1 V, the
-    triode region where the race is decided as the nodes approach ground).
-    Outputs and resolve times equal those of ``simulate``.
+    branch at full gate drive and v_ds = ``_PROBE_V_DS``. Outputs and resolve
+    times equal those of ``simulate``.
     """
-    i_lvt = branch_current(params, program.ph_low, probe_v_ds)
-    i_hvt = branch_current(params, program.ph_high, probe_v_ds)
+    i_lvt = branch_current(params, program.ph_low, _PROBE_V_DS)
+    i_hvt = branch_current(params, program.ph_high, _PROBE_V_DS)
     ratio = float("inf") if i_hvt == 0.0 else i_lvt / i_hvt
     rows = []
     for a in (0, 1):
@@ -267,26 +278,11 @@ def margin_report(
     return rows
 
 
-# Rows per block of the waveform CSV writer; blocks keep the text of the
-# whole file (3.25 MB at 50,001 rows) from being built in memory at once.
-_CSV_BLOCK_ROWS = 4096
-
-
 def write_trace_csv(trace: GateTrace, fh) -> None:
-    """Write a waveform CSV with header ``t,v_out,v_out_bar,out,out_bar``.
-
-    The rows are byte for byte those of ``np.savetxt(fh, data, fmt="%.6e",
-    delimiter=",")``. Each block of rows formats every distinct value once.
-    """
-    fh.write("t,v_out,v_out_bar,out,out_bar\n")
+    """Write a waveform CSV with header ``t,v_out,v_out_bar,out,out_bar``,
+    rows formatted like ``np.savetxt(fmt="%.6e", delimiter=",")``."""
     data = np.column_stack([trace.t, trace.v_out, trace.v_out_bar, trace.out, trace.out_bar])
-    for start in range(0, len(data), _CSV_BLOCK_ROWS):
-        block = data[start : start + _CSV_BLOCK_ROWS]
-        # Unique by bit pattern, so -0.0 keeps its own "-0.000000e+00".
-        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-        text = np.array(list(map("%.6e".__mod__, bits.view(np.float64).tolist())), dtype=object)
-        cells = text[inverse.reshape(-1)].tolist()
-        fh.write(("%s,%s,%s,%s,%s\n" * len(block)) % tuple(cells))
+    _write_csv(fh, "t,v_out,v_out_bar,out,out_bar", data)
 
 
 def write_margin_csv(rows: list[dict], fh) -> None:

@@ -285,6 +285,11 @@ class TestResilienceReport:
 
     def test_fully_resolved_zero_bits(self, c17):
         state = oracle_attack(c17, c17)
+        assert state.mode == "joint"
+        assert state.survivor_history == [1]
+        assert state.survivors == [()]
+        assert state.marginals == {}
+        assert state.query_log == []
         report = resilience_report(state)
         assert report["joint_survivors"] == 1
         assert report["ambiguity_bits"] == 0.0

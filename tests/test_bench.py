@@ -21,6 +21,7 @@ from tvdcamo.bench import (
     eval_logic,
     eval_vectors,
     exhaustive_input_words,
+    pack_words,
     parse_bench,
     serialize_bench,
     unpack_words,
@@ -354,10 +355,20 @@ class TestWordEngine:
     def test_eval_vectors_matches_naive_across_word_widths(self, width):
         # Widths around a word boundary leave padding bits that NOT, NAND,
         # NOR and XNOR set; random_netlist also draws 3-input gates and
-        # outputs that are primary inputs.
+        # outputs that are primary inputs. Sixteen more outputs are CAMO
+        # gates on random nets, one bound to each TruthTable2.
+        bindings = {f"c{f.value}": f for f in TruthTable2}
         for seed in range(8):
             rng = random.Random(width * 100 + seed)
-            n = random_netlist(rng, unary_weight=0.25, wide_weight=0.2)
+            plain = random_netlist(rng, unary_weight=0.25, wide_weight=0.2)
+            nets = list(plain.inputs) + [g.name for g in plain.gates]
+            camo = tuple(
+                Gate(name, "CAMO", (rng.choice(nets), rng.choice(nets)))
+                for name in bindings
+            )
+            n = Netlist(
+                plain.inputs, plain.outputs + tuple(bindings), plain.gates + camo
+            )
             vectors = [
                 tuple(rng.randint(0, 1) for _ in n.inputs) for _ in range(width)
             ]
@@ -365,13 +376,13 @@ class TestWordEngine:
                 name: np.array([vec[j] for vec in vectors], dtype=bool)
                 for j, name in enumerate(n.inputs)
             }
-            outs = eval_vectors(n, arrays)
+            outs = eval_vectors(n, arrays, bindings)
             assert all(o.dtype == bool and o.shape == (width,) for o in outs)
             for row, vec in enumerate(vectors):
-                expect = naive_eval(n, vec)
+                expect = naive_eval(n, vec, bindings)
                 assert tuple(int(o[row]) for o in outs) == expect
                 if row < 4:
-                    assert eval_logic(n, vec) == expect
+                    assert eval_logic(n, vec, bindings) == expect
 
     @pytest.mark.parametrize("width", [1, 16, 65, 300])
     def test_per_lane_bindings_match_naive(self, width):
@@ -399,7 +410,11 @@ class TestWordEngine:
                 name: np.array([vec[j] for vec in vectors], dtype=bool)
                 for j, name in enumerate(n.inputs)
             }
-            outs = eval_vectors(n, arrays, codes)
+            masks = {
+                name: tuple(pack_words((c >> (3 - m)) & 1) for m in range(4))
+                for name, c in codes.items()
+            }
+            outs = eval_vectors(n, arrays, masks)
             for lane, vec in enumerate(vectors):
                 bound = {name: TruthTable2(int(c[lane])) for name, c in codes.items()}
                 assert tuple(int(o[lane]) for o in outs) == naive_eval(n, vec, bound)

@@ -418,6 +418,17 @@ class TestParameterFlags:
         assert err.startswith("error:")
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    @pytest.mark.parametrize(
+        "flags", [["--clock-freq", "1"], ["--clock-freq", "1e-300"], ["--dt", "1e-320"]]
+    )
+    def test_too_many_steps_is_usage_error(self, tmp_path, capsys, flags):
+        out_dir = tmp_path / "out"
+        code, _, err = run(["gate", "--func", "AND"] + flags + ["-o", str(out_dir)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "steps" in err and "--clock-freq" in err and "--dt" in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_invalid_config_params_is_domain_error(self, tmp_path, capsys, c17_file):
         run(["camouflage", str(c17_file), "--gates", "16", "-o", str(tmp_path)], capsys)
         config = tmp_path / "camo_config.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvdcamo import device
 from tvdcamo.device import (
     BiasPoint,
     IsfetParams,
@@ -184,3 +185,24 @@ class TestIvSweep:
         assert lines[0] == "v_gs,ph,i_ds"
         assert lines[1] == "1.800000e+00,2.000000e+00,1.450000e-05"
         assert lines[2] == "1.800000e+00,1.000000e+01,9.780000e-06"
+
+    def test_csv_matches_savetxt(self, monkeypatch):
+        def savetxt_reference(table):
+            buf = io.StringIO()
+            buf.write("v_gs,ph,i_ds\n")
+            np.savetxt(buf, table, fmt="%.6e", delimiter=",")
+            return buf.getvalue()
+
+        def csv_text(table):
+            buf = io.StringIO()
+            write_sweep_csv(table, buf)
+            return buf.getvalue()
+
+        sweep = iv_sweep(DEFAULTS, np.linspace(0.0, 1.8, 2500), 0.1, [2.0, 10.0])
+        assert len(sweep) % device._CSV_BLOCK_ROWS != 0
+        assert csv_text(sweep) == savetxt_reference(sweep)
+        monkeypatch.setattr(device, "_CSV_BLOCK_ROWS", 4)
+        values = np.array([0.0, -0.0, -1.5, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.5])
+        table = np.column_stack([values, values[::-1], np.full(9, 2.0)])
+        assert csv_text(table) == savetxt_reference(table)
+        assert "-0.000000e+00," in csv_text(table)

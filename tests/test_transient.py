@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tvdcamo import _kernels, transient
+from tvdcamo import _kernels, device, transient
 from tvdcamo.device import IsfetParams
 from tvdcamo.errors import SimulationError, UsageError
 from tvdcamo.gates import GatePhProgram, TruthTable2, assignment_for, evaluate_static
@@ -139,6 +139,16 @@ class TestSimConfig:
         with pytest.raises(UsageError):
             SimConfig(dt=1e-9)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"clock_freq": 1.0}, {"clock_freq": 1e-300}, {"dt": 1e-320}]
+    )
+    def test_too_many_steps_rejected(self, kwargs):
+        with pytest.raises(UsageError, match="steps"):
+            SimConfig(**kwargs)
+
+    def test_step_ceiling_allows_exactly_the_ceiling(self):
+        assert SimConfig(clock_freq=1e5).n_steps == transient._MAX_STEPS
+
     def test_bad_trip_rejected(self):
         with pytest.raises(UsageError):
             SimConfig(trip=2.0)
@@ -262,7 +272,7 @@ class TestTraceCsv:
     def test_resolved_20mhz_trace_matches_savetxt(self):
         trace = simulate(XOR_PROGRAM, PARAMS, CFG, 1, 0)
         assert trace.is_resolved
-        assert len(trace.t) % transient._CSV_BLOCK_ROWS != 0
+        assert len(trace.t) % device._CSV_BLOCK_ROWS != 0
         assert csv_text(trace) == savetxt_reference(trace)
 
     def test_unresolved_2ghz_trace_matches_savetxt(self):
@@ -272,7 +282,7 @@ class TestTraceCsv:
         assert csv_text(trace) == savetxt_reference(trace)
 
     def test_partial_last_block_and_special_values(self, monkeypatch):
-        monkeypatch.setattr(transient, "_CSV_BLOCK_ROWS", 4)
+        monkeypatch.setattr(device, "_CSV_BLOCK_ROWS", 4)
         values = np.array([0.0, -0.0, -1.5, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.5])
         trace = GateTrace(
             t=np.arange(9) * 1e-12,
