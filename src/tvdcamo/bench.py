@@ -358,7 +358,8 @@ def _camo_word(gate: Gate, a, b, bindings):
     if isinstance(bound, tuple):
         m0, m1, m2, m3 = bound
     else:
-        # Bit (3 - m) of the function is its output for minterm m.
+        # Bit (3 - m) of the function is its output for minterm m. Written
+        # out, not looped: this runs once per CAMO gate per eval_logic call.
         bits = int(TruthTable2(bound))
         pick = (a & ~a, a | ~a)
         m0, m1 = pick[bits >> 3], pick[bits >> 2 & 1]
