@@ -16,7 +16,7 @@ from .bench import (
     WORD_BITS,
     Gate,
     Netlist,
-    eval_vectors,  # noqa: F401  (kept importable as camo.eval_vectors)
+    eval_vectors,  # noqa: F401  (perfbench/test_perfbench.py reads camo.eval_vectors)
     eval_words,
     exhaustive_input_words,
     input_vector_from_index,

@@ -43,6 +43,9 @@ from .transient import (
 
 OUT_DIR_ENV = "TVDCAMO_OUT_DIR"
 ERROR_PREFIX = "error:"
+# Most rows one sweep may write: 240 MB of table, the same ceiling as the
+# Euler steps of one transient.
+_MAX_SWEEP_ROWS = 10**7
 
 
 def _out_dir(args) -> Path:
@@ -105,14 +108,20 @@ def _cmd_sweep(args, outdir: Path) -> tuple[list, list]:
     # Before np.linspace, which warns on an infinite endpoint.
     if not (math.isfinite(args.vgs_start) and math.isfinite(args.vgs_stop)):
         raise UsageError("--vgs-start and --vgs-stop must be finite")
-    if args.vgs_steps == 1:
-        grid = np.array([args.vgs_start])
-    else:
-        grid = np.linspace(args.vgs_start, args.vgs_stop, args.vgs_steps)
     try:
         phs = [float(tok) for tok in args.ph.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"--ph must list numbers, got {args.ph!r}") from None
+    # Before np.linspace, which would try to allocate the whole grid.
+    rows = args.vgs_steps * max(len(phs), 1)
+    if rows > _MAX_SWEEP_ROWS:
+        raise UsageError(
+            f"--vgs-steps times the --ph count is {rows} rows, more than {_MAX_SWEEP_ROWS}"
+        )
+    if args.vgs_steps == 1:
+        grid = np.array([args.vgs_start])
+    else:
+        grid = np.linspace(args.vgs_start, args.vgs_stop, args.vgs_steps)
     table = iv_sweep(params, grid, args.vds, phs)
     csv_path = outdir / "sweep.csv"
     with open(csv_path, "w") as fh:

@@ -98,15 +98,17 @@ def iv_sweep(params: IsfetParams, v_gs_values, v_ds: float, ph_values) -> np.nda
     Returns a float array of shape (len(v_gs_values) * len(ph_values), 3)
     with columns (v_gs, ph, i_ds), row-major: the v_gs grid is the outer
     loop. The v_gs grid must be non-empty, finite and strictly monotone, and
-    v_ds finite and non-negative.
+    v_ds finite and non-negative. Each i_ds is bit for bit ``ids`` of its row.
     """
-    grid = [float(v) for v in v_gs_values]
+    grid = np.asarray(v_gs_values, dtype=np.float64)
     phs = [float(p) for p in ph_values]
-    if not grid:
+    if grid.ndim != 1:
+        raise UsageError("v_gs grid must be one-dimensional")
+    if not grid.size:
         raise UsageError("v_gs grid is empty")
     if not phs:
         raise UsageError("pH list is empty")
-    if not all(map(math.isfinite, grid)):
+    if not np.all(np.isfinite(grid)):
         raise UsageError("v_gs grid must be finite")
     if not (v_ds >= 0 and math.isfinite(v_ds)):
         raise UsageError(f"v_ds must be non-negative and finite, got {v_ds!r}")
@@ -116,38 +118,109 @@ def iv_sweep(params: IsfetParams, v_gs_values, v_ds: float, ph_values) -> np.nda
     for p in phs:
         _check_ph(p)
 
-    rows = np.empty((len(grid) * len(phs), 3), dtype=np.float64)
-    i = 0
-    for v in grid:
-        for p in phs:
-            rows[i, 0] = v
-            rows[i, 1] = p
-            rows[i, 2] = ids(params, BiasPoint(v_gs=v, v_ds=v_ds, ph=p))
-            i += 1
-    return rows
+    # The operations of ids(), in its order, so every row is bit-identical.
+    ph = np.array(phs)
+    vth = params.vth0 + params.sensitivity * (ph - params.ph_ref)
+    v_gs = np.repeat(grid, len(phs))
+    v_ov = v_gs - np.tile(vth, len(grid))
+    triode = params.k_gain * (v_ov * v_ds - 0.5 * v_ds * v_ds)
+    saturation = 0.5 * params.k_gain * v_ov * v_ov
+    i_ds = np.where(v_ov <= 0.0, 0.0, np.where(v_ds < v_ov, triode, saturation))
+    return np.column_stack([v_gs, np.tile(ph, len(grid)), i_ds])
 
 
 # Rows per block of the CSV writer; blocks keep the text of a whole waveform
 # file (3.25 MB at 50,001 rows) from being built in memory at once.
 _CSV_BLOCK_ROWS = 4096
 
+# Characters of one "%.6e" cell and its delimiter: sign, d.dddddd, "e",
+# exponent sign, two or three exponent digits, then "," or newline.
+_CELL_WIDTH = 15
+# 10**k for k in [-_POW10_SPAN, _POW10_SPAN], each correctly rounded, as
+# Python's float() of a decimal string is.
+_POW10_SPAN = 308
+_POW10 = np.array([float(f"1e{k}") for k in range(-_POW10_SPAN, _POW10_SPAN + 1)])
+# Nonzero magnitudes outside [_FAST_MIN, _FAST_MAX) are left to "%".
+_FAST_MIN = 1e-300
+_FAST_MAX = 1e300
+# A scaled value this close to a .5 tie may round either way once the
+# scaling's few ulps of error are counted, so it is left to "%".
+_TIE_WINDOW = 1e-5
+_DIGIT_0 = ord("0")
+
+
+def _format_block(block: np.ndarray) -> str:
+    """The rows of ``block`` as ``"%.6e"`` cells joined by "," and newline.
+
+    The exponent of |x| comes from floor(log10|x|) and the 7-digit mantissa
+    from rint(|x| * 10**(6 - e)). The product is off by a few ulps at most,
+    so a mantissa is exact unless the scaled value lies near a .5 tie. The
+    exponent is corrected once when the mantissa leaves [10**6, 10**7).
+    A cell falls back to Python's "%" when it is non-finite, when its
+    nonzero magnitude lies outside [1e-300, 1e300), when its scaled value
+    is within _TIE_WINDOW of a tie at either exponent tried, or when the
+    corrected mantissa still leaves [10**6, 10**7). Zero, of either sign,
+    is exact in the fast path.
+    """
+    x = block.reshape(-1)
+    mag = np.abs(x)
+    zero = mag == 0.0
+    fast = (mag >= _FAST_MIN) & (mag < _FAST_MAX)
+    mag = np.where(fast, mag, 1.0)
+    e = np.floor(np.log10(mag)).astype(np.int32)
+    scaled = mag * _POW10[_POW10_SPAN + 6 - e]
+    mant = np.rint(scaled)
+    tie = np.abs(scaled - mant) > 0.5 - _TIE_WINDOW
+    # log10 can miss the decade by one, and rounding can carry into the next.
+    redo = np.flatnonzero((mant >= 1e7) | (mant < 1e6))
+    e[redo] += np.where(mant[redo] >= 1e7, 1, -1)
+    scaled = mag[redo] * _POW10[_POW10_SPAN + 6 - e[redo]]
+    mant[redo] = np.rint(scaled)
+    tie[redo] |= np.abs(scaled - mant[redo]) > 0.5 - _TIE_WINDOW
+    fast &= ~tie & (mant >= 1e6) & (mant < 1e7)
+    fast |= zero
+    # A zero cell was scaled as 1.0, so its exponent is already 0.
+    m = np.where(zero, 0, mant).astype(np.int32)
+
+    # Column-major: buf[k] is character k of every cell.
+    buf = np.zeros((_CELL_WIDTH, x.size), dtype=np.uint8)
+    buf[0] = np.where(np.signbit(x), ord("-"), 0)
+    for k in range(8, 2, -1):
+        q = m // 10
+        buf[k] = m - 10 * q + _DIGIT_0
+        m = q
+    buf[1] = m + _DIGIT_0
+    buf[2] = ord(".")
+    buf[9] = ord("e")
+    buf[10] = np.where(e < 0, ord("-"), ord("+"))
+    e = np.abs(e)
+    buf[11] = np.where(e >= 100, e // 100 + _DIGIT_0, 0)
+    buf[12] = e // 10 % 10 + _DIGIT_0
+    buf[13] = e % 10 + _DIGIT_0
+    delim = buf[14].reshape(block.shape)
+    delim[:, :-1] = ord(",")
+    delim[:, -1] = ord("\n")
+
+    slow = np.flatnonzero(~fast)
+    buf[: _CELL_WIDTH - 1, slow] = 0
+    for j in slow.tolist():
+        cell = ("%.6e" % x[j]).encode("ascii")
+        buf[: len(cell), j] = np.frombuffer(cell, dtype=np.uint8)
+    buf = buf.T
+    return buf[buf != 0].tobytes().decode("ascii")
+
 
 def _write_csv(fh, header: str, data: np.ndarray) -> None:
     """Write a header line, then the rows of a 2-D float array.
 
     The rows are byte for byte those of ``np.savetxt(fh, data, fmt="%.6e",
-    delimiter=",")``. Each block of rows formats every distinct value once.
+    delimiter=",")``; see _format_block. Rows are formatted and written
+    _CSV_BLOCK_ROWS at a time.
     """
     fh.write(header + "\n")
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    row = ",".join(["%s"] * data.shape[1]) + "\n"
+    data = np.asarray(data, dtype=np.float64)
     for start in range(0, len(data), _CSV_BLOCK_ROWS):
-        block = data[start : start + _CSV_BLOCK_ROWS]
-        # Unique by bit pattern, so -0.0 keeps its own "-0.000000e+00".
-        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-        text = np.array(list(map("%.6e".__mod__, bits.view(np.float64).tolist())), dtype=object)
-        cells = text[inverse.reshape(-1)].tolist()
-        fh.write((row * len(block)) % tuple(cells))
+        fh.write(_format_block(data[start : start + _CSV_BLOCK_ROWS]))
 
 
 def write_sweep_csv(table: np.ndarray, fh) -> None:

@@ -136,6 +136,18 @@ class TestSweepCommand:
         assert "2,x" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--vgs-steps", "1000000000000"], ["--vgs-steps", "5000001", "--ph", "2,10"]],
+    )
+    def test_too_many_rows_is_usage_error(self, tmp_path, capsys, flags):
+        out_dir = tmp_path / "out"
+        code, _, err = run(["sweep"] + flags + ["-o", str(out_dir)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "rows" in err and "10000000" in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
 
 class TestDeriveTable:
     def test_sixteen_rows(self, tmp_path, capsys):

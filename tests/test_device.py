@@ -206,3 +206,25 @@ class TestIvSweep:
         table = np.column_stack([values, values[::-1], np.full(9, 2.0)])
         assert csv_text(table) == savetxt_reference(table)
         assert "-0.000000e+00," in csv_text(table)
+
+        # Raw bit patterns cover every exponent, subnormals, ±0, nan and ±inf.
+        raw = np.random.default_rng(8).integers(0, 2**64, 6000, dtype=np.uint64)
+        three_digit = [1e100, -1e-100, 1.234567e-150, 9.9999995e99, 9.99999949e299,
+                       -1e-300, 1.0000001e-300, 9.999999e299, 2.5e-307, -7.5e305]
+        # Neighbours of values whose scaled mantissa sits at a .5 tie, some
+        # of them at a decade boundary where the tie decides the exponent.
+        below = above = np.array([999999.95, 9.9999995, 0.99999995, 1.0000005, 123456.75])
+        near_ties = [below]
+        for _ in range(8):
+            below = np.nextafter(below, -np.inf)
+            above = np.nextafter(above, np.inf)
+            near_ties += [below, above]
+        values = np.concatenate(
+            [raw.view(np.float64), three_digit, np.concatenate(near_ties), values]
+        )
+        values = np.concatenate([values, -values])
+        table = values[: len(values) // 3 * 3].reshape(-1, 3)
+        assert csv_text(table) == savetxt_reference(table)
+        # Every nonzero cell through the per-value fallback.
+        monkeypatch.setattr(device, "_FAST_MIN", math.inf)
+        assert csv_text(table) == savetxt_reference(table)
