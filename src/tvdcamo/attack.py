@@ -9,6 +9,7 @@ against observed responses.
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping
 
 import numpy as np
@@ -19,10 +20,12 @@ from .bench import (
     ZERO,
     Gate,
     Netlist,
+    _eval_gates,
     eval_logic,
     eval_words,
     index_bit_words,
     input_vector_from_index,
+    pack_words,
     unpack_words,
 )
 from .camo import CamoConfig, reconstruct  # noqa: F401  (attack.reconstruct)
@@ -35,6 +38,12 @@ _MECHANISMS = (IMPLANT, ELECTROLYTE)
 
 DEFAULT_JOINT_LIMIT = 65536
 _EXHAUSTIVE_QUERY_LIMIT_BITS = 20
+# Joint mode answers queries WORD_BITS at a time, and evaluates the CAMO cone
+# for Q = min(WORD_BITS, _CONE_WORDS // n_words) of them at once (at least
+# one), so that a cone net holds at most max(_CONE_WORDS, n_words) words.
+_CONE_WORDS = 4096
+_FILL = np.array([ZERO, ALL_ONES])
+_SHIFTS = np.arange(WORD_BITS, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -164,6 +173,27 @@ def _query_vectors(n_inputs: int, strategy: str, n_queries, seed):
     raise UsageError(f"unknown query strategy {strategy!r}")
 
 
+def _split_cone(n: Netlist) -> tuple[list[Gate], list[Gate]]:
+    """The CAMO gates with their transitive fan-out, and every other gate,
+    both in ``topo_gates`` order."""
+    cone: list[Gate] = []
+    base: list[Gate] = []
+    cone_nets: set[str] = set()
+    for gate in n.topo_gates:
+        if gate.kind == "CAMO" or not cone_nets.isdisjoint(gate.fanin):
+            cone.append(gate)
+            cone_nets.add(gate.name)
+        else:
+            base.append(gate)
+    return cone, base
+
+
+def _columns(word: int, count: int) -> np.ndarray:
+    """A (count, 1) column whose row k is all ones where bit k of ``word`` is."""
+    bits = (np.uint64(word & ((1 << count) - 1)) >> _SHIFTS[:count]) & np.uint64(1)
+    return _FILL[bits][:, None]
+
+
 def _inconsistent_oracle(vec, observed) -> DomainError:
     return DomainError(
         f"oracle response {tuple(observed)} to query {tuple(vec)} "
@@ -186,8 +216,10 @@ def oracle_attack(
 
     Every query evaluates the oracle netlist (with its true bindings) on one
     input vector; joint candidate assignments whose outputs disagree are
-    eliminated. With g camouflaged gates the joint space is 16^g, which must
-    fit ``joint_limit`` unless ``marginal_fallback`` requests the weaker
+    eliminated. Joint mode answers the queries 64 at a time and evaluates
+    per candidate only the fan-out cone of the camouflaged gates. With g
+    camouflaged gates the joint space is 16^g, which must fit
+    ``joint_limit`` unless ``marginal_fallback`` requests the weaker
     per-gate pruning mode (sound, but it ignores cross-gate correlations).
     Pruning stops early once a single survivor remains.
     """
@@ -225,17 +257,66 @@ def oracle_attack(
         survivor_history=[n_lanes],
     )
 
-    for vec in _query_vectors(len(camo.inputs), strategy, n_queries, seed):
-        if state.survivor_history[-1] <= 1:
-            break
-        observed = eval_logic(oracle, vec, oracle_bindings)
-        outs = eval_words(camo, [ALL_ONES if bit else ZERO for bit in vec], lanes)
-        for o, obs in zip(outs, observed):
-            alive &= o if obs else ~o
-        state.query_log.append((tuple(vec), tuple(observed)))
-        state.survivor_history.append(int(np.bitwise_count(alive).sum()))
-        if state.survivor_history[-1] == 0:
-            raise _inconsistent_oracle(vec, observed)
+    # Only the CAMO gates and their fan-out differ between candidates. The
+    # oracle and the other gates of camo answer a whole batch of queries in
+    # one pass over Python ints, bit k for query k; the cone then runs on a
+    # (Q, 1) all-ones/zero column per net feeding it against the lane masks.
+    cone, base = _split_cone(camo)
+    cone_nets = {gate.name for gate in cone}
+    feeds = {f for gate in cone for f in gate.fanin} - cone_nets
+    q_rows = max(1, min(WORD_BITS, _CONE_WORDS // n_words))
+    queries = _query_vectors(len(camo.inputs), strategy, n_queries, seed)
+    # The first batch is drawn before the survivor check, so that a bad
+    # strategy is reported even when there is nothing to prune.
+    while (batch := list(islice(queries, WORD_BITS))) and (
+        state.survivor_history[-1] > 1
+    ):
+        if len(batch[0]) != len(oracle.inputs):
+            raise UsageError(
+                f"expected {len(oracle.inputs)} input bits, got {len(batch[0])}"
+            )
+        words = pack_words(np.array(batch, dtype=bool).T)[:, 0].tolist()
+        observed = eval_words(oracle, words, oracle_bindings)
+        values = dict(zip(camo.inputs, words))
+        _eval_gates(base, values, None)
+        # Bit k of ``agree``: query k's outputs outside the cone match.
+        agree = ~0
+        flips = []
+        for out, obs in zip(camo.outputs, observed):
+            if out in cone_nets:
+                flips.append((out, _columns(~obs, len(batch))))
+            else:
+                agree &= ~(values[out] ^ obs)
+        agree = _columns(agree, len(batch))
+        columns = {net: _columns(values[net], len(batch)) for net in feeds}
+
+        for q0 in range(0, len(batch), q_rows):
+            rows = slice(q0, q0 + q_rows)
+            cone_values = {net: col[rows] for net, col in columns.items()}
+            _eval_gates(cone, cone_values, lanes)
+            match = agree[rows] & alive
+            for out, flip in flips:
+                match &= cone_values[out] ^ flip[rows]
+            # Running AND down the rows in log2(Q) passes; numpy buffers the
+            # overlapping operands. np.bitwise_and.accumulate along axis 0
+            # took 26 us on 4 x 1024 words and 2 ms on 1 x 262144, against
+            # 4 us and nothing here (2-vCPU Xeon).
+            step = 1
+            while step < len(match):
+                match[step:] &= match[:-step]
+                step *= 2
+            for r, count in enumerate(np.bitwise_count(match).sum(axis=1).tolist()):
+                k = q0 + r
+                response = tuple((obs >> k) & 1 for obs in observed)
+                state.query_log.append((batch[k], response))
+                state.survivor_history.append(count)
+                if count == 0:
+                    raise _inconsistent_oracle(batch[k], response)
+                alive = match[r]
+                if count <= 1:
+                    break
+            if state.survivor_history[-1] <= 1:
+                break
 
     funcs = tuple(TruthTable2)
     state.survivors = [

@@ -378,7 +378,17 @@ def eval_words(n: Netlist, input_words, bindings=None) -> list:
     0..3. Bits past the last vector are left unspecified.
     """
     values = dict(zip(n.inputs, input_words))
-    for gate in n.topo_gates:
+    _eval_gates(n.topo_gates, values, bindings)
+    return [values[o] for o in n.outputs]
+
+
+def _eval_gates(gates, values: dict, bindings) -> None:
+    """Evaluate ``gates``, given in topological order, into ``values``.
+
+    ``values`` maps every net the gates read and that none of them drives to
+    its word; each gate's word is added under its name.
+    """
+    for gate in gates:
         fan = [values[f] for f in gate.fanin]
         kind = gate.kind
         if kind == "BUF":
@@ -392,7 +402,6 @@ def eval_words(n: Netlist, input_words, bindings=None) -> list:
             if kind in _NEGATED:
                 out = ~out
         values[gate.name] = out
-    return [values[o] for o in n.outputs]
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -49,10 +50,15 @@ _MAX_SWEEP_ROWS = 10**7
 
 
 def _out_dir(args) -> Path:
-    base = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
+
+
+def _out_path(outdir: Path, name) -> Path:
+    """``outdir / name``, creating ``outdir`` first: a command calls this
+    only once it is about to write, so a rejected command leaves no
+    directory behind."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / name
 
 
 def _write_json(path: Path, doc) -> None:
@@ -73,7 +79,7 @@ def _write_manifest(outdir: Path, args, inputs, outputs):
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }
-    _write_json(outdir / "manifest.json", manifest)
+    _write_json(_out_path(outdir, "manifest.json"), manifest)
 
 
 def _add_field_flags(p, cls, skip=()):
@@ -123,7 +129,7 @@ def _cmd_sweep(args, outdir: Path) -> tuple[list, list]:
     else:
         grid = np.linspace(args.vgs_start, args.vgs_stop, args.vgs_steps)
     table = iv_sweep(params, grid, args.vds, phs)
-    csv_path = outdir / "sweep.csv"
+    csv_path = _out_path(outdir, "sweep.csv")
     with open(csv_path, "w") as fh:
         write_sweep_csv(table, fh)
     print(f"wrote {csv_path} ({table.shape[0]} rows)")
@@ -156,7 +162,7 @@ def _cmd_gate(args, outdir: Path) -> tuple[list, list]:
     for a, b in pairs:
         trace = simulate(program, params, cfg, a, b)
         stem = f"gate_{args.func.lower()}_a{a}b{b}"
-        csv_path = outdir / f"{stem}.csv"
+        csv_path = _out_path(outdir, f"{stem}.csv")
         with open(csv_path, "w") as fh:
             write_trace_csv(trace, fh)
         meta_path = outdir / f"{stem}.meta.json"
@@ -167,7 +173,7 @@ def _cmd_gate(args, outdir: Path) -> tuple[list, list]:
         print(f"a={a} b={b} -> {trace.output_str} (resolve {rt})")
 
     if args.margin_csv:
-        margin_path = outdir / f"gate_{args.func.lower()}_margin.csv"
+        margin_path = _out_path(outdir, f"gate_{args.func.lower()}_margin.csv")
         with open(margin_path, "w") as fh:
             write_margin_csv(margin_report(program, params, cfg), fh)
         outputs.append(margin_path)
@@ -201,7 +207,7 @@ def _cmd_camouflage(args, outdir: Path) -> tuple[list, list]:
         params=_from_args(IsfetParams, args),
         **kwargs,
     )
-    bench_path = outdir / args.out_bench
+    bench_path = _out_path(outdir, args.out_bench)
     bench_path.write_text(serialize_bench(camo_netlist))
     config_path = outdir / args.out_config
     config_path.write_text(cfg.to_json())
@@ -239,7 +245,6 @@ def _cmd_verify(args, outdir: Path) -> tuple[list, list]:
 def _cmd_attack(args, outdir: Path) -> tuple[list, list]:
     camo = parse_bench(_read_text(args.netlist))
     cfg = CamoConfig.from_json(_read_text(args.config))
-    report_path = outdir / args.out_report
 
     if args.kind == "profiling":
         vis = DeviceVisibility.from_config(cfg, args.mechanism)
@@ -259,7 +264,7 @@ def _cmd_attack(args, outdir: Path) -> tuple[list, list]:
             },
         }
         if resolved and len(resolved) == len(resolution):
-            recon_path = outdir / "reconstructed.bench"
+            recon_path = _out_path(outdir, "reconstructed.bench")
             recon_path.write_text(serialize_bench(reconstruct(camo, resolution)))
             report["reconstructed"] = str(recon_path)
         summary = (
@@ -284,12 +289,15 @@ def _cmd_attack(args, outdir: Path) -> tuple[list, list]:
             f"({state.ambiguity_bits:.1f} bits)"
         )
     report.update(netlist=str(args.netlist), camo_gates=list(camo.camo_gates))
+    report_path = _out_path(outdir, args.out_report)
     _write_json(report_path, report)
     print(f"{summary}; wrote {report_path}")
     return [args.netlist, args.config], [report_path]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="tvdcamo",
         description=(

@@ -4,8 +4,25 @@ from pathlib import Path
 
 import pytest
 
-from tvdcamo.bench import GATE_KINDS, UNARY_KINDS, Gate, Netlist, parse_bench
-from tvdcamo.errors import BenchParseError, CycleError
+import numpy as np
+
+from tvdcamo.attack import CandidateState, _query_vectors
+from tvdcamo.bench import (
+    ALL_ONES,
+    GATE_KINDS,
+    UNARY_KINDS,
+    WORD_BITS,
+    ZERO,
+    Gate,
+    Netlist,
+    eval_logic,
+    eval_words,
+    index_bit_words,
+    parse_bench,
+    unpack_words,
+)
+from tvdcamo.errors import BenchParseError, CycleError, DomainError
+from tvdcamo.gates import TruthTable2
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -221,3 +238,62 @@ def reference_topo_order(netlist) -> tuple[Gate, ...]:
         stuck = [g.name for g in netlist.gates if indeg[g.name] > 0]
         raise CycleError(stuck)
     return tuple(order)
+
+
+# Joint-mode oracle attack as it was before the cone/base split: per query,
+# eval_logic over the whole oracle and eval_words over every gate of the
+# camouflaged netlist. Kept as the reference for the attack's differential
+# test; the capacity check and marginal mode are left out.
+def reference_oracle_attack(
+    camo: Netlist,
+    oracle: Netlist,
+    oracle_bindings=None,
+    strategy: str = "exhaustive",
+    n_queries: int | None = None,
+    seed: int | None = None,
+) -> CandidateState:
+    names = camo.camo_gates
+    g = len(names)
+    n_lanes = 16**g
+    n_words = -(-n_lanes // WORD_BITS)
+    lanes = {
+        nm: tuple(
+            index_bit_words(4 * (g - 1 - j) + 3 - m, 0, n_words) for m in range(4)
+        )
+        for j, nm in enumerate(names)
+    }
+    alive = np.full(n_words, ALL_ONES)
+    if n_lanes < WORD_BITS:
+        alive[0] = (1 << n_lanes) - 1
+    state = CandidateState(
+        camo_gates=names,
+        mode="joint",
+        marginals={nm: set(TruthTable2) for nm in names},
+        survivor_history=[n_lanes],
+    )
+
+    for vec in _query_vectors(len(camo.inputs), strategy, n_queries, seed):
+        if state.survivor_history[-1] <= 1:
+            break
+        observed = eval_logic(oracle, vec, oracle_bindings)
+        outs = eval_words(camo, [ALL_ONES if bit else ZERO for bit in vec], lanes)
+        for o, obs in zip(outs, observed):
+            alive &= o if obs else ~o
+        state.query_log.append((tuple(vec), tuple(observed)))
+        state.survivor_history.append(int(np.bitwise_count(alive).sum()))
+        if state.survivor_history[-1] == 0:
+            raise DomainError(
+                f"oracle response {tuple(observed)} to query {tuple(vec)} "
+                f"eliminates every candidate: the oracle is inconsistent "
+                f"with the camouflaged netlist"
+            )
+
+    funcs = tuple(TruthTable2)
+    state.survivors = [
+        tuple(funcs[(lane >> 4 * (g - 1 - j)) & 15] for j in range(g))
+        for lane in np.flatnonzero(unpack_words(alive, n_lanes)).tolist()
+    ]
+    state.marginals = {
+        nm: {s[j] for s in state.survivors} for j, nm in enumerate(names)
+    }
+    return state

@@ -1,11 +1,12 @@
 import math
 import random
 import re
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from conftest import naive_eval, random_netlist
+from conftest import naive_eval, random_netlist, reference_oracle_attack
+from tvdcamo import attack
 from tvdcamo.attack import (
     ELECTROLYTE,
     IMPLANT,
@@ -18,7 +19,13 @@ from tvdcamo.attack import (
 )
 from tvdcamo.camo import camouflage, decamouflage, verify_equivalence
 from tvdcamo.bench import Gate, Netlist
-from tvdcamo.errors import CapacityError, CoverageError, DomainError, UsageError
+from tvdcamo.errors import (
+    CapacityError,
+    CoverageError,
+    DomainError,
+    UnprogrammedGateError,
+    UsageError,
+)
 from tvdcamo.gates import TruthTable2
 
 
@@ -233,6 +240,136 @@ class TestOracleAttackLanes:
         emptied_by = vectors[len(history) - 2]
         with pytest.raises(DomainError, match=re.escape(str(emptied_by))):
             oracle_attack(camo, all_or)
+
+
+def _outcome(fn, camo, oracle, **kwargs):
+    """What one attack run returns or raises, in comparable form."""
+    try:
+        state = fn(camo, oracle, **kwargs)
+    except Exception as exc:  # compared with the reference's error below
+        return ("raised", type(exc), str(exc))
+    for vec, response in state.query_log:
+        assert all(type(bit) is int for bit in vec + response)
+    return (
+        "returned",
+        state.query_log,
+        state.survivor_history,
+        state.survivors,
+        state.marginals,
+    )
+
+
+def assert_matches_reference(camo, oracle, **kwargs):
+    got = _outcome(oracle_attack, camo, oracle, **kwargs)
+    assert got == _outcome(reference_oracle_attack, camo, oracle, **kwargs)
+    return got
+
+
+def _rare_minterm_netlist():
+    """7 inputs; CAMO gate c sees a = 1 only for exhaustive queries 126 and
+    127, so the attack keeps going past the first batch of 64. Output o is
+    outside the cone; d is in it, below c."""
+    inputs = [f"i{k}" for k in range(7)]
+    gates = [
+        Gate("t0", "AND", ("i0", "i1", "i2")),
+        Gate("a", "AND", ("t0", "i3", "i4", "i5")),
+        Gate("c", "CAMO", ("a", "i6")),
+        Gate("d", "CAMO", ("c", "i5")),
+        Gate("o", "XOR", ("i2", "i6")),
+    ]
+    camo = Netlist(inputs, ["o", "d", "i3"], gates)
+    return camo, {"c": TruthTable2.AND, "d": TruthTable2.XOR}
+
+
+class TestJointModeMatchesReference:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_every_c17_subset(self, c17, size):
+        for names in combinations(c17.gate_map, size):
+            camo, cfg = camo_c17(c17, names)
+            assert_matches_reference(camo, camo, oracle_bindings=cfg.bindings())
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "random"])
+    def test_seeded_dags(self, strategy):
+        for seed in range(16):
+            rng = random.Random(9100 + seed)
+            n = random_netlist(rng, max_inputs=9, max_gates=24)
+            eligible = [g.name for g in n.gates if len(g.fanin) == 2]
+            if not eligible:
+                continue
+            picks = rng.sample(eligible, min(len(eligible), rng.randint(1, 3)))
+            camo, cfg = camouflage(n, gates=picks)
+            assert_matches_reference(
+                camo, camo, oracle_bindings=cfg.bindings(), strategy=strategy,
+                n_queries=rng.randint(0, 150), seed=seed,
+            )
+            # The original netlist as the oracle: no bindings needed.
+            assert_matches_reference(
+                camo, n, strategy=strategy, n_queries=40, seed=seed
+            )
+
+    def test_exhaustive_queries_cross_the_batch_boundary(self):
+        camo, truth = _rare_minterm_netlist()
+        got = assert_matches_reference(camo, camo, oracle_bindings=truth)
+        assert got[0] == "returned" and len(got[1]) > 64
+
+    def test_one_query_per_cone_pass(self, c17, monkeypatch):
+        monkeypatch.setattr(attack, "_CONE_WORDS", 1)
+        camo, truth = _rare_minterm_netlist()
+        got = assert_matches_reference(camo, camo, oracle_bindings=truth)
+        assert len(got[1]) > 64
+        for names in (["16"], ["10", "22"], ["11", "16", "23"], ["10", "11", "19", "22"]):
+            camo, cfg = camo_c17(c17, names)
+            assert_matches_reference(camo, camo, oracle_bindings=cfg.bindings())
+            assert_matches_reference(
+                camo, c17, strategy="random", n_queries=70, seed=len(names)
+            )
+
+
+class TestJointModeErrors:
+    def test_oracle_with_other_inputs(self, c17):
+        camo, _ = camo_c17(c17, ["16"])
+        wider = Netlist(
+            c17.inputs + ("extra",),
+            c17.outputs,
+            list(c17.gates) + [Gate("x", "NOT", ("extra",))],
+        )
+        for oracle in (wider, Netlist(c17.inputs[:4], ["1"], [])):
+            got = assert_matches_reference(camo, oracle)
+            assert got[:2] == ("raised", UsageError)
+
+    def test_oracle_that_eliminates_every_candidate(self, c17):
+        camo, _ = camo_c17(c17, ["10", "19"])
+        all_or = Netlist(
+            c17.inputs, c17.outputs, [Gate(g.name, "OR", g.fanin) for g in c17.gates]
+        )
+        got = assert_matches_reference(camo, all_or)
+        assert got[:2] == ("raised", DomainError)
+        # An oracle that differs only on an output outside the cone.
+        camo, truth = _rare_minterm_netlist()
+        other = Netlist(
+            camo.inputs, camo.outputs,
+            [Gate(g.name, "XNOR", g.fanin) if g.name == "o" else g for g in camo.gates],
+        )
+        for strategy in ("exhaustive", "random"):
+            got = assert_matches_reference(
+                camo, other, oracle_bindings=truth, strategy=strategy,
+                n_queries=90, seed=3,
+            )
+            assert got[:2] == ("raised", DomainError)
+
+    def test_random_strategy_needs_a_query_count(self, c17):
+        camo, cfg = camo_c17(c17, ["16", "19"])
+        for net, kwargs in ((camo, {"oracle_bindings": cfg.bindings()}), (c17, {})):
+            got = assert_matches_reference(net, c17, strategy="random", **kwargs)
+            assert got[:2] == ("raised", UsageError)
+
+    def test_unbound_oracle_gates(self, c17):
+        camo, _ = camo_c17(c17, ["16", "19"])
+        got = assert_matches_reference(camo, camo)
+        assert got[:2] == ("raised", UnprogrammedGateError)
+        # No CAMO gate: one candidate, so the oracle is never evaluated.
+        got = assert_matches_reference(c17, camo)
+        assert got == ("returned", [], [1], [()], {})
 
 
 class TestMarginalFallback:

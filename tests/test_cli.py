@@ -146,7 +146,7 @@ class TestSweepCommand:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert "rows" in err and "10000000" in err
-        assert not out_dir.exists() or not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
 
 class TestDeriveTable:
@@ -387,7 +387,7 @@ class TestParameterFlags:
         assert code == 1
         assert err.startswith("error:")
         assert "20" in err
-        assert not out_dir.exists() or not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("subcommand", ["gate", "camouflage"])
     def test_reversed_ph_pair_is_domain_error(
@@ -403,7 +403,7 @@ class TestParameterFlags:
         )
         assert code == 1
         assert err.startswith("error:")
-        assert not out_dir.exists() or not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -428,7 +428,7 @@ class TestParameterFlags:
         code, _, err = run(argv + ["-o", str(out_dir)], capsys)
         assert code == 2
         assert err.startswith("error:")
-        assert not out_dir.exists() or not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "flags", [["--clock-freq", "1"], ["--clock-freq", "1e-300"], ["--dt", "1e-320"]]
@@ -439,7 +439,7 @@ class TestParameterFlags:
         assert code == 2
         assert err.startswith("error:")
         assert "steps" in err and "--clock-freq" in err and "--dt" in err
-        assert not out_dir.exists() or not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
     def test_invalid_config_params_is_domain_error(self, tmp_path, capsys, c17_file):
         run(["camouflage", str(c17_file), "--gates", "16", "-o", str(tmp_path)], capsys)
@@ -465,6 +465,26 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("subcommand", ["camouflage", "attack"])
+    def test_missing_netlist_leaves_no_directory(self, tmp_path, capsys, subcommand):
+        out_dir = tmp_path / "out"
+        extra = ["--rate", "0.5"] if subcommand == "camouflage" else ["--config", "x.json"]
+        code, _, err = run(
+            [subcommand, str(tmp_path / "nofile.bench"), *extra, "-o", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "no such file" in err
+        assert not out_dir.exists()
+
+    def test_parser_reuse_keeps_defaults(self, tmp_path, capsys):
+        # The parser is built once per process; a flag given to one call
+        # must not become the default of the next.
+        run(["sweep", "--vds", "0.2", "-o", str(tmp_path / "a")], capsys)
+        run(["sweep", "-o", str(tmp_path / "b")], capsys)
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["parameters"]["vds"] == 0.1
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
