@@ -136,6 +136,8 @@ _CSV_BLOCK_ROWS = 4096
 # Characters of one "%.6e" cell and its delimiter: sign, d.dddddd, "e",
 # exponent sign, two or three exponent digits, then "," or newline.
 _CELL_WIDTH = 15
+# Character rows of a cell with no sign and a 2-digit exponent.
+_FIXED_ROWS = np.r_[1:11, 12:_CELL_WIDTH]
 # 10**k for k in [-_POW10_SPAN, _POW10_SPAN], each correctly rounded, as
 # Python's float() of a decimal string is.
 _POW10_SPAN = 308
@@ -202,6 +204,9 @@ def _format_block(block: np.ndarray) -> str:
     delim[:, -1] = ord("\n")
 
     slow = np.flatnonzero(~fast)
+    if not slow.size and not buf[0].any() and not buf[11].any():
+        # Every cell is 12 characters and its delimiter: no zero to drop.
+        return np.ascontiguousarray(buf[_FIXED_ROWS].T).tobytes().decode("ascii")
     buf[: _CELL_WIDTH - 1, slow] = 0
     for j in slow.tolist():
         cell = ("%.6e" % x[j]).encode("ascii")

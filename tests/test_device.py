@@ -225,6 +225,25 @@ class TestIvSweep:
         values = np.concatenate([values, -values])
         table = values[: len(values) // 3 * 3].reshape(-1, 3)
         assert csv_text(table) == savetxt_reference(table)
+
+        # A block of positive cells with 2-digit exponents is written in the
+        # fixed-width layout. One cell that is negative, -0.0, has a 3-digit
+        # exponent or takes the "%" fallback sends it to the compaction.
+        fixed = 10 ** np.random.default_rng(9).uniform(-99, 99, (device._CSV_BLOCK_ROWS, 3))
+        variants = []
+        for cell in (-fixed[1, 1], -0.0, 1e-120, np.nan, np.nextafter(1.0000005, np.inf)):
+            variants.append(fixed.copy())
+            variants[-1][1, 1] = cell
+        for block in [fixed] + variants:
+            assert csv_text(block) == savetxt_reference(block)
+        # Spoiling the fixed-width rows changes the first block's text only.
+        rows = device._FIXED_ROWS
+        monkeypatch.setattr(device, "_FIXED_ROWS", np.arange(13))
+        assert csv_text(fixed) != savetxt_reference(fixed)
+        for block in variants:
+            assert csv_text(block) == savetxt_reference(block)
+        monkeypatch.setattr(device, "_FIXED_ROWS", rows)
+
         # Every nonzero cell through the per-value fallback.
         monkeypatch.setattr(device, "_FAST_MIN", math.inf)
         assert csv_text(table) == savetxt_reference(table)

@@ -1,9 +1,12 @@
 import io
+import random
 from itertools import product
+from math import inf, nan
 
 import numpy as np
 import pytest
 
+from conftest import reference_integrate
 from tvdcamo import _kernels, device, transient
 from tvdcamo.device import IsfetParams
 from tvdcamo.errors import SimulationError, UsageError
@@ -252,6 +255,204 @@ class TestResolveOnly:
                 assert w.tobytes() == c.tobytes()
             trace = simulate(XOR_PROGRAM, PARAMS, cfg, 0, 1)
             assert trace.v_out.tobytes() == whole[0].tobytes()
+
+
+# The pH pairs of perfbench's gate-char workload: RESOLVING_PAIRS, then the
+# pair that never resolves at 2 GHz.
+GATE_CHAR_PAIRS = (
+    (2.0, 10.0), (3.0, 9.0), (2.0, 8.0), (4.0, 11.0), (1.0, 7.0),
+    (5.0, 12.0), (2.0, 6.0), (6.0, 13.0), (2.0, 4.0), (3.0, 5.0), (2.0, 2.5),
+)
+GATE_CHAR_CLOCKS = (2e7, 1e9, 2e9)
+
+
+@pytest.fixture
+def tails(monkeypatch):
+    """Every frozen-node tail the kernel runs, as (moving array, first
+    sample, last sample, n_total); run_both names the frozen node instead."""
+    log = []
+    run_tail = _kernels._frozen_tail
+
+    def spy(v_move, v_frozen, i, n_total, *rest):
+        end, m = run_tail(v_move, v_frozen, i, n_total, *rest)
+        log.append((v_move, i, end, n_total))
+        return end, m
+
+    monkeypatch.setattr(_kernels, "_frozen_tail", spy)
+    return log
+
+
+def run_both(race, n_pre, n_total, tails, start=None, bounds=None):
+    """Run the reference kernel over the whole range and the kernel, whole or
+    in calls over ``bounds``; assert the same return value and array bytes.
+    The tails of this run are logged with "out" or "bar", the frozen node."""
+    arrays = []
+    for _ in range(2):
+        # -7.0 marks the samples a kernel leaves unwritten.
+        pair = [np.full(n_total + 1, -7.0), np.full(n_total + 1, -7.0)]
+        pair[0][n_pre], pair[1][n_pre] = (race[1], race[1]) if start is None else start
+        arrays.append(pair)
+    (ref_out, ref_bar), (v_out, v_bar) = arrays
+    expect = reference_integrate(ref_out, ref_bar, n_pre, n_total, *race)
+    k = len(tails)
+    bounds = bounds or [n_pre, n_total]
+    for lo, hi in zip(bounds, bounds[1:]):
+        got = _kernels.integrate(v_out, v_bar, lo, hi, *race)
+        if got >= 0:
+            break
+    tails[k:] = [("bar" if t[0] is v_out else "out", *t[1:]) for t in tails[k:]]
+    assert got == expect
+    assert v_out.tobytes() == ref_out.tobytes()
+    assert v_bar.tobytes() == ref_bar.tobytes()
+    return expect, v_out, v_bar
+
+
+def random_race(rng: random.Random):
+    """Circuit constants drawn wide enough that some races diverge, some
+    branches never conduct and some nodes freeze."""
+    vdd = rng.uniform(0.5, 3.0)
+    k = 10 ** rng.uniform(-6, -3)
+    return (
+        rng.choice((1e-12, 1e-11, 1e-10, 4e-10)),
+        vdd,
+        10 ** rng.uniform(-15, -13),
+        k * rng.choice((0.5, 1.0)),
+        rng.uniform(0.0, 1.2 * vdd),
+        k * rng.choice((0.5, 1.0)),
+        rng.uniform(0.0, 1.2 * vdd),
+        10 ** rng.uniform(-6, -3),
+        rng.uniform(-0.2, 1.1 * vdd),
+    )
+
+
+VDD = CFG.vdd
+# Races on a V_OUT held at the rail: no pull-down (threshold above vdd) and
+# no p-current (zero source-drain voltage), so V_OUT freezes on the first
+# step while a depletion PMOS (negative threshold) feeds V̄_OUT a constant
+# current. name -> (race, start state, return value, tails run).
+RAIL_RACES = {
+    # 1e-18 V a step: past half an ulp of vdd after about 110 steps.
+    "rises": ((1e-12, VDD, 1e-14, 1e-4, 2.0, 1e-4, 2.0, 5e-19, -0.2), (VDD, 0.0), -1, 1),
+    # 1e-17 V a step into a branch that drains 3x the node's voltage a step.
+    "clamped": ((1e-12, VDD, 1e-14, 1e-4, 2.0, 0.02, 0.3, 5e-18, -0.2), (VDD, 0.0), -1, 1),
+    # The same at 2e16x: the entry step clamps V̄_OUT to 0, the first tail
+    # step gives 1e-17 V and the second falls out of the guard band.
+    "falls-out": (
+        (1e-12, VDD, 1e-14, 1e-4, 2.0, 4e14 / 3, 0.3, 5e-18, -0.2), (VDD, 1e-18), 3, 1
+    ),
+    # 2 V a step against a drain of 2.01 V: the entry step clamps V̄_OUT to
+    # 0 and the first tail step rises out of the guard band.
+    "rises-out": (
+        (1e-12, VDD, 1e-14, 1e-4, 2.0, 1.34e15, 0.3, 1.0, -0.2), (VDD, 1e-17), 2, 1
+    ),
+    # A triode p-current of 1e-5 V a step takes V̄_OUT past the bound on
+    # the first step, so no tail starts.
+    "leaves": ((1e-12, VDD, 1e-14, 1e-4, 2.0, 1e-4, 2.0, 5e-8, -2.0), (VDD, 0.0), -1, 0),
+}
+
+
+class TestKernelMatchesReference:
+    """The kernel against ``reference_integrate``, the loop it replaced."""
+
+    def test_every_gate_char_race(self, tails):
+        # 16 functions x 11 pH pairs x 3 clocks x 4 minterms; equal circuit
+        # constants and step counts make the same call, so each runs once.
+        calls = {}
+        for clock in GATE_CHAR_CLOCKS:
+            cfg = SimConfig(clock_freq=clock)
+            for f, pair, m in product(TruthTable2, GATE_CHAR_PAIRS, range(4)):
+                race = transient._race(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
+                calls[race, cfg.n_steps] = clock, pair
+        assert len(calls) == 66
+        for (race, n_total), (clock, pair) in calls.items():
+            del tails[:]
+            assert run_both(race, n_total // 2, n_total, tails)[0] == -1
+            if clock == CFG.clock_freq and pair != GATE_CHAR_PAIRS[-1]:
+                # At 20 MHz a resolving pair freezes one node within the
+                # first quarter of the evaluation half, for good.
+                [(_, first, last, _)] = tails
+                assert last == n_total
+                assert first - n_total // 2 < (n_total - n_total // 2) // 4
+
+    def test_both_orientations(self, tails):
+        n_total = CFG.n_steps
+        for a, b, frozen in ((0, 0, "out"), (0, 1, "bar")):
+            del tails[:]
+            race = transient._race(XOR_PROGRAM, PARAMS, CFG, a, b)
+            _, v_out, v_bar = run_both(race, n_total // 2, n_total, tails)
+            [(side, first, last, _)] = tails
+            assert (side, last) == (frozen, n_total)
+            fixed, moving = (v_out, v_bar) if frozen == "out" else (v_bar, v_out)
+            assert np.all(fixed[first:] == fixed[first])
+            assert np.all(CFG.vdd - moving[first:] == CFG.vdd)
+
+    def test_start_states(self, tails):
+        # Every pair of start values, on races whose branches conduct or never
+        # do (threshold above the rail): the kernel keeps the old loop's
+        # ov <= 0 tests exact for negative, NaN and infinite nodes too.
+        values = (1.8, 0.9, 0.0, -0.0, -0.05, 1e-17, 5e-324, nan, inf, -inf)
+        xor = transient._race(XOR_PROGRAM, PARAMS, CFG, 0, 0)
+        no_pull_down = xor[:4] + (2.0,) + xor[5:6] + (2.0,) + xor[7:]
+        no_pmos = xor[:8] + (2.0,)
+        for race in (xor, no_pull_down, no_pmos):
+            for start in product(values, repeat=2):
+                run_both(race, 0, 300, tails, start)
+
+    def test_seeded_random_races(self, tails):
+        rng = random.Random(10)
+        starts = (0.0, -0.0, -0.05, 1e-17, 5e-324, nan, inf, -inf)
+        outcomes = set()
+        for _ in range(300):
+            race = random_race(rng)
+            vdd = race[1]
+            start = None
+            if rng.random() < 0.5:
+                start = [rng.choice((vdd, rng.uniform(0.0, vdd)) + starts) for _ in range(2)]
+            n_pre = rng.randrange(3)
+            bad = run_both(race, n_pre, n_pre + rng.randrange(1, 3000), tails, start)[0]
+            outcomes.add(bad >= 0)
+        assert outcomes == {True, False}
+        assert {side for side, *_ in tails} == {"out", "bar"}
+
+    def test_chunks_split_a_tail(self, tails):
+        race = transient._race(XOR_PROGRAM, PARAMS, CFG, 0, 1)
+        n_total = CFG.n_steps
+        n_pre = n_total // 2
+        run_both(race, n_pre, n_total, tails)
+        [(_, first, _, _)] = tails
+        del tails[:]
+        # Boundaries one and two steps into the tail, then a call in which
+        # the tail crosses two of its own buffer blocks.
+        block = _kernels._BLOCK
+        bounds = [n_pre, first + 1, first + 2, first + 3000, first + 3000 + 2 * block + 5]
+        run_both(race, n_pre, n_total, tails, bounds=bounds + [n_total])
+        # Each call after the first re-enters the tail after one full step.
+        assert [t[1] for t in tails] == [first] + [b + 1 for b in bounds[1:]]
+        assert [t[2] for t in tails] == bounds[1:] + [n_total]
+
+    @pytest.mark.parametrize("frozen", ["out", "bar"])
+    @pytest.mark.parametrize("case", sorted(RAIL_RACES))
+    def test_rail_races(self, tails, case, frozen):
+        race, start, bad, n_tails = RAIL_RACES[case]
+        if frozen == "bar":
+            race = race[:3] + race[5:7] + race[3:5] + race[7:]
+            start = start[::-1]
+        got, v_out, v_bar = run_both(race, 0, 1000, tails, start)
+        assert got == bad
+        assert [(side, first) for side, first, *_ in tails] == [(frozen, 1)] * n_tails
+        moving = v_bar if frozen == "out" else v_out
+        if case == "rises":
+            # The tail hands back once the moving node passes the bound.
+            last = tails[0][2]
+            assert 50 < last < 1000
+            assert VDD - moving[last - 1] == VDD and VDD - moving[last] != VDD
+            assert np.all(np.diff(moving) > 0)
+        elif case == "clamped":
+            # Every other tail step overshoots below 0 and is clamped.
+            assert tails[0][2] == 1000
+            assert set(moving[1::2]) == {moving[1]} and set(moving[2::2]) == {0.0}
+        elif bad >= 0:
+            assert tails[0][2] == -bad
 
 
 def savetxt_reference(trace: GateTrace) -> str:
