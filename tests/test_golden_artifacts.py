@@ -34,6 +34,8 @@ ARGVS = [
     ["attack", "camo/camo.bench", *CONFIG, "--kind", "profiling",
      "--mechanism", "implant", "-o", "profiling"],
     ["attack", "camo/camo.bench", *CONFIG, "--kind", "oracle", "-o", "oracle"],
+    ["attack", "camo/camo.bench", *CONFIG, "--kind", "oracle", "--joint-limit",
+     "16", "--marginal-fallback", "-o", "marginal"],
 ]
 
 
