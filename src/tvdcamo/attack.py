@@ -10,7 +10,7 @@ against observed responses.
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -111,9 +111,10 @@ class CandidateState:
 
     ``survivor_history[q]`` is the joint candidate count after q queries
     (history[0] is the pre-query count). In joint mode ``survivors`` holds
-    the explicit surviving tuples, ordered like ``camo_gates``; in marginal
-    mode survivors is None and the joint count is the product of the
-    per-gate marginal sizes (an upper bound).
+    the explicit surviving tuples, ordered like ``camo_gates``. In marginal
+    mode each gate is pruned with the other camouflaged gates unknown:
+    survivors is None and the joint count is the product of the per-gate
+    marginal sizes (an upper bound).
     """
 
     camo_gates: tuple[str, ...]
@@ -221,7 +222,9 @@ def oracle_attack(
     camouflaged gates the joint space is 16^g, which must fit
     ``joint_limit`` unless ``marginal_fallback`` requests the weaker
     per-gate pruning mode (sound, but it ignores cross-gate correlations).
-    Pruning stops early once a single survivor remains.
+    Marginal mode evaluates all 16g single-gate candidates in one
+    three-valued pass per query through the same gate engine. Pruning stops
+    early once a single survivor remains (in marginal mode, one per gate).
     """
     names = camo.camo_gates
     g = len(names)
@@ -329,94 +332,82 @@ def oracle_attack(
     return state
 
 
-# Three-valued (0/1/unknown) evaluation for marginal pruning: a value is the
-# pair (can_be_0, can_be_1); unbound camouflaged gates are fully unknown.
-_X = (True, True)
+class _Rails(NamedTuple):
+    """A net in marginal mode: bit L of ``lo`` (``hi``) says it can be 0 (1)
+    in lane L. The operators are the word engine's gate operations in
+    three-valued logic, so ``_eval_gates`` evaluates every non-CAMO gate."""
 
+    lo: int
+    hi: int
 
-def _tv_apply(gate: Gate, fan, binding):
-    kind = gate.kind
-    if kind == "BUF":
-        return fan[0]
-    if kind == "NOT":
-        p0, p1 = fan[0]
-        return (p1, p0)
-    if kind in ("AND", "NAND"):
-        p1 = all(v[1] for v in fan)
-        p0 = any(v[0] for v in fan)
-        return (p1, p0) if kind == "NAND" else (p0, p1)
-    if kind in ("OR", "NOR"):
-        p1 = any(v[1] for v in fan)
-        p0 = all(v[0] for v in fan)
-        return (p1, p0) if kind == "NOR" else (p0, p1)
-    if kind in ("XOR", "XNOR"):
-        acc = fan[0]
-        for v in fan[1:]:
-            acc = (
-                (acc[0] and v[0]) or (acc[1] and v[1]),
-                (acc[0] and v[1]) or (acc[1] and v[0]),
-            )
-        return (acc[1], acc[0]) if kind == "XNOR" else acc
-    if binding is None:
-        return _X
-    (a0, a1), (b0, b1) = fan
-    p0 = p1 = False
-    for m, possible in (
-        (0, a0 and b0),
-        (1, a0 and b1),
-        (2, a1 and b0),
-        (3, a1 and b1),
-    ):
-        if possible:
-            if binding.minterm(m):
-                p1 = True
-            else:
-                p0 = True
-    return (p0, p1)
+    def __invert__(self):
+        return _Rails(self.hi, self.lo)
 
+    def __and__(self, other):
+        return _Rails(self.lo | other.lo, self.hi & other.hi)
 
-def _tv_eval(n: Netlist, vec, fixed_gate: str, candidate: TruthTable2):
-    values = {
-        name: (not bit, bool(bit)) for name, bit in zip(n.inputs, vec)
-    }
-    for gate in n.topo_gates:
-        if gate.kind == "CAMO":
-            binding = candidate if gate.name == fixed_gate else None
-        else:
-            binding = None
-        values[gate.name] = _tv_apply(
-            gate, [values[f] for f in gate.fanin], binding
+    def __or__(self, other):
+        return _Rails(self.lo & other.lo, self.hi | other.hi)
+
+    def __xor__(self, other):
+        return _Rails(
+            (self.lo & other.lo) | (self.hi & other.hi),
+            (self.lo & other.hi) | (self.hi & other.lo),
         )
-    return [values[o] for o in n.outputs]
+
+
+# Bit c of _MINTERM_ONES[m]: function c outputs 1 for minterm m.
+_MINTERM_ONES = tuple(sum(f.minterm(m) << f for f in TruthTable2) for m in range(4))
 
 
 def _marginal_attack(camo, oracle, oracle_bindings, strategy, n_queries, seed):
+    # Lane 16j + c binds CAMO gate j to function c and leaves every other
+    # CAMO gate unknown, so each gate's candidates are pruned on their own.
     names = camo.camo_gates
+    index = {nm: j for j, nm in enumerate(names)}
+    full = (1 << 16 * len(names)) - 1
+    alive = full
+    counts = [16] * len(names)
     state = CandidateState(
         camo_gates=names,
         mode="marginal",
         marginals={nm: set(TruthTable2) for nm in names},
+        survivor_history=[16 ** len(names)],
     )
-    state.survivor_history = [state.joint_survivors]
     for vec in _query_vectors(len(camo.inputs), strategy, n_queries, seed):
-        if all(len(s) == 1 for s in state.marginals.values()):
+        if all(count == 1 for count in counts):
             break
         observed = eval_logic(oracle, vec, oracle_bindings)
-        for nm in names:
-            doomed = []
-            for candidate in state.marginals[nm]:
-                outs = _tv_eval(camo, vec, nm, candidate)
-                for (p0, p1), obs in zip(outs, observed):
-                    determined = not (p0 and p1)
-                    if determined and p1 != bool(obs):
-                        doomed.append(candidate)
-                        break
-            for candidate in doomed:
-                state.marginals[nm].discard(candidate)
+        values = {
+            nm: _Rails(0, full) if bit else _Rails(full, 0)
+            for nm, bit in zip(camo.inputs, vec)
+        }
+        for gate in camo.topo_gates:
+            if gate.kind != "CAMO":
+                _eval_gates((gate,), values, None)
+                continue
+            # Output r is possible where some possible minterm gives r.
+            a, b = (values[f] for f in gate.fanin)
+            shift = 16 * index[gate.name]
+            group = 0xFFFF << shift
+            lo = hi = full ^ group
+            minterms = (a.lo & b.lo, a.lo & b.hi, a.hi & b.lo, a.hi & b.hi)
+            for can, ones in zip(minterms, _MINTERM_ONES):
+                ones <<= shift
+                hi |= can & ones
+                lo |= can & (group ^ ones)
+            values[gate.name] = _Rails(lo, hi)
+        for out, obs in zip(camo.outputs, observed):
+            alive &= values[out][obs]
+        counts = [((alive >> 16 * j) & 0xFFFF).bit_count() for j in range(len(names))]
         state.query_log.append((tuple(vec), tuple(observed)))
-        state.survivor_history.append(state.joint_survivors)
+        state.survivor_history.append(math.prod(counts))
         if state.survivor_history[-1] == 0:
             raise _inconsistent_oracle(vec, observed)
+    state.marginals = {
+        nm: {f for f in TruthTable2 if (alive >> 16 * j + f) & 1}
+        for j, nm in enumerate(names)
+    }
     return state
 
 

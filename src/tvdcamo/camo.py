@@ -32,7 +32,13 @@ from .errors import (
     UnprogrammedGateError,
     UsageError,
 )
-from .gates import BranchAssignment, GatePhProgram, TruthTable2, assignment_for
+from .gates import (
+    BranchAssignment,
+    GatePhProgram,
+    TruthTable2,
+    assignment_for,
+    evaluate_static,
+)
 
 # Gate kinds the 2-input camouflaged cell can stand in for, and the reverse
 # mapping used when a config is folded back into a plain netlist.
@@ -82,11 +88,6 @@ class CamoGateSpec:
                 f"{self.function.name}"
             )
         _check_ph_pair(self.ph_low, self.ph_high, f"gate {self.name!r}")
-
-    def program(self) -> GatePhProgram:
-        return GatePhProgram(
-            ph_low=self.ph_low, ph_high=self.ph_high, assignment=self.assignment
-        )
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,11 @@ def camouflage(
     if (gates is None) == (fraction is None):
         raise UsageError("specify exactly one of gates= or fraction=")
     _check_ph_pair(ph_low, ph_high, "camouflage")
+    # The pair programs every selected gate alike. Raises
+    # UnresolvableGateError if its two branches draw equal current at full
+    # drive, as they do at zero sensitivity.
+    program = GatePhProgram(ph_low, ph_high, assignment_for(TruthTable2.FALSE))
+    evaluate_static(program, params, 0, 0)
 
     existing = [g.name for g in n.gates if g.kind == "CAMO"]
     if existing:

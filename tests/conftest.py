@@ -7,7 +7,7 @@ import pytest
 import numpy as np
 
 from tvdcamo._kernels import GUARD_V
-from tvdcamo.attack import CandidateState, _query_vectors
+from tvdcamo.attack import CandidateState, _inconsistent_oracle, _query_vectors
 from tvdcamo.bench import (
     ALL_ONES,
     GATE_KINDS,
@@ -297,6 +297,108 @@ def reference_oracle_attack(
     state.marginals = {
         nm: {s[j] for s in state.survivors} for j, nm in enumerate(names)
     }
+    return state
+
+
+# Marginal-mode oracle attack as it was before it ran on the word engine: a
+# three-valued interpreter of its own, one whole-netlist pass per candidate
+# per gate per query. Kept verbatim as the reference for marginal mode's
+# differential test. Three-valued (0/1/unknown) evaluation for marginal
+# pruning: a value is the pair (can_be_0, can_be_1); unbound camouflaged
+# gates are fully unknown.
+_X = (True, True)
+
+
+def _tv_apply(gate: Gate, fan, binding):
+    kind = gate.kind
+    if kind == "BUF":
+        return fan[0]
+    if kind == "NOT":
+        p0, p1 = fan[0]
+        return (p1, p0)
+    if kind in ("AND", "NAND"):
+        p1 = all(v[1] for v in fan)
+        p0 = any(v[0] for v in fan)
+        return (p1, p0) if kind == "NAND" else (p0, p1)
+    if kind in ("OR", "NOR"):
+        p1 = any(v[1] for v in fan)
+        p0 = all(v[0] for v in fan)
+        return (p1, p0) if kind == "NOR" else (p0, p1)
+    if kind in ("XOR", "XNOR"):
+        acc = fan[0]
+        for v in fan[1:]:
+            acc = (
+                (acc[0] and v[0]) or (acc[1] and v[1]),
+                (acc[0] and v[1]) or (acc[1] and v[0]),
+            )
+        return (acc[1], acc[0]) if kind == "XNOR" else acc
+    if binding is None:
+        return _X
+    (a0, a1), (b0, b1) = fan
+    p0 = p1 = False
+    for m, possible in (
+        (0, a0 and b0),
+        (1, a0 and b1),
+        (2, a1 and b0),
+        (3, a1 and b1),
+    ):
+        if possible:
+            if binding.minterm(m):
+                p1 = True
+            else:
+                p0 = True
+    return (p0, p1)
+
+
+def _tv_eval(n: Netlist, vec, fixed_gate: str, candidate: TruthTable2):
+    values = {
+        name: (not bit, bool(bit)) for name, bit in zip(n.inputs, vec)
+    }
+    for gate in n.topo_gates:
+        if gate.kind == "CAMO":
+            binding = candidate if gate.name == fixed_gate else None
+        else:
+            binding = None
+        values[gate.name] = _tv_apply(
+            gate, [values[f] for f in gate.fanin], binding
+        )
+    return [values[o] for o in n.outputs]
+
+
+def reference_marginal_attack(
+    camo,
+    oracle,
+    oracle_bindings=None,
+    strategy="exhaustive",
+    n_queries=None,
+    seed=None,
+):
+    names = camo.camo_gates
+    state = CandidateState(
+        camo_gates=names,
+        mode="marginal",
+        marginals={nm: set(TruthTable2) for nm in names},
+    )
+    state.survivor_history = [state.joint_survivors]
+    for vec in _query_vectors(len(camo.inputs), strategy, n_queries, seed):
+        if all(len(s) == 1 for s in state.marginals.values()):
+            break
+        observed = eval_logic(oracle, vec, oracle_bindings)
+        for nm in names:
+            doomed = []
+            for candidate in state.marginals[nm]:
+                outs = _tv_eval(camo, vec, nm, candidate)
+                for (p0, p1), obs in zip(outs, observed):
+                    determined = not (p0 and p1)
+                    if determined and p1 != bool(obs):
+                        doomed.append(candidate)
+                        break
+            for candidate in doomed:
+                state.marginals[nm].discard(candidate)
+        state.query_log.append((tuple(vec), tuple(observed)))
+        state.survivor_history.append(state.joint_survivors)
+        if state.survivor_history[-1] == 0:
+            raise _inconsistent_oracle(vec, observed)
     return state
 
 

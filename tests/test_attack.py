@@ -5,7 +5,12 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import naive_eval, random_netlist, reference_oracle_attack
+from conftest import (
+    naive_eval,
+    random_netlist,
+    reference_marginal_attack,
+    reference_oracle_attack,
+)
 from tvdcamo import attack
 from tvdcamo.attack import (
     ELECTROLYTE,
@@ -406,6 +411,128 @@ class TestMarginalFallback:
         emptied_by = list(product((0, 1), repeat=5))[1]
         with pytest.raises(DomainError, match=re.escape(str(emptied_by))):
             oracle_attack(camo, oracle, joint_limit=1, marginal_fallback=True)
+
+
+def _marginal_outcome(fn, camo, oracle, **kwargs):
+    """What one marginal-mode run returns or raises, in comparable form."""
+    try:
+        state = fn(camo, oracle, **kwargs)
+    except Exception as exc:  # compared with the reference's error below
+        return ("raised", type(exc), str(exc))
+    return (
+        "returned",
+        state.mode,
+        state.query_log,
+        state.survivor_history,
+        state.marginals,
+        state.survivors is None,
+    )
+
+
+def assert_marginal_matches_reference(camo, oracle, joint_limit=1, **kwargs):
+    got = _marginal_outcome(
+        oracle_attack, camo, oracle, joint_limit=joint_limit,
+        marginal_fallback=True, **kwargs,
+    )
+    want = _marginal_outcome(reference_marginal_attack, camo, oracle, **kwargs)
+    if want[0] == "returned":
+        want = ("returned", "marginal", *want[2:])
+    assert got == want
+    return got
+
+
+class TestMarginalModeMatchesReference:
+    def test_c17_all_six(self, c17):
+        camo, cfg = camouflage(c17, fraction=1.0, seed=0)
+        got = assert_marginal_matches_reference(
+            camo, camo, joint_limit=16**6 - 1, oracle_bindings=cfg.bindings()
+        )
+        assert got[:2] == ("returned", "marginal") and got[5] is True
+        assert got[3][0] == 16**6 > got[3][-1]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_every_c17_subset(self, c17, size):
+        for names in combinations(c17.gate_map, size):
+            camo, cfg = camo_c17(c17, names)
+            assert_marginal_matches_reference(
+                camo, camo, oracle_bindings=cfg.bindings()
+            )
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "random"])
+    def test_seeded_dags(self, strategy):
+        # NOT, BUF and 3-input gates are common here, so that an unknown
+        # CAMO output runs through every kind's three-valued rule.
+        kinds_in_cones = set()
+        outcomes = {"returned": 0, "raised": 0}
+        for seed in range(40):
+            rng = random.Random(9400 + seed)
+            n = random_netlist(
+                rng, max_inputs=7, max_gates=20, unary_weight=0.3, wide_weight=0.3
+            )
+            eligible = [g.name for g in n.gates if len(g.fanin) == 2]
+            if not eligible:
+                continue
+            picks = rng.sample(eligible, min(len(eligible), rng.randint(1, 4)))
+            camo, cfg = camouflage(n, gates=picks)
+            cone, _ = attack._split_cone(camo)
+            kinds_in_cones |= {(g.kind, len(g.fanin)) for g in cone}
+            kwargs = {
+                "strategy": strategy, "n_queries": rng.randint(0, 60), "seed": seed
+            }
+            # A wrong candidate as the oracle's bindings: consistent, but not
+            # the original function.
+            wrong = {nm: rng.choice(list(TruthTable2)) for nm in camo.camo_gates}
+            # The original with one gate's kind changed: often inconsistent.
+            victim = rng.choice(n.gates)
+            other = rng.choice(sorted({"AND", "OR", "XOR", "XNOR"} - {victim.kind}))
+            mutant = Netlist(
+                n.inputs, n.outputs,
+                [Gate(g.name, other, g.fanin) if g is victim and len(g.fanin) > 1
+                 else g for g in n.gates],
+            )
+            for oracle, bindings in ((camo, cfg.bindings()), (n, None),
+                                     (camo, wrong), (mutant, None)):
+                got = assert_marginal_matches_reference(
+                    camo, oracle, oracle_bindings=bindings, **kwargs
+                )
+                outcomes[got[0]] += 1
+        for kind in ("AND", "OR", "NAND", "NOR", "XOR", "XNOR"):
+            assert (kind, 3) in kinds_in_cones
+        assert {("NOT", 1), ("BUF", 1)} <= kinds_in_cones
+        assert outcomes["returned"] and outcomes["raised"]
+
+    def test_errors(self, c17):
+        camo, cfg = camo_c17(c17, ["16", "19"])
+        bound = {"oracle_bindings": cfg.bindings()}
+        wider = Netlist(
+            c17.inputs + ("extra",),
+            c17.outputs,
+            list(c17.gates) + [Gate("x", "NOT", ("extra",))],
+        )
+        all_or = Netlist(
+            c17.inputs, c17.outputs, [Gate(g.name, "OR", g.fanin) for g in c17.gates]
+        )
+        cases = [
+            (camo, camo, {}, UnprogrammedGateError),
+            (camo, camo, {**bound, "strategy": "dfs"}, UsageError),
+            (camo, camo, {**bound, "strategy": "random"}, UsageError),
+            (camo, wider, {}, UsageError),
+            (camo, all_or, {}, DomainError),
+        ]
+        for net, oracle, kwargs, error in cases:
+            got = assert_marginal_matches_reference(net, oracle, **kwargs)
+            assert got[:2] == ("raised", error)
+        wide = Netlist([f"i{k}" for k in range(21)], ["c"],
+                       [Gate("c", "CAMO", ("i0", "i20"))])
+        got = assert_marginal_matches_reference(wide, wide)
+        assert got[:2] == ("raised", UsageError)
+        # No CAMO gate: the strategy is still checked, the oracle never run.
+        for strategy, want in (("exhaustive", "returned"), ("dfs", "raised")):
+            got = assert_marginal_matches_reference(
+                c17, camo, joint_limit=0, strategy=strategy
+            )
+            assert got[0] == want
+        assert got[1:] == (UsageError, "unknown query strategy 'dfs'")
 
 
 class TestResilienceReport:

@@ -32,6 +32,7 @@ from tvdcamo.errors import (
     PhRangeError,
     SignatureMismatchError,
     UnprogrammedGateError,
+    UnresolvableGateError,
     UsageError,
 )
 from tvdcamo.gates import BranchAssignment, TruthTable2, assignment_for
@@ -95,6 +96,15 @@ class TestCamouflage:
     def test_degenerate_ph_pair_rejected(self, c17):
         with pytest.raises(DomainError):
             camouflage(c17, gates=["16"], ph_low=7.0, ph_high=7.0)
+
+    def test_unresolvable_ph_pair_rejected(self, c17):
+        # At zero sensitivity both pH values give the same threshold, so the
+        # two branches of every minterm draw equal current.
+        flat = IsfetParams(sensitivity=0.0)
+        for selection in ({"gates": ["16"]}, {"fraction": 0.5}, {"fraction": 0.0}):
+            with pytest.raises(UnresolvableGateError, match="currents are equal"):
+                camouflage(c17, params=flat, **selection)
+        camouflage(c17, gates=["16"], params=IsfetParams(sensitivity=1e-3))
 
     @pytest.mark.parametrize("ph_low, ph_high", [(2.0, 20.0), (-1.0, 10.0)])
     def test_ph_outside_physical_range_rejected(self, c17, ph_low, ph_high):

@@ -389,6 +389,20 @@ class TestParameterFlags:
         assert "20" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("rate", ["0.5", "0"])
+    def test_unresolvable_ph_pair_rejected_at_compile_time(
+        self, tmp_path, capsys, c17_file, rate
+    ):
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            ["camouflage", str(c17_file), "--rate", rate, "--sensitivity", "0",
+             "-o", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: unresolvable gate")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("subcommand", ["gate", "camouflage"])
     def test_reversed_ph_pair_is_domain_error(
         self, tmp_path, capsys, c17_file, subcommand
