@@ -130,14 +130,17 @@ def iv_sweep(params: IsfetParams, v_gs_values, v_ds: float, ph_values) -> np.nda
 
 
 # Rows per block of the CSV writer; blocks keep the text of a whole waveform
-# file (3.25 MB at 50,001 rows) from being built in memory at once.
+# file (3.25 MB at 50,001 rows) and the formatting temporaries from being
+# built in memory at once.
 _CSV_BLOCK_ROWS = 4096
 
 # Characters of one "%.6e" cell and its delimiter: sign, d.dddddd, "e",
 # exponent sign, two or three exponent digits, then "," or newline.
 _CELL_WIDTH = 15
-# Character rows of a cell with no sign and a 2-digit exponent.
+# Character rows of a cell with no sign and a 2-digit exponent: 12
+# characters and the delimiter, one fixed-width cell.
 _FIXED_ROWS = np.r_[1:11, 12:_CELL_WIDTH]
+_FIXED_CELL = np.dtype((np.void, len(_FIXED_ROWS)))
 # 10**k for k in [-_POW10_SPAN, _POW10_SPAN], each correctly rounded, as
 # Python's float() of a decimal string is.
 _POW10_SPAN = 308
@@ -151,8 +154,13 @@ _TIE_WINDOW = 1e-5
 _DIGIT_0 = ord("0")
 
 
-def _format_block(block: np.ndarray) -> str:
-    """The rows of ``block`` as ``"%.6e"`` cells joined by "," and newline.
+def _digits(x: np.ndarray):
+    """``(buf, slow)``: the ``"%.6e"`` characters of the 1-D array ``x``.
+
+    ``buf`` is column-major, ``(_CELL_WIDTH, x.size)`` uint8: ``buf[k]`` is
+    character k of every cell, 0 where a cell has none (no sign, a 2-digit
+    exponent) and in the delimiter row, which the caller fills. ``slow``
+    holds the indices of the cells whose characters must come from "%".
 
     The exponent of |x| comes from floor(log10|x|) and the 7-digit mantissa
     from rint(|x| * 10**(6 - e)). The product is off by a few ulps at most,
@@ -164,7 +172,6 @@ def _format_block(block: np.ndarray) -> str:
     corrected mantissa still leaves [10**6, 10**7). Zero, of either sign,
     is exact in the fast path.
     """
-    x = block.reshape(-1)
     mag = np.abs(x)
     zero = mag == 0.0
     fast = (mag >= _FAST_MIN) & (mag < _FAST_MAX)
@@ -184,7 +191,6 @@ def _format_block(block: np.ndarray) -> str:
     # A zero cell was scaled as 1.0, so its exponent is already 0.
     m = np.where(zero, 0, mant).astype(np.int32)
 
-    # Column-major: buf[k] is character k of every cell.
     buf = np.zeros((_CELL_WIDTH, x.size), dtype=np.uint8)
     buf[0] = np.where(np.signbit(x), ord("-"), 0)
     for k in range(8, 2, -1):
@@ -199,35 +205,131 @@ def _format_block(block: np.ndarray) -> str:
     buf[11] = np.where(e >= 100, e // 100 + _DIGIT_0, 0)
     buf[12] = e // 10 % 10 + _DIGIT_0
     buf[13] = e % 10 + _DIGIT_0
-    delim = buf[14].reshape(block.shape)
+    return buf, np.flatnonzero(~fast)
+
+
+def _format_block(block: np.ndarray) -> str:
+    """The rows of ``block`` as ``"%.6e"`` cells joined by "," and newline.
+
+    Cells of any width: the "%" fallback fills the slow cells of _digits,
+    and the zero characters are compacted away.
+    """
+    buf, slow = _digits(block.reshape(-1))
+    delim = buf[_CELL_WIDTH - 1].reshape(block.shape)
     delim[:, :-1] = ord(",")
     delim[:, -1] = ord("\n")
-
-    slow = np.flatnonzero(~fast)
-    if not slow.size and not buf[0].any() and not buf[11].any():
-        # Every cell is 12 characters and its delimiter: no zero to drop.
-        return np.ascontiguousarray(buf[_FIXED_ROWS].T).tobytes().decode("ascii")
     buf[: _CELL_WIDTH - 1, slow] = 0
     for j in slow.tolist():
-        cell = ("%.6e" % x[j]).encode("ascii")
+        cell = ("%.6e" % block.flat[j]).encode("ascii")
         buf[: len(cell), j] = np.frombuffer(cell, dtype=np.uint8)
     buf = buf.T
     return buf[buf != 0].tobytes().decode("ascii")
 
 
-def _write_csv(fh, header: str, data: np.ndarray) -> None:
-    """Write a header line, then the rows of a 2-D float array.
+def _fill_fixed(out: np.ndarray, columns: np.ndarray) -> bool:
+    """Fill ``out`` (rows, c) with the fixed-width cells of ``columns`` (c, rows).
 
-    The rows are byte for byte those of ``np.savetxt(fh, data, fmt="%.6e",
-    delimiter=",")``; see _format_block. Rows are formatted and written
-    _CSV_BLOCK_ROWS at a time.
+    Each run of bit-identical values in a column is formatted once, so -0.0
+    and 0.0, and NaNs of different payloads, stay apart. A "%" fallback cell
+    of 12 characters (a near-tie, which the first Euler steps of many traces
+    produce) is written in place. Returns False, with ``out`` partly
+    written, when some cell has a sign, a 3-digit exponent or is nan or inf.
+    """
+    width, rows = columns.shape
+    bits = columns.view(np.uint64)
+    new_run = np.empty(columns.shape, dtype=bool)
+    new_run[:, 0] = True
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=new_run[:, 1:])
+    new_run = new_run.reshape(-1)
+    starts = np.flatnonzero(new_run)
+    values = columns.reshape(-1)[starts]
+    buf, slow = _digits(values)
+    for j in slow.tolist():
+        cell = ("%.6e" % values[j]).encode("ascii")
+        if len(cell) != _FIXED_CELL.itemsize - 1:
+            return False
+        buf[:, j] = 0
+        buf[_FIXED_ROWS[:-1], j] = np.frombuffer(cell, dtype=np.uint8)
+    if buf[0].any() or buf[11].any():
+        return False
+    buf[_CELL_WIDTH - 1] = ord(",")
+    buf[_CELL_WIDTH - 1, np.searchsorted(starts, (width - 1) * rows) :] = ord("\n")
+    cells = np.ascontiguousarray(buf[_FIXED_ROWS].T).view(_FIXED_CELL)[:, 0]
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = new_run.size
+    out[...] = np.repeat(cells, ends - starts).reshape(width, rows).T
+    return True
+
+
+# Fixed-width cells of the first column of recent tables, newest first, as
+# (read-only copy of the column, its cells). A waveform's t column depends
+# only on n_steps and dt, so every trace of one SimConfig shares one entry.
+# A hit needs bitwise equality with the stored copy. At most
+# _FIRST_COLUMN_ENTRIES entries of at most _FIRST_COLUMN_ROWS rows each
+# (21 bytes a row; 1.05 MB for a 20 MHz trace).
+_first_column_cache: list = []
+_FIRST_COLUMN_ENTRIES = 4
+_FIRST_COLUMN_ROWS = 1 << 16
+
+
+def _cached_first_column(column: np.ndarray):
+    """The cached cells of ``column``, or None."""
+    bits = column.view(np.uint64)
+    for stored, cells in _first_column_cache:
+        if len(stored) == len(bits) and np.array_equal(stored, bits):
+            return cells
+    return None
+
+
+def _cache_first_column(column: np.ndarray, cells: np.ndarray) -> None:
+    stored = column.view(np.uint64).copy()
+    stored.flags.writeable = cells.flags.writeable = False
+    _first_column_cache.insert(0, (stored, cells))
+    del _first_column_cache[_FIRST_COLUMN_ENTRIES:]
+
+
+def _write_csv(fh, header: str, columns) -> None:
+    """Write a header line, then rows made of equal-length float columns.
+
+    The rows are byte for byte those of ``np.savetxt(fh,
+    np.column_stack(columns), fmt="%.6e", delimiter=",")``. They are
+    assembled _CSV_BLOCK_ROWS at a time as fixed-width cells (see
+    _fill_fixed), the first column's taken from a cache when it matches a
+    column written before. A block with a cell that is not 12 characters
+    goes through _format_block instead.
     """
     fh.write(header + "\n")
-    data = np.asarray(data, dtype=np.float64)
-    for start in range(0, len(data), _CSV_BLOCK_ROWS):
-        fh.write(_format_block(data[start : start + _CSV_BLOCK_ROWS]))
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError("CSV columns differ in length")
+    first = _cached_first_column(columns[0])
+    filling = None
+    if first is None and 0 < n <= _FIRST_COLUMN_ROWS:
+        filling = np.empty(n, dtype=_FIXED_CELL)
+    skip = 0 if first is None else 1
+    out = np.empty((min(n, _CSV_BLOCK_ROWS), len(columns)), dtype=_FIXED_CELL)
+    values = np.empty((len(columns) - skip) * len(out))
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, n)
+        rows = out[: stop - start]
+        x = values[: (len(columns) - skip) * len(rows)].reshape(-1, len(rows))
+        for row, column in zip(x, columns[skip:]):
+            row[:] = column[start:stop]
+        if _fill_fixed(rows[:, skip:], x):
+            if first is not None:
+                rows[:, 0] = first[start:stop]
+            elif filling is not None:
+                filling[start:stop] = rows[:, 0]
+            fh.write(rows.tobytes().decode("ascii"))
+        else:
+            filling = None
+            fh.write(_format_block(np.column_stack([c[start:stop] for c in columns])))
+    if filling is not None:
+        _cache_first_column(columns[0], filling)
 
 
 def write_sweep_csv(table: np.ndarray, fh) -> None:
     """Write an iv_sweep table as CSV with header ``v_gs,ph,i_ds``."""
-    _write_csv(fh, "v_gs,ph,i_ds", table)
+    _write_csv(fh, "v_gs,ph,i_ds", np.asarray(table, dtype=np.float64).T)

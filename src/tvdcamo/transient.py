@@ -281,8 +281,11 @@ def margin_report(program: GatePhProgram, params: IsfetParams, cfg: SimConfig) -
 def write_trace_csv(trace: GateTrace, fh) -> None:
     """Write a waveform CSV with header ``t,v_out,v_out_bar,out,out_bar``,
     rows formatted like ``np.savetxt(fmt="%.6e", delimiter=",")``."""
-    data = np.column_stack([trace.t, trace.v_out, trace.v_out_bar, trace.out, trace.out_bar])
-    _write_csv(fh, "t,v_out,v_out_bar,out,out_bar", data)
+    _write_csv(
+        fh,
+        "t,v_out,v_out_bar,out,out_bar",
+        [trace.t, trace.v_out, trace.v_out_bar, trace.out, trace.out_bar],
+    )
 
 
 def write_margin_csv(rows: list[dict], fh) -> None:

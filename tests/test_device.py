@@ -20,6 +20,19 @@ from tvdcamo.errors import PhRangeError, UsageError
 DEFAULTS = IsfetParams()
 
 
+def savetxt_reference(table) -> str:
+    buf = io.StringIO()
+    buf.write("v_gs,ph,i_ds\n")
+    np.savetxt(buf, table, fmt="%.6e", delimiter=",")
+    return buf.getvalue()
+
+
+def csv_text(table) -> str:
+    buf = io.StringIO()
+    write_sweep_csv(table, buf)
+    return buf.getvalue()
+
+
 class TestVthFromPh:
     def test_reference_ph_returns_vth0(self):
         assert vth_from_ph(DEFAULTS, 2.0) == 0.3
@@ -187,17 +200,9 @@ class TestIvSweep:
         assert lines[2] == "1.800000e+00,1.000000e+01,9.780000e-06"
 
     def test_csv_matches_savetxt(self, monkeypatch):
-        def savetxt_reference(table):
-            buf = io.StringIO()
-            buf.write("v_gs,ph,i_ds\n")
-            np.savetxt(buf, table, fmt="%.6e", delimiter=",")
-            return buf.getvalue()
-
-        def csv_text(table):
-            buf = io.StringIO()
-            write_sweep_csv(table, buf)
-            return buf.getvalue()
-
+        # A cache of its own, so that no first column is taken from an
+        # earlier test and every cell below is formatted here.
+        monkeypatch.setattr(device, "_first_column_cache", [])
         sweep = iv_sweep(DEFAULTS, np.linspace(0.0, 1.8, 2500), 0.1, [2.0, 10.0])
         assert len(sweep) % device._CSV_BLOCK_ROWS != 0
         assert csv_text(sweep) == savetxt_reference(sweep)
@@ -227,23 +232,44 @@ class TestIvSweep:
         assert csv_text(table) == savetxt_reference(table)
 
         # A block of positive cells with 2-digit exponents is written in the
-        # fixed-width layout. One cell that is negative, -0.0, has a 3-digit
-        # exponent or takes the "%" fallback sends it to the compaction.
+        # fixed-width layout, and so is one whose "%" fallback cell (a tie
+        # neighbour) prints 12 characters. One cell that is negative, -0.0,
+        # has a 3-digit exponent or prints as nan sends it to the compaction.
         fixed = 10 ** np.random.default_rng(9).uniform(-99, 99, (device._CSV_BLOCK_ROWS, 3))
+        tie = fixed.copy()
+        tie[1, 1] = np.nextafter(1.0000005, np.inf)
         variants = []
-        for cell in (-fixed[1, 1], -0.0, 1e-120, np.nan, np.nextafter(1.0000005, np.inf)):
+        for cell in (-fixed[1, 1], -0.0, 1e-120, np.nan):
             variants.append(fixed.copy())
             variants[-1][1, 1] = cell
-        for block in [fixed] + variants:
+        for block in [fixed, tie] + variants:
             assert csv_text(block) == savetxt_reference(block)
-        # Spoiling the fixed-width rows changes the first block's text only.
+        # Swapping two mantissa digit rows of the fixed-width layout changes
+        # the text of the fixed-width blocks only.
         rows = device._FIXED_ROWS
-        monkeypatch.setattr(device, "_FIXED_ROWS", np.arange(13))
-        assert csv_text(fixed) != savetxt_reference(fixed)
+        monkeypatch.setattr(device, "_FIXED_ROWS", rows[[0, 1, 3, 2, *range(4, len(rows))]])
+        for block in (fixed, tie):
+            assert csv_text(block) != savetxt_reference(block)
         for block in variants:
             assert csv_text(block) == savetxt_reference(block)
         monkeypatch.setattr(device, "_FIXED_ROWS", rows)
 
         # Every nonzero cell through the per-value fallback.
+        monkeypatch.setattr(device, "_first_column_cache", [])
         monkeypatch.setattr(device, "_FAST_MIN", math.inf)
         assert csv_text(table) == savetxt_reference(table)
+
+    def test_csv_runs_and_first_column(self, monkeypatch):
+        monkeypatch.setattr(device, "_first_column_cache", [])
+        # v_gs runs of three rows (one per pH) that cross the 4096-row block
+        # boundary; the pH column repeats every three rows.
+        sweep = iv_sweep(DEFAULTS, np.linspace(0.0, 1.8, 2000), 0.1, [2.0, 7.0, 10.0])
+        assert len(sweep) > device._CSV_BLOCK_ROWS and device._CSV_BLOCK_ROWS % 3
+        assert csv_text(sweep) == savetxt_reference(sweep)
+        [(stored, _)] = device._first_column_cache
+        assert stored.tobytes() == sweep[:, 0].tobytes()
+        assert csv_text(sweep) == savetxt_reference(sweep)
+        # Same v_gs column, other currents: the cached column is reused.
+        other = iv_sweep(DEFAULTS, np.linspace(0.0, 1.8, 2000), 0.2, [2.0, 7.0, 10.0])
+        assert csv_text(other) == savetxt_reference(other)
+        assert len(device._first_column_cache) == 1

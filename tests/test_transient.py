@@ -469,7 +469,148 @@ def csv_text(trace: GateTrace) -> str:
     return buf.getvalue()
 
 
+def trace_of(v_out, v_out_bar, out, out_bar, dt=1e-12) -> GateTrace:
+    return GateTrace(
+        t=np.arange(len(v_out)) * dt,
+        v_out=np.asarray(v_out, dtype=np.float64),
+        v_out_bar=np.asarray(v_out_bar, dtype=np.float64),
+        out=np.asarray(out, dtype=np.float64),
+        out_bar=np.asarray(out_bar, dtype=np.float64),
+        resolved_output=None,
+        resolve_time=None,
+        eval_start_index=len(v_out) // 2,
+    )
+
+
+def runs(*pairs) -> np.ndarray:
+    """A column of runs: ``runs((value, length), ...)``."""
+    return np.concatenate([np.full(length, value) for value, length in pairs])
+
+
+@pytest.fixture
+def compacted(monkeypatch):
+    """Every block the CSV writer hands to the compaction, with an empty
+    first-column cache."""
+    blocks = []
+    format_block = device._format_block
+
+    def spy(block):
+        blocks.append(block.copy())
+        return format_block(block)
+
+    monkeypatch.setattr(device, "_format_block", spy)
+    monkeypatch.setattr(device, "_first_column_cache", [])
+    return blocks
+
+
 class TestTraceCsv:
+    def test_gate_char_matrix_matches_savetxt(self, compacted):
+        # Every 1 and 2 GHz waveform of the benchmark's gate-char matrix: 16
+        # functions x 11 pH pairs x 4 minterms make 22 distinct races a clock.
+        for clock in GATE_CHAR_CLOCKS[1:]:
+            cfg = SimConfig(clock_freq=clock)
+            races = {}
+            for f, pair, m in product(TruthTable2, GATE_CHAR_PAIRS, range(4)):
+                race = transient._race(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
+                races.setdefault(race, (f, pair, m))
+            assert len(races) == 22
+            for f, pair, m in races.values():
+                trace = simulate(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
+                # 2/2.5 never resolves at 2 GHz; every other race does.
+                assert trace.is_resolved == (clock != 2e9 or pair != GATE_CHAR_PAIRS[-1])
+                assert csv_text(trace) == savetxt_reference(trace), (clock, f, pair, m)
+        # Their cells are 12 characters, near-ties included: no compaction.
+        assert compacted == []
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_gate_char_20mhz_trace_matches_savetxt(self, m):
+        program = program_for(TruthTable2(m + 6), *GATE_CHAR_PAIRS[m])
+        trace = simulate(program, PARAMS, CFG, m >> 1, m & 1)
+        assert trace.resolved_output == TruthTable2(m + 6).minterm(m)
+        assert csv_text(trace) == savetxt_reference(trace)
+
+    def test_runs_across_block_boundaries(self, compacted):
+        block = device._CSV_BLOCK_ROWS
+        n = 3 * block + 5
+        trace = trace_of(
+            runs((0.5, 3000), (1.25, 3000), (0.75, 3000), (1.8, n - 9000)),
+            np.full(n, 1.8),
+            runs((0.0, block), (1.8, n - block)),
+            np.tile([0.0, 1.8], n)[:n],
+        )
+        assert csv_text(trace) == savetxt_reference(trace)
+        assert compacted == []
+
+    def test_signed_zero_runs(self, compacted):
+        block = device._CSV_BLOCK_ROWS
+        n = 3 * block
+        v_out = runs((0.0, 5000), (-0.0, 1000), (0.0, n - 6000))
+        trace = trace_of(v_out, v_out[::-1].copy(), np.zeros(n), np.full(n, 1.8))
+        text = csv_text(trace)
+        assert text == savetxt_reference(trace)
+        assert text.count(",-0.000000e+00,") == 2000
+        # Only the blocks that hold a -0.0 are compacted: rows 4096-8191.
+        assert [len(b) for b in compacted] == [block]
+        assert np.signbit(compacted[0][:, 1]).sum() == 1000
+
+    def test_nan_runs_with_two_payloads(self, compacted):
+        nan_a, nan_b, nan_neg = np.array(
+            [0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000], dtype=np.uint64
+        ).view(np.float64)
+        n = 2 * device._CSV_BLOCK_ROWS + 100
+        v_out = runs((0.5, 1000), (nan_a, 3000), (nan_b, 3000), (nan_neg, 50), (1.5, n - 7050))
+        trace = trace_of(v_out, np.full(n, 1.8), np.zeros(n), np.full(n, 1.8))
+        assert csv_text(trace) == savetxt_reference(trace)
+        assert len(compacted) == 2
+
+    def test_negative_and_3_digit_cells_inside_long_runs(self, compacted):
+        block = device._CSV_BLOCK_ROWS
+        n = 4 * block
+        v_out = runs((1.5, 5000), (-1.5, 100), (1.5, 4000), (1e-120, 100), (1.5, n - 9200))
+        v_out_bar = runs((1.8, 3 * block + 10), (2.5e150, 20), (1.8, block - 30))
+        trace = trace_of(v_out, v_out_bar, np.zeros(n), np.full(n, 1.8))
+        assert csv_text(trace) == savetxt_reference(trace)
+        # Blocks 1, 2 and 3 hold the negative, the 1e-120 and the 2.5e150.
+        assert [len(b) for b in compacted] == [block] * 3
+
+    def test_first_column_cache_misses_on_another_dt(self, compacted):
+        fast = SimConfig(clock_freq=1e9)
+        slow = SimConfig(clock_freq=5e8, dt=2e-12)
+        assert fast.n_steps == slow.n_steps
+        traces = [simulate(XOR_PROGRAM, PARAMS, cfg, 0, 1) for cfg in (fast, slow)]
+        for trace in traces + traces:
+            assert csv_text(trace) == savetxt_reference(trace)
+        assert len(device._first_column_cache) == 2
+
+    def test_first_column_cache_copies_the_column(self, compacted):
+        trace = simulate(XOR_PROGRAM, PARAMS, SimConfig(clock_freq=1e9), 1, 1)
+        assert csv_text(trace) == savetxt_reference(trace)
+        trace.t[1:] *= 3
+        assert csv_text(trace) == savetxt_reference(trace)
+        trace.t[500] = 0.25
+        assert csv_text(trace) == savetxt_reference(trace)
+        assert len(device._first_column_cache) == 3
+
+    def test_first_column_cache_stays_at_its_bound(self, compacted, monkeypatch):
+        clocks = (1e9, 1.25e9, 2e9, 2.5e9, 4e9, 5e9)
+        assert len(clocks) > device._FIRST_COLUMN_ENTRIES
+        for i, clock in enumerate(clocks):
+            trace = simulate(XOR_PROGRAM, PARAMS, SimConfig(clock_freq=clock), 1, 0)
+            assert csv_text(trace) == savetxt_reference(trace)
+            assert len(device._first_column_cache) == min(i + 1, device._FIRST_COLUMN_ENTRIES)
+        # Newest first; the oldest clocks were dropped.
+        assert [len(stored) for stored, _ in device._first_column_cache] == [201, 251, 401, 501]
+        # A column longer than the row bound is never cached.
+        monkeypatch.setattr(device, "_FIRST_COLUMN_ROWS", 1000)
+        trace = simulate(XOR_PROGRAM, PARAMS, SimConfig(clock_freq=1e9), 1, 0)
+        assert csv_text(trace) == savetxt_reference(trace)
+        assert [len(stored) for stored, _ in device._first_column_cache] == [201, 251, 401, 501]
+
+    def test_columns_of_unequal_length_rejected(self):
+        trace = trace_of(np.zeros(10), np.zeros(10), np.zeros(10), np.zeros(11))
+        with pytest.raises(ValueError):
+            csv_text(trace)
+
     def test_resolved_20mhz_trace_matches_savetxt(self):
         trace = simulate(XOR_PROGRAM, PARAMS, CFG, 1, 0)
         assert trace.is_resolved
