@@ -231,8 +231,8 @@ def _fill_fixed(out: np.ndarray, columns: np.ndarray) -> bool:
 
     Each run of bit-identical values in a column is formatted once, so -0.0
     and 0.0, and NaNs of different payloads, stay apart. A "%" fallback cell
-    of 12 characters (a near-tie, which the first Euler steps of many traces
-    produce) is written in place. Returns False, with ``out`` partly
+    of 12 characters (a near-tie, such as the first Euler steps of some pH
+    pairs produce) is written in place. Returns False, with ``out`` partly
     written, when some cell has a sign, a 3-digit exponent or is nan or inf.
     """
     width, rows = columns.shape
@@ -283,6 +283,7 @@ def _cached_first_column(column: np.ndarray):
 
 
 def _cache_first_column(column: np.ndarray, cells: np.ndarray) -> None:
+    """Store ``cells`` for ``column``; the oldest entry past the bound goes."""
     stored = column.view(np.uint64).copy()
     stored.flags.writeable = cells.flags.writeable = False
     _first_column_cache.insert(0, (stored, cells))
@@ -310,14 +311,14 @@ def _write_csv(fh, header: str, columns) -> None:
         filling = np.empty(n, dtype=_FIXED_CELL)
     skip = 0 if first is None else 1
     out = np.empty((min(n, _CSV_BLOCK_ROWS), len(columns)), dtype=_FIXED_CELL)
-    values = np.empty((len(columns) - skip) * len(out))
+    flat = np.empty((len(columns) - skip) * len(out))
     for start in range(0, n, _CSV_BLOCK_ROWS):
         stop = min(start + _CSV_BLOCK_ROWS, n)
         rows = out[: stop - start]
-        x = values[: (len(columns) - skip) * len(rows)].reshape(-1, len(rows))
-        for row, column in zip(x, columns[skip:]):
+        block = flat[: (len(columns) - skip) * len(rows)].reshape(-1, len(rows))
+        for row, column in zip(block, columns[skip:]):
             row[:] = column[start:stop]
-        if _fill_fixed(rows[:, skip:], x):
+        if _fill_fixed(rows[:, skip:], block):
             if first is not None:
                 rows[:, 0] = first[start:stop]
             elif filling is not None:

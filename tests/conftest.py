@@ -30,6 +30,24 @@ DATA_DIR = Path(__file__).parent / "data"
 BINARY_KINDS = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR")
 
 
+def first_difference(got: str, want: str):
+    """None when the texts are equal, else ``(line number, got line, wanted
+    line)`` at the first line that differs (None past a text's end).
+
+    The CSV tests assert on this rather than on ``got == want``: pytest
+    explains a failed comparison of two long texts with a line diff, which
+    takes minutes for a 501-row waveform whose every row differs.
+    """
+    if got == want:
+        return None
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i in range(max(len(got_lines), len(want_lines))):
+        g = got_lines[i] if i < len(got_lines) else None
+        w = want_lines[i] if i < len(want_lines) else None
+        if g != w:
+            return i + 1, g, w
+
+
 def pytest_configure(config):
     # Any warning fails the suite. Set here, not in pyproject.toml, so that
     # `python -m pytest perfbench`, run on its own, keeps the default

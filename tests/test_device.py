@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import first_difference
 from tvdcamo import device
 from tvdcamo.device import (
     BiasPoint,
@@ -31,6 +32,10 @@ def csv_text(table) -> str:
     buf = io.StringIO()
     write_sweep_csv(table, buf)
     return buf.getvalue()
+
+
+def savetxt_mismatch(table):
+    return first_difference(csv_text(table), savetxt_reference(table))
 
 
 class TestVthFromPh:
@@ -205,11 +210,11 @@ class TestIvSweep:
         monkeypatch.setattr(device, "_first_column_cache", [])
         sweep = iv_sweep(DEFAULTS, np.linspace(0.0, 1.8, 2500), 0.1, [2.0, 10.0])
         assert len(sweep) % device._CSV_BLOCK_ROWS != 0
-        assert csv_text(sweep) == savetxt_reference(sweep)
+        assert savetxt_mismatch(sweep) is None
         monkeypatch.setattr(device, "_CSV_BLOCK_ROWS", 4)
         values = np.array([0.0, -0.0, -1.5, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.5])
         table = np.column_stack([values, values[::-1], np.full(9, 2.0)])
-        assert csv_text(table) == savetxt_reference(table)
+        assert savetxt_mismatch(table) is None
         assert "-0.000000e+00," in csv_text(table)
 
         # Raw bit patterns cover every exponent, subnormals, ±0, nan and ±inf.
@@ -229,7 +234,7 @@ class TestIvSweep:
         )
         values = np.concatenate([values, -values])
         table = values[: len(values) // 3 * 3].reshape(-1, 3)
-        assert csv_text(table) == savetxt_reference(table)
+        assert savetxt_mismatch(table) is None
 
         # A block of positive cells with 2-digit exponents is written in the
         # fixed-width layout, and so is one whose "%" fallback cell (a tie
@@ -243,7 +248,7 @@ class TestIvSweep:
             variants.append(fixed.copy())
             variants[-1][1, 1] = cell
         for block in [fixed, tie] + variants:
-            assert csv_text(block) == savetxt_reference(block)
+            assert savetxt_mismatch(block) is None
         # Swapping two mantissa digit rows of the fixed-width layout changes
         # the text of the fixed-width blocks only.
         rows = device._FIXED_ROWS
@@ -251,13 +256,13 @@ class TestIvSweep:
         for block in (fixed, tie):
             assert csv_text(block) != savetxt_reference(block)
         for block in variants:
-            assert csv_text(block) == savetxt_reference(block)
+            assert savetxt_mismatch(block) is None
         monkeypatch.setattr(device, "_FIXED_ROWS", rows)
 
         # Every nonzero cell through the per-value fallback.
         monkeypatch.setattr(device, "_first_column_cache", [])
         monkeypatch.setattr(device, "_FAST_MIN", math.inf)
-        assert csv_text(table) == savetxt_reference(table)
+        assert savetxt_mismatch(table) is None
 
     def test_csv_runs_and_first_column(self, monkeypatch):
         monkeypatch.setattr(device, "_first_column_cache", [])
@@ -265,11 +270,11 @@ class TestIvSweep:
         # boundary; the pH column repeats every three rows.
         sweep = iv_sweep(DEFAULTS, np.linspace(0.0, 1.8, 2000), 0.1, [2.0, 7.0, 10.0])
         assert len(sweep) > device._CSV_BLOCK_ROWS and device._CSV_BLOCK_ROWS % 3
-        assert csv_text(sweep) == savetxt_reference(sweep)
+        assert savetxt_mismatch(sweep) is None
         [(stored, _)] = device._first_column_cache
         assert stored.tobytes() == sweep[:, 0].tobytes()
-        assert csv_text(sweep) == savetxt_reference(sweep)
+        assert savetxt_mismatch(sweep) is None
         # Same v_gs column, other currents: the cached column is reused.
         other = iv_sweep(DEFAULTS, np.linspace(0.0, 1.8, 2000), 0.2, [2.0, 7.0, 10.0])
-        assert csv_text(other) == savetxt_reference(other)
+        assert savetxt_mismatch(other) is None
         assert len(device._first_column_cache) == 1
