@@ -9,7 +9,6 @@ against observed responses.
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -21,11 +20,10 @@ from .bench import (
     Gate,
     Netlist,
     _eval_gates,
+    _input_vectors,
     eval_logic,
     eval_words,
     index_bit_words,
-    input_vector_from_index,
-    pack_words,
     unpack_words,
 )
 from .camo import CamoConfig, reconstruct  # noqa: F401  (attack.reconstruct)
@@ -152,26 +150,18 @@ class CandidateState:
         return done / len(self.camo_gates)
 
 
-def _query_vectors(n_inputs: int, strategy: str, n_queries, seed):
-    if strategy == "exhaustive":
-        if n_inputs > _EXHAUSTIVE_QUERY_LIMIT_BITS:
-            raise UsageError(
-                f"exhaustive querying supports at most "
-                f"{_EXHAUSTIVE_QUERY_LIMIT_BITS} inputs, netlist has {n_inputs}"
-            )
-        names = tuple(str(j) for j in range(n_inputs))
-        for v in range(1 << n_inputs):
-            yield input_vector_from_index(names, v)
-        return
-    if strategy == "random":
-        if n_queries is None or n_queries < 0:
-            raise UsageError("random strategy requires n_queries >= 0")
-        rng = np.random.default_rng(seed)
-        matrix = rng.integers(0, 2, size=(n_queries, n_inputs), dtype=np.uint8)
-        for row in matrix:
-            yield tuple(int(v) for v in row)
-        return
-    raise UsageError(f"unknown query strategy {strategy!r}")
+def _query_vectors(inputs: tuple[str, ...], strategy: str, n_queries, seed):
+    """The strategy's checks in front of ``bench._input_vectors``."""
+    if strategy == "exhaustive" and len(inputs) > _EXHAUSTIVE_QUERY_LIMIT_BITS:
+        raise UsageError(
+            f"exhaustive querying supports at most "
+            f"{_EXHAUSTIVE_QUERY_LIMIT_BITS} inputs, netlist has {len(inputs)}"
+        )
+    if strategy == "random" and (n_queries is None or n_queries < 0):
+        raise UsageError("random strategy requires n_queries >= 0")
+    if strategy not in ("exhaustive", "random"):
+        raise UsageError(f"unknown query strategy {strategy!r}")
+    return _input_vectors(inputs, strategy, n_queries, seed)
 
 
 def _split_cone(n: Netlist) -> tuple[list[Gate], list[Gate]]:
@@ -268,17 +258,18 @@ def oracle_attack(
     cone_nets = {gate.name for gate in cone}
     feeds = {f for gate in cone for f in gate.fanin} - cone_nets
     q_rows = max(1, min(WORD_BITS, _CONE_WORDS // n_words))
-    queries = _query_vectors(len(camo.inputs), strategy, n_queries, seed)
-    # The first batch is drawn before the survivor check, so that a bad
+    # The vectors are drawn before the survivor check, so that a bad
     # strategy is reported even when there is nothing to prune.
-    while (batch := list(islice(queries, WORD_BITS))) and (
-        state.survivor_history[-1] > 1
-    ):
-        if len(batch[0]) != len(oracle.inputs):
+    total, input_words, vector = _query_vectors(camo.inputs, strategy, n_queries, seed)
+    for first in range(0, total, WORD_BITS):
+        if state.survivor_history[-1] <= 1:
+            break
+        if len(camo.inputs) != len(oracle.inputs):
             raise UsageError(
-                f"expected {len(oracle.inputs)} input bits, got {len(batch[0])}"
+                f"expected {len(oracle.inputs)} input bits, got {len(camo.inputs)}"
             )
-        words = pack_words(np.array(batch, dtype=bool).T)[:, 0].tolist()
+        width = min(WORD_BITS, total - first)
+        words = [int(w[0]) for w in input_words(first // WORD_BITS, 1)]
         observed = eval_words(oracle, words, oracle_bindings)
         values = dict(zip(camo.inputs, words))
         _eval_gates(base, values, None)
@@ -287,13 +278,13 @@ def oracle_attack(
         flips = []
         for out, obs in zip(camo.outputs, observed):
             if out in cone_nets:
-                flips.append((out, _columns(~obs, len(batch))))
+                flips.append((out, _columns(~obs, width)))
             else:
                 agree &= ~(values[out] ^ obs)
-        agree = _columns(agree, len(batch))
-        columns = {net: _columns(values[net], len(batch)) for net in feeds}
+        agree = _columns(agree, width)
+        columns = {net: _columns(values[net], width) for net in feeds}
 
-        for q0 in range(0, len(batch), q_rows):
+        for q0 in range(0, width, q_rows):
             rows = slice(q0, q0 + q_rows)
             cone_values = {net: col[rows] for net, col in columns.items()}
             _eval_gates(cone, cone_values, lanes)
@@ -310,11 +301,12 @@ def oracle_attack(
                 step *= 2
             for r, count in enumerate(np.bitwise_count(match).sum(axis=1).tolist()):
                 k = q0 + r
+                vec = vector(first + k)
                 response = tuple((obs >> k) & 1 for obs in observed)
-                state.query_log.append((batch[k], response))
+                state.query_log.append((vec, response))
                 state.survivor_history.append(count)
                 if count == 0:
-                    raise _inconsistent_oracle(batch[k], response)
+                    raise _inconsistent_oracle(vec, response)
                 alive = match[r]
                 if count <= 1:
                     break
@@ -374,7 +366,8 @@ def _marginal_attack(camo, oracle, oracle_bindings, strategy, n_queries, seed):
         marginals={nm: set(TruthTable2) for nm in names},
         survivor_history=[16 ** len(names)],
     )
-    for vec in _query_vectors(len(camo.inputs), strategy, n_queries, seed):
+    total, _, vector = _query_vectors(camo.inputs, strategy, n_queries, seed)
+    for vec in map(vector, range(total)):
         if all(count == 1 for count in counts):
             break
         observed = eval_logic(oracle, vec, oracle_bindings)

@@ -484,7 +484,44 @@ def eval_logic(n: Netlist, inputs, bindings=None) -> tuple[int, ...]:
     return tuple(int(o) & 1 for o in outs)
 
 
-def input_vector_from_index(names: tuple[str, ...], index: int) -> tuple[int, ...]:
-    """The bit vector a global exhaustive index denotes, in input order."""
+# Most cells a random vector source may draw, one uint8 per input per vector:
+# 2**28 cells (10**7 vectors of 26 inputs) are a 256 MiB matrix. Drawing and
+# packing 2**25 cells raised peak RSS by 46 MB.
+_MAX_RANDOM_CELLS = 2**28
+
+
+def _input_vectors(names: tuple[str, ...], mode: str, count, seed):
+    """``(total, words, vector)``: the vectors of verify or the oracle attack.
+
+    "exhaustive" mode is every vector in index order, index bit n-1-j on
+    input j; "random" is the ``count`` rows of one ``default_rng(seed)`` 0/1
+    matrix. ``words(start, n)`` holds words [start, start + n) per input,
+    bits past ``total`` unspecified; ``vector(i)`` is vector i as a tuple.
+    """
     n = len(names)
-    return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
+    if mode == "exhaustive":
+
+        def words(start, n_words):
+            return exhaustive_input_words(n, start, n_words)
+
+        def vector(index):
+            return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
+
+        return 1 << n, words, vector
+
+    if count * n > _MAX_RANDOM_CELLS:
+        raise UsageError(
+            f"{count} random vectors of {n} inputs are {count * n} bits, "
+            f"more than {_MAX_RANDOM_CELLS}"
+        )
+    matrix = np.random.default_rng(seed).integers(0, 2, size=(count, n), dtype=np.uint8)
+    packed = pack_words(matrix.T.view(bool))
+
+    def words(start, n_words):
+        return list(packed[:, start : start + n_words])
+
+    def vector(index):
+        word, bit = divmod(index, WORD_BITS)
+        return tuple(w >> bit & 1 for w in packed[:, word].tolist())
+
+    return count, words, vector

@@ -16,18 +16,15 @@ from .bench import (
     WORD_BITS,
     Gate,
     Netlist,
+    _input_vectors,
     eval_vectors,  # noqa: F401  (perfbench/test_perfbench.py reads camo.eval_vectors)
     eval_words,
-    exhaustive_input_words,
-    input_vector_from_index,
-    pack_words,
 )
-from .device import PH_MAX, PH_MIN, IsfetParams
+from .device import IsfetParams, _check_ph
 from .errors import (
     CoverageError,
     DomainError,
     NotCamouflageableError,
-    PhRangeError,
     SignatureMismatchError,
     UnprogrammedGateError,
     UsageError,
@@ -66,9 +63,8 @@ def _check_ph_pair(ph_low: float, ph_high: float, where: str) -> None:
         raise DomainError(
             f"{where}: ph_low ({ph_low!r}) must be below ph_high ({ph_high!r})"
         )
-    for ph in (ph_low, ph_high):
-        if not PH_MIN <= ph <= PH_MAX:
-            raise PhRangeError(ph)
+    _check_ph(ph_low)
+    _check_ph(ph_high)
 
 
 @dataclass(frozen=True)
@@ -449,38 +445,16 @@ def verify_equivalence(
             f"{b.inputs}/{b.outputs}"
         )
     n_in = len(a.inputs)
-
-    if mode == "exhaustive":
-        if n_in > EXHAUSTIVE_INPUT_LIMIT:
-            raise UsageError(
-                f"exhaustive mode supports at most {EXHAUSTIVE_INPUT_LIMIT} "
-                f"inputs, netlist has {n_in}"
-            )
-        total = 1 << n_in
-
-        def input_words(start, count):
-            return exhaustive_input_words(n_in, start, count)
-
-        def vector(index):
-            return input_vector_from_index(a.inputs, index)
-
-    elif mode == "random":
-        if n_vectors <= 0:
-            raise UsageError(f"n_vectors must be positive, got {n_vectors!r}")
-        total = n_vectors
-        matrix = np.random.default_rng(seed).integers(
-            0, 2, size=(n_vectors, n_in), dtype=np.uint8
+    if mode == "exhaustive" and n_in > EXHAUSTIVE_INPUT_LIMIT:
+        raise UsageError(
+            f"exhaustive mode supports at most {EXHAUSTIVE_INPUT_LIMIT} "
+            f"inputs, netlist has {n_in}"
         )
-        packed = pack_words(matrix.T)
-
-        def input_words(start, count):
-            return list(packed[:, start : start + count])
-
-        def vector(index):
-            return tuple(int(v) for v in matrix[index])
-
-    else:
+    if mode == "random" and n_vectors <= 0:
+        raise UsageError(f"n_vectors must be positive, got {n_vectors!r}")
+    if mode not in ("exhaustive", "random"):
         raise UsageError(f"unknown equivalence mode {mode!r}")
+    total, input_words, vector = _input_vectors(a.inputs, mode, n_vectors, seed)
 
     miter = _Miter(a, b, bindings)
     hit = None if miter.merged else _first_mismatch(miter, input_words, total)

@@ -9,8 +9,8 @@ is a current race between the two conducting branches.
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
-from .device import BiasPoint, IsfetParams, ids
-from .errors import DomainError, PhRangeError, UnresolvableGateError, UsageError
+from .device import BiasPoint, IsfetParams, _check_ph, ids
+from .errors import DomainError, UnresolvableGateError, UsageError
 
 # Each pull-down branch stacks two devices in series; collapse the stack into
 # one effective device with the gain halved.
@@ -138,9 +138,8 @@ class GatePhProgram:
     assignment: BranchAssignment
 
     def __post_init__(self):
-        for ph in (self.ph_low, self.ph_high):
-            if not 0 <= ph <= 14:
-                raise PhRangeError(ph)
+        _check_ph(self.ph_low)
+        _check_ph(self.ph_high)
         if self.ph_low > self.ph_high:
             raise DomainError(
                 f"ph_low ({self.ph_low!r}) must not exceed ph_high ({self.ph_high!r})"

@@ -173,30 +173,21 @@ def simulate(
     trace comes back unresolved.
     """
     race = _race(program, params, cfg, a, b)
-    n_total = cfg.n_steps
-    n_pre = n_total // 2
-    v_out = np.empty(n_total + 1, dtype=np.float64)
-    v_bar = np.empty(n_total + 1, dtype=np.float64)
-    # Precharge half: ideal switches pin both nodes at the rail.
-    v_out[: n_pre + 1] = cfg.vdd
-    v_bar[: n_pre + 1] = cfg.vdd
-    _integrate(v_out, v_bar, n_pre, n_total, race)
-
+    v_out, v_bar, resolved_output, resolve_time = _evaluate(race, cfg, waveform=True)
     trip = cfg.trip_voltage
-    resolved_output, i = _first_resolved(v_out[n_pre:], v_bar[n_pre:], cfg)
     return GateTrace(
-        t=np.arange(n_total + 1, dtype=np.float64) * cfg.dt,
+        t=np.arange(len(v_out), dtype=np.float64) * cfg.dt,
         v_out=v_out,
         v_out_bar=v_bar,
         out=np.where(v_out < trip, cfg.vdd, 0.0),
         out_bar=np.where(v_bar < trip, cfg.vdd, 0.0),
         resolved_output=resolved_output,
-        resolve_time=None if i is None else i * cfg.dt,
-        eval_start_index=n_pre,
+        resolve_time=resolve_time,
+        eval_start_index=cfg.n_steps // 2,
     )
 
 
-# First chunk of a resolve-only run; at the defaults a race resolves in 167
+# First chunk of an evaluation half; at the defaults a race resolves in 167
 # steps.
 _FIRST_CHUNK = 256
 
@@ -218,21 +209,23 @@ def _cannot_diverge(race) -> bool:
     return i_max * dt / c_node <= 0.5 * _kernels.GUARD_V
 
 
-def _resolve(program: GatePhProgram, params: IsfetParams, cfg: SimConfig, a: int, b: int):
-    """``(resolved_output, resolve_time)`` of ``simulate``, without the waveform.
+def _evaluate(race, cfg: SimConfig, waveform: bool):
+    """``(v_out, v_bar, resolved_output, resolve_time)`` of one race.
 
     Integrates the evaluation half in doubling chunks and stops at the first
-    resolving sample. A config that fails ``_cannot_diverge`` integrates the
-    whole half in one call, so it raises ``SimulationError`` exactly when
-    ``simulate`` does.
+    resolving sample, unless ``waveform`` asks for the whole period: then
+    the rest of the half follows in one call. A config that fails
+    ``_cannot_diverge`` integrates the whole half in one call, so it raises
+    ``SimulationError`` exactly where a single call would.
     """
-    race = _race(program, params, cfg, a, b)
     n_total = cfg.n_steps
     n_pre = n_total // 2
     v_out = np.empty(n_total + 1, dtype=np.float64)
     v_bar = np.empty(n_total + 1, dtype=np.float64)
-    v_out[n_pre] = cfg.vdd
-    v_bar[n_pre] = cfg.vdd
+    # Precharge half: ideal switches pin both nodes at the rail.
+    first = 0 if waveform else n_pre
+    v_out[first : n_pre + 1] = cfg.vdd
+    v_bar[first : n_pre + 1] = cfg.vdd
     chunk = _FIRST_CHUNK if _cannot_diverge(race) else n_total - n_pre
     start = n_pre
     while start < n_total:
@@ -240,10 +233,12 @@ def _resolve(program: GatePhProgram, params: IsfetParams, cfg: SimConfig, a: int
         _integrate(v_out, v_bar, start, stop, race)
         output, i = _first_resolved(v_out[start : stop + 1], v_bar[start : stop + 1], cfg)
         if output is not None:
-            return output, (start - n_pre + i) * cfg.dt
+            if waveform:
+                _integrate(v_out, v_bar, stop, n_total, race)
+            return v_out, v_bar, output, (start - n_pre + i) * cfg.dt
         start = stop
         chunk *= 2
-    return None, None
+    return v_out, v_bar, None, None
 
 
 # Drain bias at which margin_report compares branch currents: the triode
@@ -264,7 +259,8 @@ def margin_report(program: GatePhProgram, params: IsfetParams, cfg: SimConfig) -
     rows = []
     for a in (0, 1):
         for b in (0, 1):
-            output, resolve_time = _resolve(program, params, cfg, a, b)
+            race = _race(program, params, cfg, a, b)
+            _, _, output, resolve_time = _evaluate(race, cfg, waveform=False)
             rows.append(
                 {
                     "minterm": minterm_index(a, b),

@@ -7,7 +7,7 @@ import pytest
 import numpy as np
 
 from tvdcamo._kernels import GUARD_V
-from tvdcamo.attack import CandidateState, _inconsistent_oracle, _query_vectors
+from tvdcamo.attack import CandidateState, _inconsistent_oracle
 from tvdcamo.bench import (
     ALL_ONES,
     GATE_KINDS,
@@ -22,7 +22,7 @@ from tvdcamo.bench import (
     parse_bench,
     unpack_words,
 )
-from tvdcamo.errors import BenchParseError, CycleError, DomainError
+from tvdcamo.errors import BenchParseError, CycleError, DomainError, UsageError
 from tvdcamo.gates import TruthTable2
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -259,6 +259,34 @@ def reference_topo_order(netlist) -> tuple[Gate, ...]:
     return tuple(order)
 
 
+# The attack's query generator as it was before verification and the attack
+# shared one vector source, kept verbatim (with the exhaustive index
+# decoding inlined) so that the references do not share the attack's query
+# order.
+_EXHAUSTIVE_QUERY_LIMIT_BITS = 20
+
+
+def reference_query_vectors(n_inputs: int, strategy: str, n_queries, seed):
+    if strategy == "exhaustive":
+        if n_inputs > _EXHAUSTIVE_QUERY_LIMIT_BITS:
+            raise UsageError(
+                f"exhaustive querying supports at most "
+                f"{_EXHAUSTIVE_QUERY_LIMIT_BITS} inputs, netlist has {n_inputs}"
+            )
+        for v in range(1 << n_inputs):
+            yield tuple((v >> (n_inputs - 1 - j)) & 1 for j in range(n_inputs))
+        return
+    if strategy == "random":
+        if n_queries is None or n_queries < 0:
+            raise UsageError("random strategy requires n_queries >= 0")
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(0, 2, size=(n_queries, n_inputs), dtype=np.uint8)
+        for row in matrix:
+            yield tuple(int(v) for v in row)
+        return
+    raise UsageError(f"unknown query strategy {strategy!r}")
+
+
 # Joint-mode oracle attack as it was before the cone/base split: per query,
 # eval_logic over the whole oracle and eval_words over every gate of the
 # camouflaged netlist. Kept as the reference for the attack's differential
@@ -291,7 +319,7 @@ def reference_oracle_attack(
         survivor_history=[n_lanes],
     )
 
-    for vec in _query_vectors(len(camo.inputs), strategy, n_queries, seed):
+    for vec in reference_query_vectors(len(camo.inputs), strategy, n_queries, seed):
         if state.survivor_history[-1] <= 1:
             break
         observed = eval_logic(oracle, vec, oracle_bindings)
@@ -398,7 +426,7 @@ def reference_marginal_attack(
         marginals={nm: set(TruthTable2) for nm in names},
     )
     state.survivor_history = [state.joint_survivors]
-    for vec in _query_vectors(len(camo.inputs), strategy, n_queries, seed):
+    for vec in reference_query_vectors(len(camo.inputs), strategy, n_queries, seed):
         if all(len(s) == 1 for s in state.marginals.values()):
             break
         observed = eval_logic(oracle, vec, oracle_bindings)

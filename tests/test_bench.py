@@ -13,9 +13,14 @@ from conftest import (
     naive_eval,
     random_netlist,
     reference_parse_bench,
+    reference_query_vectors,
     reference_topo_order,
 )
+from tvdcamo import bench
+from tvdcamo.attack import oracle_attack
 from tvdcamo.bench import (
+    _MAX_RANDOM_CELLS,
+    _input_vectors,
     Gate,
     Netlist,
     eval_logic,
@@ -33,6 +38,7 @@ from tvdcamo.errors import (
     UnprogrammedGateError,
     UsageError,
 )
+from tvdcamo.camo import verify_equivalence
 from tvdcamo.gates import TruthTable2
 
 
@@ -429,3 +435,71 @@ class TestWordEngine:
         n = Netlist(["a", "b"], ["y"], [Gate("y", "AND", ("a", "b"))])
         with pytest.raises(UsageError):
             eval_vectors(n, {"a": np.zeros(3, dtype=bool), "b": np.zeros(4, dtype=bool)})
+
+
+class TestInputVectors:
+    """``_input_vectors``, the one source of verification vectors and oracle
+    queries: its word and tuple views against each other and against the
+    attack's former query generator, ``reference_query_vectors``."""
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    @pytest.mark.parametrize("n_inputs", [0, 1, 7, 13])
+    def test_words_and_vectors_agree(self, n_inputs, mode):
+        names = tuple(f"i{j}" for j in range(n_inputs))
+        total, words, vector = _input_vectors(names, mode, 300, 5)
+        want = list(reference_query_vectors(n_inputs, mode, 300, 5))
+        assert total == len(want)
+        assert [vector(i) for i in range(total)] == want
+        n_words = -(-total // 64)
+        for start in sorted({0, 1, n_words // 2, n_words - 1}):
+            for count in (1, n_words - start):
+                block = words(start, count)
+                assert len(block) == n_inputs
+                width = min(64 * count, total - 64 * start)
+                if width <= 0:
+                    continue
+                bits = [unpack_words(w, width) for w in block]
+                got = [tuple(int(col[k]) for col in bits) for k in range(width)]
+                assert got == want[64 * start : 64 * start + width]
+
+    def test_random_ceiling_checked_before_drawing(self, monkeypatch):
+        names = tuple(f"i{j}" for j in range(8))
+        with pytest.raises(UsageError) as exc:
+            _input_vectors(names, "random", 10**12, 0)
+        assert str(exc.value) == (
+            f"1000000000000 random vectors of 8 inputs are 8000000000000 bits, "
+            f"more than {_MAX_RANDOM_CELLS}"
+        )
+        # At the ceiling itself the matrix is drawn.
+        monkeypatch.setattr(bench, "_MAX_RANDOM_CELLS", 80)
+        assert _input_vectors(names, "random", 10, 0)[0] == 10
+        with pytest.raises(UsageError):
+            _input_vectors(names, "random", 11, 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_verify_and_attack_draw_the_same_rows(self, seed):
+        # a and b differ only where all four inputs are 1, so verify stops at
+        # the first such row. The CAMO gate drives no output, so the attack
+        # keeps its 16 candidates and logs every query.
+        inputs = ["i0", "i1", "i2", "i3"]
+        a = Netlist(inputs, ["y"], [Gate("y", "AND", tuple(inputs))])
+        b = Netlist(inputs, ["y"], [
+            Gate("z", "NOT", ("i0",)),
+            Gate("y", "AND", ("i0", "z")),
+        ])
+        rows = list(reference_query_vectors(4, "random", 200, seed))
+        first = rows.index((1, 1, 1, 1))
+        result = verify_equivalence(a, b, mode="random", n_vectors=200, seed=seed)
+        assert (result.vectors_checked, result.counterexample) == (first + 1, rows[first])
+
+        camo = Netlist(inputs, ["y"], [
+            Gate("c", "CAMO", ("i0", "i1")),
+            Gate("y", "AND", ("i2", "i3")),
+        ])
+        for joint_limit in (16, 1):
+            state = oracle_attack(
+                camo, camo, {"c": TruthTable2.AND}, strategy="random",
+                n_queries=200, seed=seed, joint_limit=joint_limit,
+                marginal_fallback=True,
+            )
+            assert [vec for vec, _ in state.query_log] == rows

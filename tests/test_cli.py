@@ -492,6 +492,28 @@ class TestExitCodes:
         assert err.startswith("error:") and "no such file" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("subcommand", ["verify", "attack"])
+    def test_too_many_random_vectors_is_usage_error(
+        self, tmp_path, capsys, c17_file, subcommand
+    ):
+        # 10**12 vectors of c17's 5 inputs would be a 5 TB matrix: the
+        # ceiling is checked before anything is drawn.
+        run(["camouflage", str(c17_file), "--gates", "16,19", "-o", str(tmp_path)], capsys)
+        head = {
+            "verify": ["verify", str(c17_file), str(c17_file), "--mode", "random",
+                       "--vectors", "1000000000000"],
+            "attack": ["attack", str(tmp_path / "camo.bench"), "--config",
+                       str(tmp_path / "camo_config.json"), "--strategy", "random",
+                       "--queries", "1000000000000"],
+        }[subcommand]
+        out_dir = tmp_path / "out"
+        code, out, err = run(head + ["-o", str(out_dir)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "1000000000000 random vectors of 5 inputs" in err and str(2**28) in err
+        assert not out_dir.exists()
+
     def test_parser_reuse_keeps_defaults(self, tmp_path, capsys):
         # The parser is built once per process; a flag given to one call
         # must not become the default of the next.

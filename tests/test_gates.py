@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from tvdcamo import device
 from tvdcamo.device import IsfetParams
 from tvdcamo.errors import DomainError, PhRangeError, UnresolvableGateError, UsageError
 from tvdcamo.gates import (
@@ -121,6 +122,16 @@ class TestGatePhProgram:
     def test_ph_out_of_range(self):
         with pytest.raises(PhRangeError):
             GatePhProgram(ph_low=-1.0, ph_high=10.0, assignment=assignment_for(TruthTable2.XOR))
+
+    @pytest.mark.parametrize("ph", [-1e-9, 14.000001, float("nan"), float("inf")])
+    def test_ph_range_is_the_device_rule(self, ph):
+        # Checked before the order of the pair, with device._check_ph's error.
+        with pytest.raises(PhRangeError) as want:
+            device._check_ph(ph)
+        for low, high in ((ph, 10.0), (2.0, ph), (ph, -1.0)):
+            with pytest.raises(PhRangeError) as got:
+                GatePhProgram(ph_low=low, ph_high=high, assignment=assignment_for(TruthTable2.XOR))
+            assert str(got.value) == str(want.value)
 
     def test_inverted_ph_pair_rejected(self):
         with pytest.raises(DomainError):

@@ -455,6 +455,101 @@ class TestKernelMatchesReference:
             assert tails[0][2] == -bad
 
 
+def reference_half(race, cfg: SimConfig):
+    """One ``reference_integrate`` call over the whole evaluation half, from
+    both nodes at the rail: ``(return value, v_out, v_bar)``."""
+    n_total = cfg.n_steps
+    v_out = np.full(n_total + 1, cfg.vdd)
+    v_bar = np.full(n_total + 1, cfg.vdd)
+    bad = reference_integrate(v_out, v_bar, n_total // 2, n_total, *race)
+    return bad, v_out, v_bar
+
+
+# Beside the gate-char matrix, two 20 MHz configs whose frozen-node tail
+# crosses chunk boundaries: a resolve margin no sample meets, so the race
+# runs to the end in doubling chunks, and a trip point that the winner
+# crosses only 9,376 steps in, in the chunk after the tail starts.
+LATE_CASES = {
+    "never": (SimConfig(resolve_margin=1.79), None),
+    "late": (SimConfig(trip=1e-30), 1),
+}
+
+
+class TestChunkedSimulate:
+    """``simulate`` integrates the evaluation half in doubling chunks; its
+    waveforms and outcome against one call of the kernel it replaced."""
+
+    def assert_matches_one_call(self, program, cfg, a, b):
+        trace = simulate(program, PARAMS, cfg, a, b)
+        bad, v_out, v_bar = reference_half(transient._race(program, PARAMS, cfg, a, b), cfg)
+        assert bad == -1
+        assert trace.v_out.tobytes() == v_out.tobytes()
+        assert trace.v_out_bar.tobytes() == v_bar.tobytes()
+        n_pre = cfg.n_steps // 2
+        output, i = transient._first_resolved(v_out[n_pre:], v_bar[n_pre:], cfg)
+        assert trace.resolved_output == output
+        assert trace.resolve_time == (None if i is None else i * cfg.dt)
+        return trace
+
+    def test_every_gate_char_race(self):
+        races = {}
+        for clock in GATE_CHAR_CLOCKS:
+            cfg = SimConfig(clock_freq=clock)
+            for f, pair, m in product(TruthTable2, GATE_CHAR_PAIRS, range(4)):
+                program = program_for(f, *pair)
+                race = transient._race(program, PARAMS, cfg, m >> 1, m & 1)
+                races.setdefault((race, cfg.n_steps), (program, cfg, m))
+        assert len(races) == 66
+        outcomes = set()
+        for program, cfg, m in races.values():
+            trace = self.assert_matches_one_call(program, cfg, m >> 1, m & 1)
+            outcomes.add(trace.is_resolved)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("case", sorted(LATE_CASES))
+    def test_tail_across_chunk_boundaries(self, tails, case):
+        cfg, output = LATE_CASES[case]
+        trace = self.assert_matches_one_call(XOR_PROGRAM, cfg, 0, 1)
+        assert trace.resolved_output == output
+        # Chunk k ends at sample n_pre + _FIRST_CHUNK * (2**k - 1); the tail
+        # that starts 5,082 steps in is re-entered one step past each end.
+        n_pre = cfg.n_steps // 2
+        ends = {n_pre + transient._FIRST_CHUNK * (2**k - 1) for k in range(1, 8)}
+        [first, *later] = [t[1] for t in tails]
+        assert first - n_pre == 5082
+        assert len(later) == 2 and all(i - 1 in ends for i in later)
+
+    # The small-c-node race resolves one step before it diverges, so a run in
+    # chunks would stop before the error; _FIRST_CHUNK = 1 puts a chunk end
+    # between the two.
+    @pytest.mark.parametrize("first_chunk", [1, transient._FIRST_CHUNK])
+    @pytest.mark.parametrize(
+        "cfg, resolves_first",
+        [(SimConfig(dt=4e-10), False), (SimConfig(clock_freq=1e9, c_node=5e-17), True)],
+        ids=["coarse-dt", "small-c-node"],
+    )
+    def test_diverging_config_raises_the_reference_error(
+        self, monkeypatch, cfg, resolves_first, first_chunk
+    ):
+        monkeypatch.setattr(transient, "_FIRST_CHUNK", first_chunk)
+        race = transient._race(XOR_PROGRAM, PARAMS, cfg, 0, 0)
+        assert not transient._cannot_diverge(race)
+        bad, v_out, v_bar = reference_half(race, cfg)
+        assert bad >= 0
+        n_pre = cfg.n_steps // 2
+        resolved, _ = transient._first_resolved(v_out[n_pre:bad], v_bar[n_pre:bad], cfg)
+        assert (resolved is not None) == resolves_first
+        want = (
+            f"node voltage diverged at t={bad * cfg.dt:.3e} s; reduce dt "
+            f"(currently {cfg.dt:.3e} s)"
+        )
+        for run in (lambda: simulate(XOR_PROGRAM, PARAMS, cfg, 0, 0),
+                    lambda: margin_report(XOR_PROGRAM, PARAMS, cfg)):
+            with pytest.raises(SimulationError) as exc:
+                run()
+            assert str(exc.value) == want
+
+
 def savetxt_reference(trace: GateTrace) -> str:
     buf = io.StringIO()
     buf.write("t,v_out,v_out_bar,out,out_bar\n")
