@@ -36,6 +36,11 @@ def integrate(
 
     A step that leaves one node unchanged while the other sits below half
     an ulp of vdd, before and after the step, hands over to ``_frozen_tail``.
+
+    Both nodes must stay treated alike: swapping the start states and the
+    branches' ``(k, vth)`` swaps the two arrays bit for bit and keeps the
+    return value. ``transient.margin_report`` relies on this to integrate
+    one race per program.
     """
     # Continue from the state stored at sample n_pre. Python floats: the loop
     # runs 2.4x slower on numpy scalars.

@@ -15,7 +15,7 @@ Net names are case-sensitive ``[A-Za-z0-9_]+``; CRLF input is tolerated.
 import operator
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -495,8 +495,10 @@ def _input_vectors(names: tuple[str, ...], mode: str, count, seed):
 
     "exhaustive" mode is every vector in index order, index bit n-1-j on
     input j; "random" is the ``count`` rows of one ``default_rng(seed)`` 0/1
-    matrix. ``words(start, n)`` holds words [start, start + n) per input,
-    bits past ``total`` unspecified; ``vector(i)`` is vector i as a tuple.
+    matrix, drawn on the first ``words`` or ``vector`` call, so a verify
+    whose output pairs all merge draws nothing. ``words(start, n)`` holds
+    words [start, start + n) per input, bits past ``total`` unspecified;
+    ``vector(i)`` is vector i as a tuple.
     """
     n = len(names)
     if mode == "exhaustive":
@@ -514,14 +516,17 @@ def _input_vectors(names: tuple[str, ...], mode: str, count, seed):
             f"{count} random vectors of {n} inputs are {count * n} bits, "
             f"more than {_MAX_RANDOM_CELLS}"
         )
-    matrix = np.random.default_rng(seed).integers(0, 2, size=(count, n), dtype=np.uint8)
-    packed = pack_words(matrix.T.view(bool))
+
+    @cache
+    def packed():
+        matrix = np.random.default_rng(seed).integers(0, 2, size=(count, n), dtype=np.uint8)
+        return pack_words(matrix.T.view(bool))
 
     def words(start, n_words):
-        return list(packed[:, start : start + n_words])
+        return list(packed()[:, start : start + n_words])
 
     def vector(index):
         word, bit = divmod(index, WORD_BITS)
-        return tuple(w >> bit & 1 for w in packed[:, word].tolist())
+        return tuple(w >> bit & 1 for w in packed()[:, word].tolist())
 
     return count, words, vector

@@ -252,15 +252,23 @@ def margin_report(program: GatePhProgram, params: IsfetParams, cfg: SimConfig) -
     The current ratio compares the LVT-role branch against the HVT-role
     branch at full gate drive and v_ds = ``_PROBE_V_DS``. Outputs and resolve
     times equal those of ``simulate``.
+
+    Only minterm 0's race is integrated. Every other minterm's race is the
+    same one or its mirror image, with the two branches' constants swapped:
+    the kernel treats both nodes alike, so a mirrored race yields the two
+    waveforms swapped bit for bit, the same resolve time and, since a
+    resolved sample has a nonzero differential, the opposite output.
     """
     i_lvt = branch_current(params, program.ph_low, _PROBE_V_DS)
     i_hvt = branch_current(params, program.ph_high, _PROBE_V_DS)
     ratio = float("inf") if i_hvt == 0.0 else i_lvt / i_hvt
+    race = _race(program, params, cfg, 0, 0)
+    _, _, output, resolve_time = _evaluate(race, cfg, waveform=False)
+    mirrored = None if output is None else 1 - output
     rows = []
     for a in (0, 1):
         for b in (0, 1):
-            race = _race(program, params, cfg, a, b)
-            _, _, output, resolve_time = _evaluate(race, cfg, waveform=False)
+            same = _race(program, params, cfg, a, b) == race
             rows.append(
                 {
                     "minterm": minterm_index(a, b),
@@ -268,7 +276,7 @@ def margin_report(program: GatePhProgram, params: IsfetParams, cfg: SimConfig) -
                     "b": b,
                     "current_ratio": ratio,
                     "resolve_time": resolve_time,
-                    "output": output,
+                    "output": output if same else mirrored,
                 }
             )
     return rows

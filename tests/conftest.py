@@ -23,7 +23,8 @@ from tvdcamo.bench import (
     unpack_words,
 )
 from tvdcamo.errors import BenchParseError, CycleError, DomainError, UsageError
-from tvdcamo.gates import TruthTable2
+from tvdcamo.gates import TruthTable2, branch_current, minterm_index
+from tvdcamo.transient import _PROBE_V_DS, _evaluate, _race
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -532,3 +533,27 @@ def reference_integrate(
         v_out[i + 1] = x
         v_bar[i + 1] = y
     return -1
+
+
+# margin_report before it integrated one race per program: four resolve-only
+# races, one per minterm, kept as the reference for its differential test.
+def reference_margin_report(program, params, cfg) -> list[dict]:
+    i_lvt = branch_current(params, program.ph_low, _PROBE_V_DS)
+    i_hvt = branch_current(params, program.ph_high, _PROBE_V_DS)
+    ratio = float("inf") if i_hvt == 0.0 else i_lvt / i_hvt
+    rows = []
+    for a in (0, 1):
+        for b in (0, 1):
+            race = _race(program, params, cfg, a, b)
+            _, _, output, resolve_time = _evaluate(race, cfg, waveform=False)
+            rows.append(
+                {
+                    "minterm": minterm_index(a, b),
+                    "a": a,
+                    "b": b,
+                    "current_ratio": ratio,
+                    "resolve_time": resolve_time,
+                    "output": output,
+                }
+            )
+    return rows

@@ -470,7 +470,7 @@ class TestInputVectors:
             f"1000000000000 random vectors of 8 inputs are 8000000000000 bits, "
             f"more than {_MAX_RANDOM_CELLS}"
         )
-        # At the ceiling itself the matrix is drawn.
+        # The ceiling itself is allowed.
         monkeypatch.setattr(bench, "_MAX_RANDOM_CELLS", 80)
         assert _input_vectors(names, "random", 10, 0)[0] == 10
         with pytest.raises(UsageError):

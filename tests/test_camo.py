@@ -546,6 +546,55 @@ class TestVerifyMiter:
         result = verify_equivalence(c17, camo, bindings=cfg.bindings())
         assert result == EquivalenceResult(True, "exhaustive", 32, 32)
 
+    def test_merged_random_verify_draws_nothing(self, c17, monkeypatch):
+        rng = np.random.default_rng
+        draws = []
+
+        def spy(seed):
+            draws.append(seed)
+            return rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        camo, cfg = camouflage(c17, gates=["10", "16", "19", "23"])
+        for a, b, bindings in ((c17, c17, None), (c17, camo, cfg.bindings())):
+            result = verify_equivalence(a, b, bindings, mode="random", n_vectors=10**7)
+            assert result == EquivalenceResult(True, "random", 10**7, 10**7)
+        assert draws == []
+        # A verify that evaluates vectors and reports a counterexample reads
+        # both views of one draw.
+        result = verify_equivalence(
+            c17, camo, {**cfg.bindings(), "16": TruthTable2.AND}, mode="random", seed=4
+        )
+        assert not result.equivalent
+        assert draws == [4]
+
+    # Each case breaks every check listed after its expected error and passes
+    # those before it: the I/O signature, the exhaustive input limit,
+    # n_vectors, the mode, the random-cell ceiling, then an unbound CAMO gate.
+    @pytest.mark.parametrize("same_signature, kwargs, error, message", [
+        (False, {"mode": "exhaustive"}, SignatureMismatchError, "I/O signatures differ"),
+        (False, {"mode": "random", "n_vectors": 0}, SignatureMismatchError, "I/O signatures"),
+        (False, {"mode": "sat"}, SignatureMismatchError, "I/O signatures differ"),
+        (False, {"mode": "random", "n_vectors": 10**12}, SignatureMismatchError, "I/O"),
+        (True, {"mode": "exhaustive"}, UsageError, "exhaustive mode supports at most 24"),
+        (True, {"mode": "random", "n_vectors": 0}, UsageError, "n_vectors must be positive"),
+        (True, {"mode": "sat"}, UsageError, "unknown equivalence mode 'sat'"),
+        (True, {"mode": "random", "n_vectors": 10**12}, UsageError, "more than 268435456"),
+        (True, {"mode": "random", "n_vectors": 10}, UnprogrammedGateError, "'g'"),
+    ])
+    def test_error_order(self, monkeypatch, same_signature, kwargs, error, message):
+        def fail(seed):
+            raise AssertionError("drew random vectors")
+
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        inputs = [f"i{k}" for k in range(25)]
+        a = Netlist(inputs, ["g"], [Gate("g", "CAMO", ("i0", "i1"))])
+        b = a if same_signature else Netlist(inputs, ["i0"], [])
+        with pytest.raises(error) as exc:
+            verify_equivalence(a, b, **kwargs)
+        assert type(exc.value) is error
+        assert message in str(exc.value)
+
     def test_structural_matches_evaluate_nothing(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("evaluated a vector")

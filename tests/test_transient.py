@@ -5,8 +5,10 @@ from math import inf, nan
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import first_difference, reference_integrate
+from conftest import first_difference, reference_integrate, reference_margin_report
 from tvdcamo import _kernels, device, transient
 from tvdcamo.device import IsfetParams
 from tvdcamo.errors import SimulationError, UsageError
@@ -548,6 +550,126 @@ class TestChunkedSimulate:
             with pytest.raises(SimulationError) as exc:
                 run()
             assert str(exc.value) == want
+
+
+def mirror(race):
+    """The race with the two branches' constants swapped."""
+    return race[:3] + race[5:7] + race[3:5] + race[7:]
+
+
+@st.composite
+def kernel_calls(draw, bounded: bool):
+    """``(race, n_pre, n_total, start)`` for one ``_kernels.integrate`` call:
+    a ``random_race`` that passes ``_cannot_diverge`` exactly when
+    ``bounded``, and a start state at the rail, inside the band or at a
+    special value."""
+    race = random_race(draw(st.randoms(use_true_random=False)))
+    assume(transient._cannot_diverge(race) == bounded)
+    vdd = race[1]
+    node = st.one_of(
+        st.just(vdd),
+        st.floats(0.0, vdd),
+        st.sampled_from((0.0, -0.0, -0.05, 1e-17, 5e-324, nan, inf, -inf)),
+    )
+    n_pre = draw(st.integers(0, 2))
+    n_total = n_pre + draw(st.integers(1, 1500))
+    return race, n_pre, n_total, (draw(node), draw(node))
+
+
+class TestMirroredRaces:
+    """``margin_report`` integrates one race per program and takes the other
+    minterms from the mirror image: swapping the two branches' constants
+    swaps the waveforms bit for bit. Checked here on the kernel, on
+    ``_evaluate`` and on ``margin_report`` against the four-race
+    ``reference_margin_report``."""
+
+    @pytest.mark.parametrize("bounded", [True, False], ids=["bounded", "unbounded"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_kernel_swaps_the_arrays(self, bounded, data):
+        race, n_pre, n_total, start = data.draw(kernel_calls(bounded))
+        runs = []
+        for constants, state in ((race, start), (mirror(race), start[::-1])):
+            # -7.0 marks the samples the kernel leaves unwritten.
+            v_out = np.full(n_total + 1, -7.0)
+            v_bar = np.full(n_total + 1, -7.0)
+            v_out[n_pre], v_bar[n_pre] = state
+            bad = _kernels.integrate(v_out, v_bar, n_pre, n_total, *constants)
+            runs.append((bad, v_out, v_bar))
+        (bad, v_out, v_bar), (m_bad, m_out, m_bar) = runs
+        assert m_bad == bad
+        assert m_out.tobytes() == v_bar.tobytes()
+        assert m_bar.tobytes() == v_out.tobytes()
+
+    def assert_mirror_flips(self, race, cfg):
+        v_out, v_bar, output, resolve_time = transient._evaluate(race, cfg, waveform=True)
+        m_out, m_bar, m_output, m_time = transient._evaluate(mirror(race), cfg, waveform=True)
+        assert m_out.tobytes() == v_bar.tobytes()
+        assert m_bar.tobytes() == v_out.tobytes()
+        assert m_output == (None if output is None else 1 - output)
+        assert m_time == resolve_time
+        return output
+
+    def test_every_gate_char_race(self):
+        races = {}
+        for clock in GATE_CHAR_CLOCKS:
+            cfg = SimConfig(clock_freq=clock)
+            for f, pair, m in product(TruthTable2, GATE_CHAR_PAIRS, range(4)):
+                race = transient._race(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
+                races[race, cfg.n_steps] = cfg
+        assert len(races) == 66
+        outputs = {self.assert_mirror_flips(race, cfg) for (race, _), cfg in races.items()}
+        assert outputs == {0, 1, None}
+
+    @pytest.mark.parametrize("case", sorted(LATE_CASES))
+    def test_tail_across_chunk_boundaries(self, case):
+        cfg, output = LATE_CASES[case]
+        race = transient._race(XOR_PROGRAM, PARAMS, cfg, 0, 1)
+        assert self.assert_mirror_flips(race, cfg) == output
+
+    def test_margin_report_matches_reference(self):
+        # Every function at every gate-char clock and pH pair, the pair that
+        # never resolves at 2 GHz and the symmetric program among them.
+        outputs = set()
+        for clock in GATE_CHAR_CLOCKS:
+            cfg = SimConfig(clock_freq=clock)
+            for f in TruthTable2:
+                for pair in GATE_CHAR_PAIRS + ((5.0, 5.0),):
+                    program = program_for(f, *pair)
+                    rows = margin_report(program, PARAMS, cfg)
+                    assert rows == reference_margin_report(program, PARAMS, cfg)
+                    outputs.update(r["output"] for r in rows)
+        assert outputs == {0, 1, None}
+
+    @pytest.mark.parametrize("case", ["diverging", "fallback"])
+    def test_unbounded_configs_match_reference(self, case):
+        program, cfg, _, outcome = RESOLVE_CASES[case]
+        if outcome == "diverged":
+            with pytest.raises(SimulationError) as want:
+                reference_margin_report(program, PARAMS, cfg)
+            with pytest.raises(SimulationError) as got:
+                margin_report(program, PARAMS, cfg)
+            assert str(got.value) == str(want.value)
+        else:
+            assert margin_report(program, PARAMS, cfg) == reference_margin_report(
+                program, PARAMS, cfg
+            )
+
+    @pytest.mark.parametrize("pair", [(2.0, 10.0), (5.0, 5.0)], ids=["resolving", "symmetric"])
+    def test_one_race_per_program(self, monkeypatch, pair):
+        calls = []
+        evaluate = transient._evaluate
+
+        def spy(race, cfg, waveform):
+            calls.append(waveform)
+            return evaluate(race, cfg, waveform)
+
+        monkeypatch.setattr(transient, "_evaluate", spy)
+        cfg = SimConfig(clock_freq=1e9)
+        for f in TruthTable2:
+            del calls[:]
+            margin_report(program_for(f, *pair), PARAMS, cfg)
+            assert calls == [False]
 
 
 def savetxt_reference(trace: GateTrace) -> str:
