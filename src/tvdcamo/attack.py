@@ -215,6 +215,8 @@ def oracle_attack(
     Marginal mode evaluates all 16g single-gate candidates in one
     three-valued pass per query through the same gate engine. Pruning stops
     early once a single survivor remains (in marginal mode, one per gate).
+    An oracle whose input or output count differs from camo's is a
+    UsageError, in either mode, even when nothing is left to prune.
     """
     names = camo.camo_gates
     g = len(names)
@@ -225,8 +227,20 @@ def oracle_attack(
             f"marginal_fallback"
         )
 
+    # The strategy, then the oracle's shape, are checked before the survivor
+    # check, so that either error is reported even when there is nothing to
+    # prune.
+    source = _query_vectors(camo.inputs, strategy, n_queries, seed)
+    if len(camo.inputs) != len(oracle.inputs):
+        raise UsageError(
+            f"expected {len(oracle.inputs)} input bits, got {len(camo.inputs)}"
+        )
+    if len(camo.outputs) != len(oracle.outputs):
+        raise UsageError(
+            f"expected {len(camo.outputs)} output bits, got {len(oracle.outputs)}"
+        )
     if marginal_fallback and 16**g > joint_limit:
-        return _marginal_attack(camo, oracle, oracle_bindings, strategy, n_queries, seed)
+        return _marginal_attack(camo, oracle, oracle_bindings, source)
 
     # Lane L is the candidate whose gate j has function digit j of L in base
     # 16 (gate 0 most significant), so lanes run in the order of
@@ -258,16 +272,10 @@ def oracle_attack(
     cone_nets = {gate.name for gate in cone}
     feeds = {f for gate in cone for f in gate.fanin} - cone_nets
     q_rows = max(1, min(WORD_BITS, _CONE_WORDS // n_words))
-    # The vectors are drawn before the survivor check, so that a bad
-    # strategy is reported even when there is nothing to prune.
-    total, input_words, vector = _query_vectors(camo.inputs, strategy, n_queries, seed)
+    total, input_words, vector = source
     for first in range(0, total, WORD_BITS):
         if state.survivor_history[-1] <= 1:
             break
-        if len(camo.inputs) != len(oracle.inputs):
-            raise UsageError(
-                f"expected {len(oracle.inputs)} input bits, got {len(camo.inputs)}"
-            )
         width = min(WORD_BITS, total - first)
         words = [int(w[0]) for w in input_words(first // WORD_BITS, 1)]
         observed = eval_words(oracle, words, oracle_bindings)
@@ -352,7 +360,7 @@ class _Rails(NamedTuple):
 _MINTERM_ONES = tuple(sum(f.minterm(m) << f for f in TruthTable2) for m in range(4))
 
 
-def _marginal_attack(camo, oracle, oracle_bindings, strategy, n_queries, seed):
+def _marginal_attack(camo, oracle, oracle_bindings, source):
     # Lane 16j + c binds CAMO gate j to function c and leaves every other
     # CAMO gate unknown, so each gate's candidates are pruned on their own.
     names = camo.camo_gates
@@ -366,7 +374,7 @@ def _marginal_attack(camo, oracle, oracle_bindings, strategy, n_queries, seed):
         marginals={nm: set(TruthTable2) for nm in names},
         survivor_history=[16 ** len(names)],
     )
-    total, _, vector = _query_vectors(camo.inputs, strategy, n_queries, seed)
+    total, _, vector = source
     for vec in map(vector, range(total)):
         if all(count == 1 for count in counts):
             break

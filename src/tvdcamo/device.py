@@ -134,13 +134,10 @@ def iv_sweep(params: IsfetParams, v_gs_values, v_ds: float, ph_values) -> np.nda
 # built in memory at once.
 _CSV_BLOCK_ROWS = 4096
 
-# Characters of one "%.6e" cell and its delimiter: sign, d.dddddd, "e",
-# exponent sign, two or three exponent digits, then "," or newline.
-_CELL_WIDTH = 15
-# Character rows of a cell with no sign and a 2-digit exponent: 12
-# characters and the delimiter, one fixed-width cell.
-_FIXED_ROWS = np.r_[1:11, 12:_CELL_WIDTH]
-_FIXED_CELL = np.dtype((np.void, len(_FIXED_ROWS)))
+# Characters of one fixed-width "%.6e" cell and its delimiter: d.dddddd,
+# "e", exponent sign, two exponent digits, then "," or newline.
+_CELL_WIDTH = 13
+_FIXED_CELL = np.dtype((np.void, _CELL_WIDTH))
 # 10**k for k in [-_POW10_SPAN, _POW10_SPAN], each correctly rounded, as
 # Python's float() of a decimal string is.
 _POW10_SPAN = 308
@@ -158,19 +155,20 @@ def _digits(x: np.ndarray):
     """``(buf, slow)``: the ``"%.6e"`` characters of the 1-D array ``x``.
 
     ``buf`` is column-major, ``(_CELL_WIDTH, x.size)`` uint8: ``buf[k]`` is
-    character k of every cell, 0 where a cell has none (no sign, a 2-digit
-    exponent) and in the delimiter row, which the caller fills. ``slow``
-    holds the indices of the cells whose characters must come from "%".
+    character k of every fixed-width cell; the last row, the delimiter, is left for the
+    caller. ``slow`` holds the indices of the cells whose characters must
+    come from "%"; their columns of ``buf`` are meaningless.
 
     The exponent of |x| comes from floor(log10|x|) and the 7-digit mantissa
     from rint(|x| * 10**(6 - e)). The product is off by a few ulps at most,
     so a mantissa is exact unless the scaled value lies near a .5 tie. The
     exponent is corrected once when the mantissa leaves [10**6, 10**7).
-    A cell falls back to Python's "%" when it is non-finite, when its
-    nonzero magnitude lies outside [1e-300, 1e300), when its scaled value
-    is within _TIE_WINDOW of a tie at either exponent tried, or when the
-    corrected mantissa still leaves [10**6, 10**7). Zero, of either sign,
-    is exact in the fast path.
+    A cell falls back to Python's "%" when it has a sign (negative or -0.0),
+    when it is non-finite, when its nonzero magnitude lies outside
+    [1e-300, 1e300), when its scaled value is within _TIE_WINDOW of a tie
+    at either exponent tried, when the corrected mantissa still leaves
+    [10**6, 10**7), or when its exponent has three digits. 0.0 is exact in
+    the fast path.
     """
     mag = np.abs(x)
     zero = mag == 0.0
@@ -186,44 +184,32 @@ def _digits(x: np.ndarray):
     scaled = mag[redo] * _POW10[_POW10_SPAN + 6 - e[redo]]
     mant[redo] = np.rint(scaled)
     tie[redo] |= np.abs(scaled - mant[redo]) > 0.5 - _TIE_WINDOW
-    fast &= ~tie & (mant >= 1e6) & (mant < 1e7)
+    fast &= ~tie & (mant >= 1e6) & (mant < 1e7) & (np.abs(e) < 100)
     fast |= zero
+    fast &= ~np.signbit(x)
     # A zero cell was scaled as 1.0, so its exponent is already 0.
     m = np.where(zero, 0, mant).astype(np.int32)
 
-    buf = np.zeros((_CELL_WIDTH, x.size), dtype=np.uint8)
-    buf[0] = np.where(np.signbit(x), ord("-"), 0)
-    for k in range(8, 2, -1):
+    buf = np.empty((_CELL_WIDTH, x.size), dtype=np.uint8)
+    for k in range(7, 1, -1):
         q = m // 10
         buf[k] = m - 10 * q + _DIGIT_0
         m = q
-    buf[1] = m + _DIGIT_0
-    buf[2] = ord(".")
-    buf[9] = ord("e")
-    buf[10] = np.where(e < 0, ord("-"), ord("+"))
+    buf[0] = m + _DIGIT_0
+    buf[1] = ord(".")
+    buf[8] = ord("e")
+    buf[9] = np.where(e < 0, ord("-"), ord("+"))
     e = np.abs(e)
-    buf[11] = np.where(e >= 100, e // 100 + _DIGIT_0, 0)
-    buf[12] = e // 10 % 10 + _DIGIT_0
-    buf[13] = e % 10 + _DIGIT_0
+    buf[10] = e // 10 + _DIGIT_0
+    buf[11] = e % 10 + _DIGIT_0
     return buf, np.flatnonzero(~fast)
 
 
-def _format_block(block: np.ndarray) -> str:
-    """The rows of ``block`` as ``"%.6e"`` cells joined by "," and newline.
-
-    Cells of any width: the "%" fallback fills the slow cells of _digits,
-    and the zero characters are compacted away.
-    """
-    buf, slow = _digits(block.reshape(-1))
-    delim = buf[_CELL_WIDTH - 1].reshape(block.shape)
-    delim[:, :-1] = ord(",")
-    delim[:, -1] = ord("\n")
-    buf[: _CELL_WIDTH - 1, slow] = 0
-    for j in slow.tolist():
-        cell = ("%.6e" % block.flat[j]).encode("ascii")
-        buf[: len(cell), j] = np.frombuffer(cell, dtype=np.uint8)
-    buf = buf.T
-    return buf[buf != 0].tobytes().decode("ascii")
+def _format_rows(block: np.ndarray) -> str:
+    """The rows of ``block`` as np.savetxt writes them with ``fmt="%.6e"``
+    and ``delimiter=","``: one "%" call per row."""
+    row = ",".join(["%.6e"] * block.shape[1]) + "\n"
+    return "".join(row % tuple(values) for values in block.tolist())
 
 
 def _fill_fixed(out: np.ndarray, columns: np.ndarray) -> bool:
@@ -246,15 +232,12 @@ def _fill_fixed(out: np.ndarray, columns: np.ndarray) -> bool:
     buf, slow = _digits(values)
     for j in slow.tolist():
         cell = ("%.6e" % values[j]).encode("ascii")
-        if len(cell) != _FIXED_CELL.itemsize - 1:
+        if len(cell) != _CELL_WIDTH - 1:
             return False
-        buf[:, j] = 0
-        buf[_FIXED_ROWS[:-1], j] = np.frombuffer(cell, dtype=np.uint8)
-    if buf[0].any() or buf[11].any():
-        return False
-    buf[_CELL_WIDTH - 1] = ord(",")
-    buf[_CELL_WIDTH - 1, np.searchsorted(starts, (width - 1) * rows) :] = ord("\n")
-    cells = np.ascontiguousarray(buf[_FIXED_ROWS].T).view(_FIXED_CELL)[:, 0]
+        buf[:-1, j] = np.frombuffer(cell, dtype=np.uint8)
+    buf[-1] = ord(",")
+    buf[-1, np.searchsorted(starts, (width - 1) * rows) :] = ord("\n")
+    cells = np.ascontiguousarray(buf.T).view(_FIXED_CELL)[:, 0]
     ends = np.empty_like(starts)
     ends[:-1] = starts[1:]
     ends[-1] = new_run.size
@@ -298,7 +281,8 @@ def _write_csv(fh, header: str, columns) -> None:
     assembled _CSV_BLOCK_ROWS at a time as fixed-width cells (see
     _fill_fixed), the first column's taken from a cache when it matches a
     column written before. A block with a cell that is not 12 characters
-    goes through _format_block instead.
+    (negative, -0.0, a 3-digit exponent, nan or inf) is written row by row
+    through "%" instead (_format_rows).
     """
     fh.write(header + "\n")
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
@@ -326,7 +310,7 @@ def _write_csv(fh, header: str, columns) -> None:
             fh.write(rows.tobytes().decode("ascii"))
         else:
             filling = None
-            fh.write(_format_block(np.column_stack([c[start:stop] for c in columns])))
+            fh.write(_format_rows(np.column_stack([c[start:stop] for c in columns])))
     if filling is not None:
         _cache_first_column(columns[0], filling)
 

@@ -1,10 +1,24 @@
 import random
 import re
+import warnings
 from pathlib import Path
 
 import pytest
 
 import numpy as np
+
+# When a hypothesis test fails, hypothesis's pytest plugin imports this
+# module to suggest a patch. The import warns (libcst reads the deprecated
+# mypy_extensions.TypedDict), and under the every-warning-is-an-error filter
+# below the warning would end the session with INTERNALERROR instead of
+# reporting the failure. Importing it here first, with warnings off for the
+# import only, leaves that filter as it is.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from tvdcamo._kernels import GUARD_V
 from tvdcamo.attack import CandidateState, _inconsistent_oracle

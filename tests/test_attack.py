@@ -377,6 +377,54 @@ class TestJointModeErrors:
         assert got == ("returned", [], [1], [()], {})
 
 
+class TestOracleShape:
+    """An oracle with other input or output counts is rejected once, before
+    any query, in joint and in marginal mode and with no CAMO gate."""
+
+    MODES = ({}, {"joint_limit": 0, "marginal_fallback": True})
+
+    @pytest.fixture
+    def oracles(self, c17):
+        wider = Netlist(
+            c17.inputs + ("extra",),
+            c17.outputs,
+            list(c17.gates) + [Gate("x", "NOT", ("extra",))],
+        )
+        # c17 without OUTPUT(23).
+        short = Netlist(c17.inputs, c17.outputs[:1], c17.gates)
+        return [
+            (wider, "expected 6 input bits, got 5"),
+            (short, "expected 2 output bits, got 1"),
+        ]
+
+    @pytest.mark.parametrize("kwargs", MODES, ids=["joint", "marginal"])
+    def test_camouflaged_netlist(self, c17, oracles, kwargs):
+        camo, cfg = camo_c17(c17, ["19"])
+        for oracle, message in oracles:
+            for queries in ({}, {"strategy": "random", "n_queries": 0}):
+                with pytest.raises(UsageError) as exc:
+                    oracle_attack(camo, oracle, **queries, **kwargs)
+                assert str(exc.value) == message
+        # The matching oracle still prunes gate 19 down to its function.
+        state = oracle_attack(camo, c17, **kwargs)
+        assert state.marginals == {"19": {cfg.bindings()["19"]}}
+
+    @pytest.mark.parametrize("kwargs", MODES, ids=["joint", "marginal"])
+    def test_no_camo_gate(self, c17, oracles, kwargs):
+        for oracle, message in oracles:
+            with pytest.raises(UsageError) as exc:
+                oracle_attack(c17, oracle, **kwargs)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kwargs", MODES, ids=["joint", "marginal"])
+    def test_strategy_checked_first(self, c17, oracles, kwargs):
+        camo, _ = camo_c17(c17, ["19"])
+        for oracle, _ in oracles:
+            for net in (camo, c17):
+                with pytest.raises(UsageError, match="unknown query strategy 'dfs'"):
+                    oracle_attack(net, oracle, strategy="dfs", **kwargs)
+
+
 class TestMarginalFallback:
     def test_runs_beyond_joint_limit_and_stays_sound(self, c17):
         camo, cfg = camouflage(c17, fraction=1.0, seed=0)

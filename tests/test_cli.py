@@ -1,12 +1,15 @@
+import io
 import json
 from itertools import product
 
+import numpy as np
 import pytest
 
-from conftest import naive_eval
+from conftest import first_difference, naive_eval
 from tvdcamo.bench import parse_bench
 from tvdcamo.camo import CamoConfig
 from tvdcamo.cli import main
+from tvdcamo.device import IsfetParams, iv_sweep
 from tvdcamo.gates import TruthTable2, assignment_for
 
 
@@ -120,6 +123,19 @@ class TestSweepCommand:
         assert lines[0] == "v_gs,ph,i_ds"
         assert lines[1] == "1.800000e+00,2.000000e+00,1.450000e-05"
         assert lines[2] == "1.800000e+00,1.000000e+01,9.780000e-06"
+
+    def test_signed_sweep_matches_savetxt(self, tmp_path, capsys):
+        # 8002 rows: 4000 start with a negative v_gs, so the first 4096-row
+        # block is written row by row through "%"; the second is fixed-width.
+        argv = ["sweep", "--vgs-start", "-1.8", "--vgs-stop", "1.8", "--vgs-steps", "4001"]
+        code, _, _ = run(argv + ["-o", str(tmp_path)], capsys)
+        assert code == 0
+        table = iv_sweep(IsfetParams(), np.linspace(-1.8, 1.8, 4001), 0.1, [2.0, 10.0])
+        want = io.StringIO()
+        np.savetxt(want, table, fmt="%.6e", delimiter=",", header="v_gs,ph,i_ds", comments="")
+        got = (tmp_path / "sweep.csv").read_text()
+        assert first_difference(got, want.getvalue()) is None
+        assert got.count("\n-") == 4000
 
     def test_out_of_range_ph_is_domain_error(self, tmp_path, capsys):
         code, _, err = run(

@@ -239,7 +239,7 @@ class TestIvSweep:
         # A block of positive cells with 2-digit exponents is written in the
         # fixed-width layout, and so is one whose "%" fallback cell (a tie
         # neighbour) prints 12 characters. One cell that is negative, -0.0,
-        # has a 3-digit exponent or prints as nan sends it to the compaction.
+        # has a 3-digit exponent or prints as nan sends it to "%" row by row.
         fixed = 10 ** np.random.default_rng(9).uniform(-99, 99, (device._CSV_BLOCK_ROWS, 3))
         tie = fixed.copy()
         tie[1, 1] = np.nextafter(1.0000005, np.inf)
@@ -249,15 +249,20 @@ class TestIvSweep:
             variants[-1][1, 1] = cell
         for block in [fixed, tie] + variants:
             assert savetxt_mismatch(block) is None
-        # Swapping two mantissa digit rows of the fixed-width layout changes
+        # Swapping two mantissa digit rows of the fixed-width cells changes
         # the text of the fixed-width blocks only.
-        rows = device._FIXED_ROWS
-        monkeypatch.setattr(device, "_FIXED_ROWS", rows[[0, 1, 3, 2, *range(4, len(rows))]])
+        digits = device._digits
+
+        def swapped(x):
+            buf, slow = digits(x)
+            return buf[[0, 1, 3, 2, *range(4, len(buf))]], slow
+
+        monkeypatch.setattr(device, "_digits", swapped)
         for block in (fixed, tie):
             assert csv_text(block) != savetxt_reference(block)
         for block in variants:
             assert savetxt_mismatch(block) is None
-        monkeypatch.setattr(device, "_FIXED_ROWS", rows)
+        monkeypatch.setattr(device, "_digits", digits)
 
         # Every nonzero cell through the per-value fallback.
         monkeypatch.setattr(device, "_first_column_cache", [])

@@ -709,23 +709,23 @@ def runs(*pairs) -> np.ndarray:
 
 
 @pytest.fixture
-def compacted(monkeypatch):
-    """Every block the CSV writer hands to the compaction, with an empty
-    first-column cache."""
+def fallback_blocks(monkeypatch):
+    """Every block the CSV writer formats row by row through "%", with an
+    empty first-column cache."""
     blocks = []
-    format_block = device._format_block
+    format_rows = device._format_rows
 
     def spy(block):
         blocks.append(block.copy())
-        return format_block(block)
+        return format_rows(block)
 
-    monkeypatch.setattr(device, "_format_block", spy)
+    monkeypatch.setattr(device, "_format_rows", spy)
     monkeypatch.setattr(device, "_first_column_cache", [])
     return blocks
 
 
 class TestTraceCsv:
-    def test_gate_char_matrix_matches_savetxt(self, compacted):
+    def test_gate_char_matrix_matches_savetxt(self, fallback_blocks):
         # Every 1 and 2 GHz waveform of the benchmark's gate-char matrix: 16
         # functions x 11 pH pairs x 4 minterms make 22 distinct races a clock.
         for clock in GATE_CHAR_CLOCKS[1:]:
@@ -740,8 +740,8 @@ class TestTraceCsv:
                 # 2/2.5 never resolves at 2 GHz; every other race does.
                 assert trace.is_resolved == (clock != 2e9 or pair != GATE_CHAR_PAIRS[-1])
                 assert savetxt_mismatch(trace) is None, (clock, f, pair, m)
-        # Their cells are 12 characters, near-ties included: no compaction.
-        assert compacted == []
+        # Their cells are 12 characters, near-ties included: no fallback block.
+        assert fallback_blocks == []
 
     @pytest.mark.parametrize("m", range(4))
     def test_gate_char_20mhz_trace_matches_savetxt(self, m):
@@ -750,7 +750,7 @@ class TestTraceCsv:
         assert trace.resolved_output == TruthTable2(m + 6).minterm(m)
         assert savetxt_mismatch(trace) is None
 
-    def test_runs_across_block_boundaries(self, compacted):
+    def test_runs_across_block_boundaries(self, fallback_blocks):
         block = device._CSV_BLOCK_ROWS
         n = 3 * block + 5
         trace = trace_of(
@@ -760,9 +760,9 @@ class TestTraceCsv:
             np.tile([0.0, 1.8], n)[:n],
         )
         assert savetxt_mismatch(trace) is None
-        assert compacted == []
+        assert fallback_blocks == []
 
-    def test_signed_zero_runs(self, compacted):
+    def test_signed_zero_runs(self, fallback_blocks):
         block = device._CSV_BLOCK_ROWS
         n = 3 * block
         v_out = runs((0.0, 5000), (-0.0, 1000), (0.0, n - 6000))
@@ -770,17 +770,33 @@ class TestTraceCsv:
         text = csv_text(trace)
         assert first_difference(text, savetxt_reference(trace)) is None
         assert text.count(",-0.000000e+00,") == 2000
-        # Only the blocks that hold a -0.0 are compacted: rows 4096-8191.
-        assert [len(b) for b in compacted] == [block]
-        assert np.signbit(compacted[0][:, 1]).sum() == 1000
-        # A compacted block leaves the t column uncached, so a trace with
+        # Only the block that holds a -0.0 falls back: rows 4096-8191.
+        assert [len(b) for b in fallback_blocks] == [block]
+        assert np.signbit(fallback_blocks[0][:, 1]).sum() == 1000
+        # A fallback block leaves the t column uncached, so a trace with
         # the same t and no -0.0 formats it afresh.
         assert device._first_column_cache == []
         clean = trace_of(np.full(n, 0.5), np.full(n, 0.25), np.zeros(n), np.full(n, 1.8))
         assert savetxt_mismatch(clean) is None
         assert len(device._first_column_cache) == 1
 
-    def test_nan_runs_with_two_payloads(self, compacted):
+    def test_fallback_block_writes_the_cached_first_column(self, fallback_blocks):
+        block = device._CSV_BLOCK_ROWS
+        n = 2 * block + 7
+        clean = trace_of(np.full(n, 0.5), np.full(n, 0.25), np.zeros(n), np.full(n, 1.8))
+        assert savetxt_mismatch(clean) is None
+        [(stored, _)] = device._first_column_cache
+        # Same t, so its cells come from the cache; the -1.5 in rows
+        # 4096-4105 sends the second block to "%" row by row, t included.
+        v_out = runs((0.5, block), (-1.5, 10), (0.5, n - block - 10))
+        signed = trace_of(v_out, np.full(n, 0.25), np.zeros(n), np.full(n, 1.8))
+        assert savetxt_mismatch(signed) is None
+        assert [len(b) for b in fallback_blocks] == [block]
+        assert np.array_equal(fallback_blocks[0][:, 0], signed.t[block : 2 * block])
+        assert len(device._first_column_cache) == 1
+        assert device._first_column_cache[0][0] is stored
+
+    def test_nan_runs_with_two_payloads(self, fallback_blocks):
         nan_a, nan_b, nan_neg = np.array(
             [0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000], dtype=np.uint64
         ).view(np.float64)
@@ -788,9 +804,9 @@ class TestTraceCsv:
         v_out = runs((0.5, 1000), (nan_a, 3000), (nan_b, 3000), (nan_neg, 50), (1.5, n - 7050))
         trace = trace_of(v_out, np.full(n, 1.8), np.zeros(n), np.full(n, 1.8))
         assert savetxt_mismatch(trace) is None
-        assert len(compacted) == 2
+        assert len(fallback_blocks) == 2
 
-    def test_negative_and_3_digit_cells_inside_long_runs(self, compacted):
+    def test_negative_and_3_digit_cells_inside_long_runs(self, fallback_blocks):
         block = device._CSV_BLOCK_ROWS
         n = 4 * block
         v_out = runs((1.5, 5000), (-1.5, 100), (1.5, 4000), (1e-120, 100), (1.5, n - 9200))
@@ -798,9 +814,9 @@ class TestTraceCsv:
         trace = trace_of(v_out, v_out_bar, np.zeros(n), np.full(n, 1.8))
         assert savetxt_mismatch(trace) is None
         # Blocks 1, 2 and 3 hold the negative, the 1e-120 and the 2.5e150.
-        assert [len(b) for b in compacted] == [block] * 3
+        assert [len(b) for b in fallback_blocks] == [block] * 3
 
-    def test_first_column_cache_misses_on_another_dt(self, compacted):
+    def test_first_column_cache_misses_on_another_dt(self, fallback_blocks):
         fast = SimConfig(clock_freq=1e9)
         slow = SimConfig(clock_freq=5e8, dt=2e-12)
         assert fast.n_steps == slow.n_steps
@@ -809,7 +825,7 @@ class TestTraceCsv:
             assert savetxt_mismatch(trace) is None
         assert len(device._first_column_cache) == 2
 
-    def test_first_column_cache_copies_the_column(self, compacted):
+    def test_first_column_cache_copies_the_column(self, fallback_blocks):
         trace = simulate(XOR_PROGRAM, PARAMS, SimConfig(clock_freq=1e9), 1, 1)
         assert savetxt_mismatch(trace) is None
         trace.t[1:] *= 3
@@ -818,7 +834,7 @@ class TestTraceCsv:
         assert savetxt_mismatch(trace) is None
         assert len(device._first_column_cache) == 3
 
-    def test_first_column_cache_stays_at_its_bound(self, compacted, monkeypatch):
+    def test_first_column_cache_stays_at_its_bound(self, fallback_blocks, monkeypatch):
         clocks = (1e9, 1.25e9, 2e9, 2.5e9, 4e9, 5e9)
         assert len(clocks) > device._FIRST_COLUMN_ENTRIES
         for i, clock in enumerate(clocks):
