@@ -39,8 +39,9 @@ def integrate(
 
     Both nodes must stay treated alike: swapping the start states and the
     branches' ``(k, vth)`` swaps the two arrays bit for bit and keeps the
-    return value. ``transient.margin_report`` relies on this to integrate
-    one race per program.
+    return value. ``transient.simulate`` and ``transient.margin_report``
+    rely on this to integrate one race per pH pair, as
+    ``gates.evaluate_static`` compares one pair of branch currents.
     """
     # Continue from the state stored at sample n_pre. Python floats: the loop
     # runs 2.4x slower on numpy scalars.

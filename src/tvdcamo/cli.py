@@ -127,7 +127,9 @@ def _cmd_sweep(args, outdir: Path) -> tuple[list, list]:
     if args.vgs_steps == 1:
         grid = np.array([args.vgs_start])
     else:
-        grid = np.linspace(args.vgs_start, args.vgs_stop, args.vgs_steps)
+        # A span near the float limit can overflow; iv_sweep rejects inf and nan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.linspace(args.vgs_start, args.vgs_stop, args.vgs_steps)
     table = iv_sweep(params, grid, args.vds, phs)
     csv_path = _out_path(outdir, "sweep.csv")
     with open(csv_path, "w") as fh:

@@ -118,13 +118,15 @@ def iv_sweep(params: IsfetParams, v_gs_values, v_ds: float, ph_values) -> np.nda
     for p in phs:
         _check_ph(p)
 
-    # The operations of ids(), in its order, so every row is bit-identical.
+    # The operations of ids(), in its order, so every row is bit-identical;
+    # like its Python floats, they overflow to inf or nan without a warning.
     ph = np.array(phs)
-    vth = params.vth0 + params.sensitivity * (ph - params.ph_ref)
     v_gs = np.repeat(grid, len(phs))
-    v_ov = v_gs - np.tile(vth, len(grid))
-    triode = params.k_gain * (v_ov * v_ds - 0.5 * v_ds * v_ds)
-    saturation = 0.5 * params.k_gain * v_ov * v_ov
+    with np.errstate(over="ignore", invalid="ignore"):
+        vth = params.vth0 + params.sensitivity * (ph - params.ph_ref)
+        v_ov = v_gs - np.tile(vth, len(grid))
+        triode = params.k_gain * (v_ov * v_ds - 0.5 * v_ds * v_ds)
+        saturation = 0.5 * params.k_gain * v_ov * v_ov
     i_ds = np.where(v_ov <= 0.0, 0.0, np.where(v_ds < v_ov, triode, saturation))
     return np.column_stack([v_gs, np.tile(ph, len(grid)), i_ds])
 

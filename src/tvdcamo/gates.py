@@ -152,30 +152,23 @@ def branch_current(params: IsfetParams, ph: float, v_ds: float) -> float:
     return ids(series, BiasPoint(v_gs=params.vdd, v_ds=v_ds, ph=ph))
 
 
-def minterm_branch_phs(program: GatePhProgram, m: int) -> tuple[float, float]:
-    """Solution pH on the (V_OUT side, V̄_OUT side) branches for minterm m."""
-    if program.assignment[m]:
-        return program.ph_low, program.ph_high
-    return program.ph_high, program.ph_low
-
-
 def evaluate_static(
     program: GatePhProgram, params: IsfetParams, a: int, b: int
 ) -> int:
     """Winner-take-all output bit from the branch currents at evaluation onset.
 
     Returns 1 iff the V_OUT-side branch draws strictly more current than its
-    mirror (so V_OUT discharges first). Raises UnresolvableGateError when the
-    two currents are exactly equal, which is what an unprogrammed or
-    degenerate gate looks like.
+    mirror (so V_OUT discharges first): the ``ph_low`` branch sits on the
+    V_OUT side of minterm m exactly when ``program.assignment[m]`` is set.
+    Raises UnresolvableGateError when the two currents are exactly equal,
+    which is what an unprogrammed or degenerate gate looks like.
     """
     m = minterm_index(a, b)
-    ph_out, ph_bar = minterm_branch_phs(program, m)
-    i_out = branch_current(params, ph_out, params.vdd)
-    i_bar = branch_current(params, ph_bar, params.vdd)
-    if i_out == i_bar:
+    i_low = branch_current(params, program.ph_low, params.vdd)
+    i_high = branch_current(params, program.ph_high, params.vdd)
+    if i_low == i_high:
         raise UnresolvableGateError(
-            f"unresolvable gate: branch currents are equal ({i_out:.6e} A) "
+            f"unresolvable gate: branch currents are equal ({i_low:.6e} A) "
             f"for pH pair ({program.ph_low}, {program.ph_high})"
         )
-    return int(i_out > i_bar)
+    return int((i_low > i_high) == program.assignment[m])

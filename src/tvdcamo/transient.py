@@ -13,13 +13,7 @@ import numpy as np
 from . import _kernels
 from .device import IsfetParams, _check_positive, _write_csv, vth_from_ph
 from .errors import SimulationError, UsageError
-from .gates import (
-    SERIES_K_FACTOR,
-    GatePhProgram,
-    branch_current,
-    minterm_branch_phs,
-    minterm_index,
-)
+from .gates import SERIES_K_FACTOR, GatePhProgram, branch_current, minterm_index
 
 
 # Most Euler steps one simulated clock period may take: 10**7 steps are
@@ -110,27 +104,37 @@ class GateTrace:
         return "unresolved" if self.resolved_output is None else str(self.resolved_output)
 
 
-def _race(program: GatePhProgram, params: IsfetParams, cfg: SimConfig, a: int, b: int):
-    """Circuit constants of one input pair: ``_kernels.integrate``'s
-    arguments after ``n_total``."""
+def _race(program: GatePhProgram, params: IsfetParams, cfg: SimConfig):
+    """The program's race, ``_kernels.integrate``'s arguments after
+    ``n_total``, with the ``ph_low`` branch on the V_OUT side.
+
+    Minterm m runs this race when ``program.assignment[m]`` is set, else its
+    mirror image, the two branches swapped. The kernel treats both nodes
+    alike, so the mirror swaps the two waveforms bit for bit and keeps the
+    resolve time; a resolved sample has a nonzero differential, so the
+    output flips.
+    """
     if cfg.vdd != params.vdd:
         raise UsageError(
             f"config vdd ({cfg.vdd!r}) differs from device vdd ({params.vdd!r})"
         )
-    m = minterm_index(a, b)
-    ph_out, ph_bar = minterm_branch_phs(program, m)
     k_eff = params.k_gain * SERIES_K_FACTOR
     return (
         cfg.dt,
         cfg.vdd,
         cfg.c_node,
         k_eff,
-        vth_from_ph(params, ph_out),
+        vth_from_ph(params, program.ph_low),
         k_eff,
-        vth_from_ph(params, ph_bar),
+        vth_from_ph(params, program.ph_high),
         params.k_gain,
         cfg.pmos_vth,
     )
+
+
+def _minterm_output(output, lvt_on_out_side: bool):
+    """A minterm's output when its program's race resolved to ``output``."""
+    return output if output is None or lvt_on_out_side else 1 - output
 
 
 def _integrate(v_out, v_bar, start: int, stop: int, race) -> None:
@@ -170,10 +174,14 @@ def simulate(
     The discharge of V_OUT maps to output 1. The winner is declared at the
     first sample where the differential exceeds ``resolve_margin`` and the
     losing node sits below the inverter trip point; if that never happens the
-    trace comes back unresolved.
+    trace comes back unresolved. A minterm that runs the mirror of ``_race``
+    gets the two node waveforms swapped and the output flipped.
     """
-    race = _race(program, params, cfg, a, b)
-    v_out, v_bar, resolved_output, resolve_time = _evaluate(race, cfg, waveform=True)
+    race = _race(program, params, cfg)
+    lvt_on_out_side = program.assignment[minterm_index(a, b)]
+    v_out, v_bar, output, resolve_time = _evaluate(race, cfg, waveform=True)
+    if not lvt_on_out_side:
+        v_out, v_bar = v_bar, v_out
     trip = cfg.trip_voltage
     return GateTrace(
         t=np.arange(len(v_out), dtype=np.float64) * cfg.dt,
@@ -181,7 +189,7 @@ def simulate(
         v_out_bar=v_bar,
         out=np.where(v_out < trip, cfg.vdd, 0.0),
         out_bar=np.where(v_bar < trip, cfg.vdd, 0.0),
-        resolved_output=resolved_output,
+        resolved_output=_minterm_output(output, lvt_on_out_side),
         resolve_time=resolve_time,
         eval_start_index=cfg.n_steps // 2,
     )
@@ -201,11 +209,10 @@ def _cannot_diverge(race) -> bool:
     the band, so stopping early cannot hide a later ``SimulationError``.
     """
     dt, vdd, c_node, k_out, vth_out, k_bar, vth_bar, k_pmos, vth_pmos = race
-    i_max = max(
-        0.5 * k_out * max(vdd - vth_out, 0.0) ** 2,
-        0.5 * k_bar * max(vdd - vth_bar, 0.0) ** 2,
-        0.5 * k_pmos * max(vdd - vth_pmos, 0.0) ** 2,
-    )
+    # Squares as products: a float power raises OverflowError where a
+    # product gives inf, which fails the test below.
+    ovs = [max(vdd - vth, 0.0) for vth in (vth_out, vth_bar, vth_pmos)]
+    i_max = max(0.5 * k * (ov * ov) for k, ov in zip((k_out, k_bar, k_pmos), ovs))
     return i_max * dt / c_node <= 0.5 * _kernels.GUARD_V
 
 
@@ -253,30 +260,25 @@ def margin_report(program: GatePhProgram, params: IsfetParams, cfg: SimConfig) -
     branch at full gate drive and v_ds = ``_PROBE_V_DS``. Outputs and resolve
     times equal those of ``simulate``.
 
-    Only minterm 0's race is integrated. Every other minterm's race is the
-    same one or its mirror image, with the two branches' constants swapped:
-    the kernel treats both nodes alike, so a mirrored race yields the two
-    waveforms swapped bit for bit, the same resolve time and, since a
-    resolved sample has a nonzero differential, the opposite output.
+    Integrates the program's race (``_race``) once, up to its resolving sample.
     """
     i_lvt = branch_current(params, program.ph_low, _PROBE_V_DS)
     i_hvt = branch_current(params, program.ph_high, _PROBE_V_DS)
     ratio = float("inf") if i_hvt == 0.0 else i_lvt / i_hvt
-    race = _race(program, params, cfg, 0, 0)
+    race = _race(program, params, cfg)
     _, _, output, resolve_time = _evaluate(race, cfg, waveform=False)
-    mirrored = None if output is None else 1 - output
     rows = []
     for a in (0, 1):
         for b in (0, 1):
-            same = _race(program, params, cfg, a, b) == race
+            m = minterm_index(a, b)
             rows.append(
                 {
-                    "minterm": minterm_index(a, b),
+                    "minterm": m,
                     "a": a,
                     "b": b,
                     "current_ratio": ratio,
                     "resolve_time": resolve_time,
-                    "output": output if same else mirrored,
+                    "output": _minterm_output(output, program.assignment[m]),
                 }
             )
     return rows

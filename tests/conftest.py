@@ -36,9 +36,16 @@ from tvdcamo.bench import (
     parse_bench,
     unpack_words,
 )
-from tvdcamo.errors import BenchParseError, CycleError, DomainError, UsageError
-from tvdcamo.gates import TruthTable2, branch_current, minterm_index
-from tvdcamo.transient import _PROBE_V_DS, _evaluate, _race
+from tvdcamo.device import vth_from_ph
+from tvdcamo.errors import (
+    BenchParseError,
+    CycleError,
+    DomainError,
+    UnresolvableGateError,
+    UsageError,
+)
+from tvdcamo.gates import SERIES_K_FACTOR, TruthTable2, branch_current, minterm_index
+from tvdcamo.transient import _PROBE_V_DS, GateTrace, _evaluate
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -549,6 +556,77 @@ def reference_integrate(
     return -1
 
 
+# The pH pairs of perfbench's gate-char workload: the ten pairs that resolve
+# at every clock, then the pair that never resolves at 2 GHz; and its clocks.
+GATE_CHAR_PAIRS = (
+    (2.0, 10.0), (3.0, 9.0), (2.0, 8.0), (4.0, 11.0), (1.0, 7.0),
+    (5.0, 12.0), (2.0, 6.0), (6.0, 13.0), (2.0, 4.0), (3.0, 5.0), (2.0, 2.5),
+)
+GATE_CHAR_CLOCKS = (2e7, 1e9, 2e9)
+
+
+# Each minterm's own race, built from the pH on each side of its branch pair,
+# as the library did before every minterm ran its program's one race or that
+# race's mirror. Kept as the reference for the mirror's differential tests.
+def reference_branch_phs(program, m: int) -> tuple[float, float]:
+    """Solution pH on the (V_OUT side, V̄_OUT side) branches for minterm m."""
+    if program.assignment[m]:
+        return program.ph_low, program.ph_high
+    return program.ph_high, program.ph_low
+
+
+def reference_race(program, params, cfg, a: int, b: int):
+    """Circuit constants of one input pair: ``_kernels.integrate``'s
+    arguments after ``n_total``."""
+    if cfg.vdd != params.vdd:
+        raise UsageError(
+            f"config vdd ({cfg.vdd!r}) differs from device vdd ({params.vdd!r})"
+        )
+    ph_out, ph_bar = reference_branch_phs(program, minterm_index(a, b))
+    k_eff = params.k_gain * SERIES_K_FACTOR
+    return (
+        cfg.dt,
+        cfg.vdd,
+        cfg.c_node,
+        k_eff,
+        vth_from_ph(params, ph_out),
+        k_eff,
+        vth_from_ph(params, ph_bar),
+        params.k_gain,
+        cfg.pmos_vth,
+    )
+
+
+def reference_simulate(program, params, cfg, a: int, b: int) -> GateTrace:
+    """``simulate`` on the minterm's own race."""
+    race = reference_race(program, params, cfg, a, b)
+    v_out, v_bar, output, resolve_time = _evaluate(race, cfg, waveform=True)
+    trip = cfg.trip_voltage
+    return GateTrace(
+        t=np.arange(len(v_out), dtype=np.float64) * cfg.dt,
+        v_out=v_out,
+        v_out_bar=v_bar,
+        out=np.where(v_out < trip, cfg.vdd, 0.0),
+        out_bar=np.where(v_bar < trip, cfg.vdd, 0.0),
+        resolved_output=output,
+        resolve_time=resolve_time,
+        eval_start_index=cfg.n_steps // 2,
+    )
+
+
+def reference_evaluate_static(program, params, a: int, b: int) -> int:
+    """``evaluate_static`` from the minterm's own pair of branch currents."""
+    ph_out, ph_bar = reference_branch_phs(program, minterm_index(a, b))
+    i_out = branch_current(params, ph_out, params.vdd)
+    i_bar = branch_current(params, ph_bar, params.vdd)
+    if i_out == i_bar:
+        raise UnresolvableGateError(
+            f"unresolvable gate: branch currents are equal ({i_out:.6e} A) "
+            f"for pH pair ({program.ph_low}, {program.ph_high})"
+        )
+    return int(i_out > i_bar)
+
+
 # margin_report before it integrated one race per program: four resolve-only
 # races, one per minterm, kept as the reference for its differential test.
 def reference_margin_report(program, params, cfg) -> list[dict]:
@@ -558,7 +636,7 @@ def reference_margin_report(program, params, cfg) -> list[dict]:
     rows = []
     for a in (0, 1):
         for b in (0, 1):
-            race = _race(program, params, cfg, a, b)
+            race = reference_race(program, params, cfg, a, b)
             _, _, output, resolve_time = _evaluate(race, cfg, waveform=False)
             rows.append(
                 {

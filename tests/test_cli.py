@@ -1,15 +1,21 @@
+import contextlib
 import io
 import json
+import tempfile
+import warnings
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import first_difference, naive_eval
 from tvdcamo.bench import parse_bench
 from tvdcamo.camo import CamoConfig
 from tvdcamo.cli import main
-from tvdcamo.device import IsfetParams, iv_sweep
+from tvdcamo.device import BiasPoint, IsfetParams, ids, iv_sweep
 from tvdcamo.gates import TruthTable2, assignment_for
 
 
@@ -90,6 +96,19 @@ class TestGateCommand:
         assert code == 0
         assert "unresolved" in out
 
+    @pytest.mark.parametrize("vdd", ["1e155", "1e300", "1.7e308"])
+    def test_huge_vdd_is_domain_error(self, tmp_path, capsys, vdd):
+        # The divergence bound squares the overdrive: it must give inf, not
+        # raise OverflowError, and the kernel then reports the divergence.
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            ["gate", "--func", "XOR", "--inputs", "01", "--vdd", vdd, "-o", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_unknown_function_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             ["gate", "--func", "XAND", "-o", str(tmp_path)], capsys
@@ -136,6 +155,21 @@ class TestSweepCommand:
         got = (tmp_path / "sweep.csv").read_text()
         assert first_difference(got, want.getvalue()) is None
         assert got.count("\n-") == 4000
+
+    def test_huge_vgs_matches_ids_without_warnings(self, tmp_path, capsys):
+        # The unused saturation branch overflows above v_gs ~ 1e154; the rows
+        # must still be ids() bit for bit, with no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["sweep", "--vgs-stop", "1e200", "-o", str(tmp_path)], capsys)
+        assert (code, err) == (0, "")
+        params = IsfetParams()
+        want = ["v_gs,ph,i_ds"] + [
+            f"{v_gs:.6e},{ph:.6e},{ids(params, BiasPoint(v_gs, 0.1, ph)):.6e}"
+            for v_gs in np.linspace(0.0, 1e200, 37).tolist()
+            for ph in (2.0, 10.0)
+        ]
+        assert (tmp_path / "sweep.csv").read_text().splitlines() == want
 
     def test_out_of_range_ph_is_domain_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -554,3 +588,117 @@ class TestExitCodes:
         assert main(["--version"]) == 0
         out = capsys.readouterr().out
         assert out.strip()
+
+
+# Flag values for TestEveryArgv: zeros, negatives, a subnormal, the largest
+# finite magnitudes, nan, infinities, any finite float, and values near the
+# defaults, which let a run get past the checks of its other flags.
+FLOATS = st.one_of(
+    st.sampled_from(
+        ("0", "-0", "1e-320", "-1e-320", "1.7e308", "-1.7e308", "nan", "inf", "-inf")
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.0, 16.0),
+).map(str)
+# Counts of rows, vectors or queries: small enough to run in milliseconds,
+# or past every ceiling so that they fail at once.
+COUNTS = st.one_of(st.integers(-3, 64), st.integers(2**28, 10**30)).map(str)
+
+
+def flags(draw, strategies: dict) -> list[str]:
+    """``--name=value`` for up to three of the flags; "=" keeps a negative
+    value from reading as an option."""
+    names = draw(st.lists(st.sampled_from(sorted(strategies)), unique=True, max_size=3))
+    return [f"--{name}={draw(strategies[name])}" for name in names]
+
+
+DEVICE_FLAGS = {name: FLOATS for name in ("k-gain", "vth0", "ph-ref", "sensitivity", "vdd")}
+
+
+@st.composite
+def argvs(draw):
+    """One argv of sweep, gate, camouflage, verify or attack; the netlist
+    commands run on c17 and the files of the ``c17_camo`` fixture."""
+    command = draw(st.sampled_from(("sweep", "gate", "camouflage", "verify", "attack")))
+    if command == "sweep":
+        numbers = st.lists(FLOATS, min_size=1, max_size=2).map(",".join)
+        return ["sweep"] + flags(draw, {
+            **DEVICE_FLAGS,
+            "vgs-start": FLOATS,
+            "vgs-stop": FLOATS,
+            "vgs-steps": COUNTS,
+            "vds": FLOATS,
+            "ph": numbers,
+        })
+    if command == "gate":
+        argv = ["gate", "--func=" + draw(st.sampled_from(("XOR", "AND", "0b1111")))]
+        argv.append("--inputs=" + draw(st.sampled_from(("01", "all"))))
+        if draw(st.booleans()):
+            argv.append("--margin-csv")
+        argv += flags(draw, {
+            **DEVICE_FLAGS,
+            "c-node": FLOATS,
+            "trip": FLOATS,
+            "resolve-margin": FLOATS,
+            "ph-low": FLOATS,
+            "ph-high": FLOATS,
+        })
+        # Only the runtime is bounded: a clock and step that would run a
+        # period of more than 10**4 steps get a step that runs at most that.
+        clock = draw(st.one_of(st.sampled_from(("1e9", "2e9")), FLOATS))
+        dt = draw(st.one_of(st.just("1e-12"), FLOATS))
+        period = 1.0 / float(clock) if float(clock) > 0 else 0.0
+        if 0.0 < float(dt) < period / 100 and 1e4 < period / float(dt) <= 1e7 + 0.5:
+            dt = repr(period / draw(st.integers(100, 10**4)))
+        return argv + [f"--clock-freq={clock}", f"--dt={dt}"]
+    if command == "camouflage":
+        return ["camouflage", "C17", "--rate=" + draw(FLOATS)]
+    if command == "verify":
+        return ["verify", "C17", "CAMO_BENCH", "--config", "CAMO_CONFIG", "--mode=random",
+                "--vectors=" + draw(COUNTS)]
+    return ["attack", "CAMO_BENCH", "--config", "CAMO_CONFIG", "--strategy=random",
+            "--queries=" + draw(COUNTS), "--joint-limit=" + draw(COUNTS)]
+
+
+@pytest.fixture(scope="module")
+def c17_camo(tmp_path_factory, c17_text):
+    """c17 and a camouflaged copy with two CAMO gates, with its config."""
+    root = tmp_path_factory.mktemp("c17_camo")
+    (root / "c17.bench").write_text(c17_text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["camouflage", str(root / "c17.bench"), "--gates", "16,19",
+                     "-o", str(root)]) == 0
+    return {
+        "C17": root / "c17.bench",
+        "CAMO_BENCH": root / "camo.bench",
+        "CAMO_CONFIG": root / "camo_config.json",
+    }
+
+
+class TestEveryArgv:
+    """Every argv that argparse accepts exits 0, 1 or 2. A failing run
+    prints one ``error:`` line and creates no ``-o`` directory. No run
+    raises another exception or issues a warning."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(argv=argvs())
+    @example(argv=["gate", "--func=XOR", "--inputs=01", "--vdd=1e155",
+                   "--clock-freq=1e9", "--dt=1e-12"])
+    @example(argv=["sweep", "--vgs-stop=1e200"])
+    @example(argv=["sweep", "--vgs-start=1.7976931348623157e+308"])
+    def test_exits_with_a_typed_error(self, c17_camo, argv):
+        argv = [str(c17_camo.get(tok, tok)) for tok in argv]
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / "out"
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(argv + ["-o", str(out_dir)])
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                assert lines == []
+            else:
+                assert code in (1, 2)
+                assert len(lines) == 1 and lines[0].startswith("error:"), lines
+                assert not out_dir.exists()

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from conftest import GATE_CHAR_PAIRS, reference_evaluate_static
 from tvdcamo import device
 from tvdcamo.device import IsfetParams
 from tvdcamo.errors import DomainError, PhRangeError, UnresolvableGateError, UsageError
@@ -164,6 +165,25 @@ class TestEvaluateStatic:
                 out = evaluate_static(program_for(f), PARAMS, a, b)
                 inv = evaluate_static(program_for(f.complement()), PARAMS, a, b)
                 assert inv == 1 - out
+
+    def test_matches_reference_for_every_gate_char_pair(self):
+        # One comparison of the ph_low and ph_high branches against each
+        # minterm's own pair of branch currents: the gate-char pairs and an
+        # equal pair, with a sensor that cannot tell any pair apart too.
+        raised = 0
+        for params in (PARAMS, IsfetParams(sensitivity=0.0)):
+            for f, pair, m in product(TruthTable2, GATE_CHAR_PAIRS + ((5.0, 5.0),), range(4)):
+                program = program_for(f, *pair)
+                try:
+                    want = reference_evaluate_static(program, params, m >> 1, m & 1)
+                except UnresolvableGateError as exc:
+                    with pytest.raises(UnresolvableGateError) as got:
+                        evaluate_static(program, params, m >> 1, m & 1)
+                    assert str(got.value) == str(exc)
+                    raised += 1
+                else:
+                    assert evaluate_static(program, params, m >> 1, m & 1) == want
+        assert raised == 16 * 4 * (1 + len(GATE_CHAR_PAIRS) + 1)
 
     @pytest.mark.parametrize(
         "ph_pair",

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import first_difference, reference_integrate, reference_margin_report
+from conftest import (
+    GATE_CHAR_CLOCKS,
+    GATE_CHAR_PAIRS,
+    first_difference,
+    reference_integrate,
+    reference_margin_report,
+    reference_race,
+    reference_simulate,
+)
 from tvdcamo import _kernels, device, transient
 from tvdcamo.device import IsfetParams
 from tvdcamo.errors import SimulationError, UsageError
@@ -223,7 +231,7 @@ class TestResolveOnly:
     @pytest.mark.parametrize("case", sorted(RESOLVE_CASES))
     def test_margin_report_matches_full_simulation(self, case):
         program, cfg, bounded, outcome = RESOLVE_CASES[case]
-        assert transient._cannot_diverge(transient._race(program, PARAMS, cfg, 0, 0)) is bounded
+        assert transient._cannot_diverge(reference_race(program, PARAMS, cfg, 0, 0)) is bounded
         if outcome == "diverged":
             with pytest.raises(SimulationError) as slow:
                 simulate(program, PARAMS, cfg, 0, 0)
@@ -239,7 +247,7 @@ class TestResolveOnly:
 
     @pytest.mark.parametrize("cfg", [CFG, SimConfig(dt=4e-10)], ids=["stable", "diverging"])
     def test_chunked_kernel_calls_continue_one_call(self, cfg):
-        race = transient._race(XOR_PROGRAM, PARAMS, cfg, 0, 1)
+        race = reference_race(XOR_PROGRAM, PARAMS, cfg, 0, 1)
         n_total = cfg.n_steps
         n_pre = n_total // 2
         whole = [np.full(n_total + 1, cfg.vdd) for _ in range(2)]
@@ -257,15 +265,6 @@ class TestResolveOnly:
                 assert w.tobytes() == c.tobytes()
             trace = simulate(XOR_PROGRAM, PARAMS, cfg, 0, 1)
             assert trace.v_out.tobytes() == whole[0].tobytes()
-
-
-# The pH pairs of perfbench's gate-char workload: RESOLVING_PAIRS, then the
-# pair that never resolves at 2 GHz.
-GATE_CHAR_PAIRS = (
-    (2.0, 10.0), (3.0, 9.0), (2.0, 8.0), (4.0, 11.0), (1.0, 7.0),
-    (5.0, 12.0), (2.0, 6.0), (6.0, 13.0), (2.0, 4.0), (3.0, 5.0), (2.0, 2.5),
-)
-GATE_CHAR_CLOCKS = (2e7, 1e9, 2e9)
 
 
 @pytest.fixture
@@ -363,7 +362,7 @@ class TestKernelMatchesReference:
         for clock in GATE_CHAR_CLOCKS:
             cfg = SimConfig(clock_freq=clock)
             for f, pair, m in product(TruthTable2, GATE_CHAR_PAIRS, range(4)):
-                race = transient._race(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
+                race = reference_race(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
                 calls[race, cfg.n_steps] = clock, pair
         assert len(calls) == 66
         for (race, n_total), (clock, pair) in calls.items():
@@ -380,7 +379,7 @@ class TestKernelMatchesReference:
         n_total = CFG.n_steps
         for a, b, frozen in ((0, 0, "out"), (0, 1, "bar")):
             del tails[:]
-            race = transient._race(XOR_PROGRAM, PARAMS, CFG, a, b)
+            race = reference_race(XOR_PROGRAM, PARAMS, CFG, a, b)
             _, v_out, v_bar = run_both(race, n_total // 2, n_total, tails)
             [(side, first, last, _)] = tails
             assert (side, last) == (frozen, n_total)
@@ -393,7 +392,7 @@ class TestKernelMatchesReference:
         # do (threshold above the rail): the kernel keeps the old loop's
         # ov <= 0 tests exact for negative, NaN and infinite nodes too.
         values = (1.8, 0.9, 0.0, -0.0, -0.05, 1e-17, 5e-324, nan, inf, -inf)
-        xor = transient._race(XOR_PROGRAM, PARAMS, CFG, 0, 0)
+        xor = reference_race(XOR_PROGRAM, PARAMS, CFG, 0, 0)
         no_pull_down = xor[:4] + (2.0,) + xor[5:6] + (2.0,) + xor[7:]
         no_pmos = xor[:8] + (2.0,)
         for race in (xor, no_pull_down, no_pmos):
@@ -417,7 +416,7 @@ class TestKernelMatchesReference:
         assert {side for side, *_ in tails} == {"out", "bar"}
 
     def test_chunks_split_a_tail(self, tails):
-        race = transient._race(XOR_PROGRAM, PARAMS, CFG, 0, 1)
+        race = reference_race(XOR_PROGRAM, PARAMS, CFG, 0, 1)
         n_total = CFG.n_steps
         n_pre = n_total // 2
         run_both(race, n_pre, n_total, tails)
@@ -483,7 +482,7 @@ class TestChunkedSimulate:
 
     def assert_matches_one_call(self, program, cfg, a, b):
         trace = simulate(program, PARAMS, cfg, a, b)
-        bad, v_out, v_bar = reference_half(transient._race(program, PARAMS, cfg, a, b), cfg)
+        bad, v_out, v_bar = reference_half(reference_race(program, PARAMS, cfg, a, b), cfg)
         assert bad == -1
         assert trace.v_out.tobytes() == v_out.tobytes()
         assert trace.v_out_bar.tobytes() == v_bar.tobytes()
@@ -499,7 +498,7 @@ class TestChunkedSimulate:
             cfg = SimConfig(clock_freq=clock)
             for f, pair, m in product(TruthTable2, GATE_CHAR_PAIRS, range(4)):
                 program = program_for(f, *pair)
-                race = transient._race(program, PARAMS, cfg, m >> 1, m & 1)
+                race = reference_race(program, PARAMS, cfg, m >> 1, m & 1)
                 races.setdefault((race, cfg.n_steps), (program, cfg, m))
         assert len(races) == 66
         outcomes = set()
@@ -534,7 +533,7 @@ class TestChunkedSimulate:
         self, monkeypatch, cfg, resolves_first, first_chunk
     ):
         monkeypatch.setattr(transient, "_FIRST_CHUNK", first_chunk)
-        race = transient._race(XOR_PROGRAM, PARAMS, cfg, 0, 0)
+        race = reference_race(XOR_PROGRAM, PARAMS, cfg, 0, 0)
         assert not transient._cannot_diverge(race)
         bad, v_out, v_bar = reference_half(race, cfg)
         assert bad >= 0
@@ -576,12 +575,21 @@ def kernel_calls(draw, bounded: bool):
     return race, n_pre, n_total, (draw(node), draw(node))
 
 
+def assert_same_trace(got: GateTrace, want: GateTrace):
+    for name in ("t", "v_out", "v_out_bar", "out", "out_bar"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.resolved_output == want.resolved_output
+    assert got.resolve_time == want.resolve_time
+    assert got.eval_start_index == want.eval_start_index
+
+
 class TestMirroredRaces:
-    """``margin_report`` integrates one race per program and takes the other
-    minterms from the mirror image: swapping the two branches' constants
-    swaps the waveforms bit for bit. Checked here on the kernel, on
-    ``_evaluate`` and on ``margin_report`` against the four-race
-    ``reference_margin_report``."""
+    """``simulate`` and ``margin_report`` integrate one race per program and
+    give each minterm that race or its mirror image: swapping the two
+    branches' constants swaps the waveforms bit for bit. Checked here on the
+    kernel, on ``_evaluate``, and on ``simulate`` and ``margin_report``
+    against ``reference_simulate`` and ``reference_margin_report``, which
+    integrate each minterm's own race."""
 
     @pytest.mark.parametrize("bounded", [True, False], ids=["bounded", "unbounded"])
     @settings(max_examples=150, deadline=None)
@@ -615,7 +623,7 @@ class TestMirroredRaces:
         for clock in GATE_CHAR_CLOCKS:
             cfg = SimConfig(clock_freq=clock)
             for f, pair, m in product(TruthTable2, GATE_CHAR_PAIRS, range(4)):
-                race = transient._race(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
+                race = reference_race(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
                 races[race, cfg.n_steps] = cfg
         assert len(races) == 66
         outputs = {self.assert_mirror_flips(race, cfg) for (race, _), cfg in races.items()}
@@ -624,7 +632,7 @@ class TestMirroredRaces:
     @pytest.mark.parametrize("case", sorted(LATE_CASES))
     def test_tail_across_chunk_boundaries(self, case):
         cfg, output = LATE_CASES[case]
-        race = transient._race(XOR_PROGRAM, PARAMS, cfg, 0, 1)
+        race = reference_race(XOR_PROGRAM, PARAMS, cfg, 0, 1)
         assert self.assert_mirror_flips(race, cfg) == output
 
     def test_margin_report_matches_reference(self):
@@ -641,6 +649,39 @@ class TestMirroredRaces:
                     outputs.update(r["output"] for r in rows)
         assert outputs == {0, 1, None}
 
+    def test_simulate_matches_reference(self, monkeypatch):
+        # Every gate-char program and the symmetric 5/5 one, minterm by
+        # minterm. Every program of one pH pair and clock runs the same race,
+        # so simulate's _evaluate calls are memoized: each distinct race is
+        # integrated once, and there must be exactly one per pair and clock.
+        evaluate = transient._evaluate
+        runs = {}
+
+        def once(race, cfg, waveform):
+            if (race, cfg, waveform) not in runs:
+                runs[race, cfg, waveform] = evaluate(race, cfg, waveform)
+            v_out, v_bar, output, resolve_time = runs[race, cfg, waveform]
+            return v_out.copy(), v_bar.copy(), output, resolve_time
+
+        monkeypatch.setattr(transient, "_evaluate", once)
+        pairs = GATE_CHAR_PAIRS + ((5.0, 5.0),)
+        want = {}
+        outputs = set()
+        for clock in GATE_CHAR_CLOCKS:
+            cfg = SimConfig(clock_freq=clock)
+            for f, pair, m in product(TruthTable2, pairs, range(4)):
+                program = program_for(f, *pair)
+                a, b = m >> 1, m & 1
+                key = reference_race(program, PARAMS, cfg, a, b), cfg
+                if key not in want:
+                    want[key] = reference_simulate(program, PARAMS, cfg, a, b)
+                trace = simulate(program, PARAMS, cfg, a, b)
+                assert_same_trace(trace, want[key])
+                outputs.add(trace.resolved_output)
+        assert len(runs) == len(GATE_CHAR_CLOCKS) * len(pairs)
+        assert len(want) == len(GATE_CHAR_CLOCKS) * (2 * len(pairs) - 1)
+        assert outputs == {0, 1, None}
+
     @pytest.mark.parametrize("case", ["diverging", "fallback"])
     def test_unbounded_configs_match_reference(self, case):
         program, cfg, _, outcome = RESOLVE_CASES[case]
@@ -654,6 +695,20 @@ class TestMirroredRaces:
             assert margin_report(program, PARAMS, cfg) == reference_margin_report(
                 program, PARAMS, cfg
             )
+        # simulate, for every function and minterm at this pH pair.
+        for f, m in product(TruthTable2, range(4)):
+            each = program_for(f, program.ph_low, program.ph_high)
+            if outcome == "diverged":
+                with pytest.raises(SimulationError) as want:
+                    reference_simulate(each, PARAMS, cfg, m >> 1, m & 1)
+                with pytest.raises(SimulationError) as got:
+                    simulate(each, PARAMS, cfg, m >> 1, m & 1)
+                assert str(got.value) == str(want.value)
+            else:
+                assert_same_trace(
+                    simulate(each, PARAMS, cfg, m >> 1, m & 1),
+                    reference_simulate(each, PARAMS, cfg, m >> 1, m & 1),
+                )
 
     @pytest.mark.parametrize("pair", [(2.0, 10.0), (5.0, 5.0)], ids=["resolving", "symmetric"])
     def test_one_race_per_program(self, monkeypatch, pair):
@@ -732,7 +787,7 @@ class TestTraceCsv:
             cfg = SimConfig(clock_freq=clock)
             races = {}
             for f, pair, m in product(TruthTable2, GATE_CHAR_PAIRS, range(4)):
-                race = transient._race(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
+                race = reference_race(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
                 races.setdefault(race, (f, pair, m))
             assert len(races) == 22
             for f, pair, m in races.values():
