@@ -105,18 +105,15 @@ class Netlist:
         self._validate()
 
     @classmethod
-    def _from_checked(cls, inputs, outputs, gates, ordered=False) -> "Netlist":
-        """A netlist whose nets are known to be valid, single-driven and defined.
-
-        Only the gate map and the topological order (with its cycle check)
-        are built; ``ordered`` says ``gates`` already is one.
-        """
+    def _from_checked(cls, inputs, outputs, gates) -> "Netlist":
+        """A netlist of nets known to be valid, single-driven and defined:
+        builds only the gate map and the topological order, cycle-checked."""
         self = cls.__new__(cls)
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
         self.gates = tuple(gates)
         self.gate_map = {g.name: g for g in self.gates}
-        self.topo_gates = self.gates if ordered else self._topo_sort()
+        self.topo_gates = self._topo_sort()
         return self
 
     def _validate(self):
@@ -386,7 +383,8 @@ def _eval_gates(gates, values: dict, bindings) -> None:
     """Evaluate ``gates``, given in topological order, into ``values``.
 
     ``values`` maps every net the gates read and that none of them drives to
-    its word; each gate's word is added under its name.
+    its word; each gate's word is added under its name. Names are the value
+    keys: net names, or node numbers for the gates the verify miter copies.
     """
     for gate in gates:
         fan = [values[f] for f in gate.fanin]

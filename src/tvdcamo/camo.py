@@ -16,9 +16,9 @@ from .bench import (
     WORD_BITS,
     Gate,
     Netlist,
+    _eval_gates,
     _input_vectors,
     eval_vectors,  # noqa: F401  (perfbench/test_perfbench.py reads camo.eval_vectors)
-    eval_words,
 )
 from .device import IsfetParams, _check_ph
 from .errors import (
@@ -192,23 +192,21 @@ def camouflage(
     _check_ph_pair(ph_low, ph_high, "camouflage")
     # The pair programs every selected gate alike. Raises
     # UnresolvableGateError if its two branches draw equal current at full
-    # drive, as they do at zero sensitivity.
+    # drive (as at zero sensitivity) or a non-finite one (an overflow).
     program = GatePhProgram(ph_low, ph_high, assignment_for(TruthTable2.FALSE))
     evaluate_static(program, params, 0, 0)
 
-    existing = [g.name for g in n.gates if g.kind == "CAMO"]
-    if existing:
+    if n.camo_gates:
         raise NotCamouflageableError(
-            f"netlist already contains camouflaged gates: {existing}"
+            f"netlist already contains camouflaged gates: {list(n.camo_gates)}"
         )
 
     if gates is not None:
-        selected = list(gates)
-        seen = set()
-        for name in selected:
-            if name in seen:
+        chosen = set()
+        for name in gates:
+            if name in chosen:
                 raise UsageError(f"gate {name!r} selected twice")
-            seen.add(name)
+            chosen.add(name)
             if name not in n.gate_map:
                 raise UsageError(f"no gate named {name!r}")
             problem = _eligible(n.gate_map[name])
@@ -216,7 +214,6 @@ def camouflage(
                 raise NotCamouflageableError(
                     f"gate {name!r} not camouflageable: {problem}"
                 )
-        chosen = set(selected)
     else:
         if not 0 <= fraction <= 1:
             raise UsageError(f"fraction must lie in [0, 1], got {fraction!r}")
@@ -298,7 +295,7 @@ class EquivalenceResult:
 _SYMMETRIC = frozenset(f for f in TruthTable2 if f.minterm(1) == f.minterm(2))
 
 
-class _Miter:
+def _miter(a: Netlist, b: Netlist, bindings):
     """Netlist ``a`` plus the gates of ``b`` that hash to no node of ``a``.
 
     Structural hashing: a node's key is its function and its fan-in nodes.
@@ -308,24 +305,19 @@ class _Miter:
     and BUF aliases its input. A CAMO gate with per-lane masks is never
     merged. Gates are hashed in ``a``'s topological order, then ``b``'s, so
     the first unbound CAMO gate raises just as evaluating a, then b would.
+
+    Returns ``(gates, bindings, outs_a, outs_b)``: the gates to evaluate in
+    order, their CAMO bindings and each output's value key. A node of ``a``
+    is keyed by its net name, a gate copied from ``b`` by its node number
+    (which also keys its binding). Equal keys mean the same node.
     """
-
-    def __init__(self, a: Netlist, b: Netlist, bindings):
-        self._inputs = a.inputs
-        self._bindings = bindings
-        self._keys: dict = {}
-        # node -> the miter net that carries it; inputs are nodes 0..n-1.
-        self._nets: list[str] = list(a.inputs)
-        self._taken = set(a.inputs) | a.gate_map.keys()
-        self._gates = list(a.topo_gates)
-        self._fresh_bindings: dict = {}
-        self.outs_a = self._hash(a, copy=False)
-        self.outs_b = self._hash(b, copy=True)
-        self.merged = self.outs_a == self.outs_b
-
-    def _hash(self, n: Netlist, copy: bool) -> list[int]:
-        """Hash n's gates; with ``copy``, add each new node as a renamed gate."""
-        keys, nets, bindings = self._keys, self._nets, self._bindings
+    hashed: dict = {}
+    # node -> the key its word is stored under; inputs are nodes 0..n-1.
+    value_key: list = list(a.inputs)
+    gates = list(a.topo_gates)
+    miter_bindings = dict(bindings or ())
+    outs = []
+    for n, copy in ((a, False), (b, True)):
         node_of = dict(zip(n.inputs, range(len(n.inputs))))
         for g in n.topo_gates:
             kind, fanin = g.kind, g.fanin
@@ -350,60 +342,41 @@ class _Miter:
                 key = None  # per-lane masks: never merged
             else:
                 key = (kind,) + tuple(sorted(node_of[f] for f in fanin))
-            node = keys.get(key)
+            node = hashed.get(key)
             if node is None:
-                node = len(nets)
+                node = len(value_key)
                 if key is not None:
-                    keys[key] = node
-                nets.append(self._copy(g, node_of) if copy else g.name)
+                    hashed[key] = node
+                if copy:
+                    fanin_keys = tuple(value_key[node_of[f]] for f in fanin)
+                    gates.append(Gate._unchecked(node, kind, fanin_keys))
+                    if kind == "CAMO":
+                        miter_bindings[node] = bindings[g.name]
+                value_key.append(node if copy else g.name)
             node_of[g.name] = node
-        return [node_of[o] for o in n.outputs]
-
-    def _copy(self, g: Gate, node_of: dict) -> str:
-        """Add gate g, renamed apart from a, reading the nets of its fan-in nodes."""
-        name = g.name
-        while name in self._taken:
-            name += "_"
-        self._taken.add(name)
-        fanin = tuple(self._nets[node_of[f]] for f in g.fanin)
-        self._gates.append(Gate._unchecked(name, g.kind, fanin))
-        if g.kind == "CAMO":
-            self._fresh_bindings[name] = self._bindings[g.name]
-        return name
-
-    def netlist(self) -> tuple[Netlist, dict, list[int], list[int]]:
-        """The miter netlist and its CAMO bindings, with the position in its
-        outputs of each output of ``a`` and of ``b``."""
-        outputs = list(dict.fromkeys(self._nets[o] for o in self.outs_a + self.outs_b))
-        position = {net: k for k, net in enumerate(outputs)}
-        bindings = self._bindings
-        if self._fresh_bindings:
-            bindings = {**bindings, **self._fresh_bindings}
-        miter = Netlist._from_checked(self._inputs, outputs, self._gates, ordered=True)
-        return (
-            miter,
-            bindings,
-            [position[self._nets[o]] for o in self.outs_a],
-            [position[self._nets[o]] for o in self.outs_b],
-        )
+        outs.append([value_key[node_of[o]] for o in n.outputs])
+    return gates, miter_bindings, outs[0], outs[1]
 
 
-def _first_mismatch(miter: _Miter, input_words, total: int):
+def _first_mismatch(inputs, miter, input_words, total: int):
     """The lowest vector index below ``total`` where a and b differ.
 
-    ``input_words(start, count)`` gives the input words of words
-    [start, start+count). Returns (index, outputs of a, outputs of b), or
-    None when every vector agrees.
+    ``miter`` is what ``_miter`` returns, over the primary ``inputs``, and
+    ``input_words(start, count)`` the input words of words [start, start+count).
+    Returns (index, outputs of a, outputs of b), or None when every vector agrees.
     """
-    net, bindings, outs_a, outs_b = miter.netlist()
+    gates, bindings, outs_a, outs_b = miter
     pairs = [(i, j) for i, j in zip(outs_a, outs_b) if i != j]
+    if not pairs:
+        return None
     n_words = -(-total // WORD_BITS)
     for start in range(0, n_words, _CHUNK_WORDS):
         count = min(_CHUNK_WORDS, n_words - start)
-        outs = eval_words(net, input_words(start, count), bindings)
+        values = dict(zip(inputs, input_words(start, count)))
+        _eval_gates(gates, values, bindings)
         diff = np.zeros(count, dtype=np.uint64)
         for i, j in pairs:
-            diff |= outs[i] ^ outs[j]
+            diff |= values[i] ^ values[j]
         hits = np.flatnonzero(diff)
         if hits.size == 0:
             continue
@@ -415,8 +388,8 @@ def _first_mismatch(miter: _Miter, input_words, total: int):
             return None
         return (
             index,
-            tuple(int(outs[i][w]) >> bit & 1 for i in outs_a),
-            tuple(int(outs[j][w]) >> bit & 1 for j in outs_b),
+            tuple(int(values[i][w]) >> bit & 1 for i in outs_a),
+            tuple(int(values[j][w]) >> bit & 1 for j in outs_b),
         )
     return None
 
@@ -456,8 +429,7 @@ def verify_equivalence(
         raise UsageError(f"unknown equivalence mode {mode!r}")
     total, input_words, vector = _input_vectors(a.inputs, mode, n_vectors, seed)
 
-    miter = _Miter(a, b, bindings)
-    hit = None if miter.merged else _first_mismatch(miter, input_words, total)
+    hit = _first_mismatch(a.inputs, _miter(a, b, bindings), input_words, total)
     if hit is None:
         return EquivalenceResult(
             equivalent=True, mode=mode, vectors_checked=total, vectors_total=total

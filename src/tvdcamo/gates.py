@@ -6,6 +6,7 @@ minterm's branch pair carries the low-threshold (stronger) device; evaluation
 is a current race between the two conducting branches.
 """
 
+import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -160,12 +161,17 @@ def evaluate_static(
     Returns 1 iff the V_OUT-side branch draws strictly more current than its
     mirror (so V_OUT discharges first): the ``ph_low`` branch sits on the
     V_OUT side of minterm m exactly when ``program.assignment[m]`` is set.
-    Raises UnresolvableGateError when the two currents are exactly equal,
-    which is what an unprogrammed or degenerate gate looks like.
+    Raises UnresolvableGateError when either current is not finite or the
+    two are exactly equal: an overflowing, unprogrammed or degenerate gate.
     """
     m = minterm_index(a, b)
     i_low = branch_current(params, program.ph_low, params.vdd)
     i_high = branch_current(params, program.ph_high, params.vdd)
+    if not (math.isfinite(i_low) and math.isfinite(i_high)):
+        raise UnresolvableGateError(
+            f"unresolvable gate: branch currents ({i_low:.6e} A, {i_high:.6e} A) "
+            f"are not finite for pH pair ({program.ph_low}, {program.ph_high})"
+        )
     if i_low == i_high:
         raise UnresolvableGateError(
             f"unresolvable gate: branch currents are equal ({i_low:.6e} A) "

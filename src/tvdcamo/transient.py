@@ -6,6 +6,7 @@ the two conducting pull-down branches race while the cross-coupled PMOS pair
 regenerates the imbalance. Output inverters are ideal comparators.
 """
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -140,7 +141,11 @@ def _minterm_output(output, lvt_on_out_side: bool):
 def _integrate(v_out, v_bar, start: int, stop: int, race) -> None:
     bad = _kernels.integrate(v_out, v_bar, start, stop, *race)
     if bad >= 0:
-        dt = race[0]
+        dt, vdd = race[0], race[1]
+        if not math.isfinite(_max_current(race)):
+            raise SimulationError(
+                f"supply vdd={vdd:.3e} V overflows the drive current; lower vdd"
+            )
         raise SimulationError(
             f"node voltage diverged at t={bad * dt:.3e} s; reduce dt "
             f"(currently {dt:.3e} s)"
@@ -200,20 +205,24 @@ def simulate(
 _FIRST_CHUNK = 256
 
 
+def _max_current(race) -> float:
+    """The largest saturation current of any device in the race, or inf."""
+    _, vdd, _, k_out, vth_out, k_bar, vth_bar, k_pmos, vth_pmos = race
+    # Squares as products: a float power would raise OverflowError.
+    ovs = [max(vdd - vth, 0.0) for vth in (vth_out, vth_bar, vth_pmos)]
+    return max(0.5 * k * (ov * ov) for k, ov in zip((k_out, k_bar, k_pmos), ovs))
+
+
 def _cannot_diverge(race) -> bool:
     """True when no Euler step can leave the kernel's guard band.
 
     Nodes start each step clamped to [0, vdd], and one step moves a node by
-    at most the largest saturation current of any device times dt / c_node.
-    Keeping that below half of ``_kernels.GUARD_V`` leaves every step inside
-    the band, so stopping early cannot hide a later ``SimulationError``.
+    at most ``_max_current`` times dt / c_node. Keeping that below half of
+    ``_kernels.GUARD_V`` leaves every step inside the band, so stopping
+    early cannot hide a later ``SimulationError``.
     """
-    dt, vdd, c_node, k_out, vth_out, k_bar, vth_bar, k_pmos, vth_pmos = race
-    # Squares as products: a float power raises OverflowError where a
-    # product gives inf, which fails the test below.
-    ovs = [max(vdd - vth, 0.0) for vth in (vth_out, vth_bar, vth_pmos)]
-    i_max = max(0.5 * k * (ov * ov) for k, ov in zip((k_out, k_bar, k_pmos), ovs))
-    return i_max * dt / c_node <= 0.5 * _kernels.GUARD_V
+    dt, _, c_node = race[:3]
+    return _max_current(race) * dt / c_node <= 0.5 * _kernels.GUARD_V
 
 
 def _evaluate(race, cfg: SimConfig, waveform: bool):

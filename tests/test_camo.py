@@ -541,10 +541,38 @@ class TestVerifyMiter:
         def fail(*args, **kwargs):
             raise AssertionError("evaluated a vector")
 
-        monkeypatch.setattr(bench_module, "eval_words", fail)
-        monkeypatch.setattr(camo_module, "eval_words", fail)
+        monkeypatch.setattr(bench_module, "_eval_gates", fail)
+        monkeypatch.setattr(camo_module, "_eval_gates", fail)
         result = verify_equivalence(c17, camo, bindings=cfg.bindings())
         assert result == EquivalenceResult(True, "exhaustive", 32, 32)
+
+    def test_partly_merged_miter_evaluates_only_the_unshared_gates(self, c17, monkeypatch):
+        evaluated = []
+
+        def spy(gates, values, bindings):
+            evaluated.append((list(gates), bindings))
+            return bench_eval_gates(gates, values, bindings)
+
+        bench_eval_gates = bench_module._eval_gates
+        monkeypatch.setattr(bench_module, "_eval_gates", spy)
+        monkeypatch.setattr(camo_module, "_eval_gates", spy)
+        camo, cfg = camouflage(c17, gates=["16"])
+        flipped = cfg.bindings()["16"].complement()
+        bindings = {"16": flipped}
+        result = verify_equivalence(c17, camo, bindings=bindings)
+        assert result == _brute_force_result(c17, camo, bindings, "exhaustive")
+        [(gates, miter_bindings)] = evaluated
+        # c17's 6 gates under their net names, then copies of 16, 23 and 22
+        # (the gates that read the flipped 16) keyed by node number: nodes
+        # 0-4 are the inputs and 5-10 c17's gates.
+        assert len(gates) == 9
+        assert gates[:6] == list(c17.topo_gates)
+        assert [(g.name, g.kind, g.fanin) for g in gates[6:]] == [
+            (11, "CAMO", ("2", "11")),
+            (12, "NAND", (11, "19")),
+            (13, "NAND", ("10", 11)),
+        ]
+        assert miter_bindings == {"16": flipped, 11: flipped}
 
     def test_merged_random_verify_draws_nothing(self, c17, monkeypatch):
         rng = np.random.default_rng
@@ -599,8 +627,8 @@ class TestVerifyMiter:
         def fail(*args, **kwargs):
             raise AssertionError("evaluated a vector")
 
-        monkeypatch.setattr(bench_module, "eval_words", fail)
-        monkeypatch.setattr(camo_module, "eval_words", fail)
+        monkeypatch.setattr(bench_module, "_eval_gates", fail)
+        monkeypatch.setattr(camo_module, "_eval_gates", fail)
         inputs = ["x", "y", "z"]
         a = Netlist(inputs, ["p", "q", "r"], [
             Gate("p", "NAND", ("x", "y")),

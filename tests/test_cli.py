@@ -99,14 +99,18 @@ class TestGateCommand:
     @pytest.mark.parametrize("vdd", ["1e155", "1e300", "1.7e308"])
     def test_huge_vdd_is_domain_error(self, tmp_path, capsys, vdd):
         # The divergence bound squares the overdrive: it must give inf, not
-        # raise OverflowError, and the kernel then reports the divergence.
+        # raise OverflowError, and the error then names the supply, since a
+        # smaller dt cannot help.
         out_dir = tmp_path / "out"
         code, _, err = run(
             ["gate", "--func", "XOR", "--inputs", "01", "--vdd", vdd, "-o", str(out_dir)],
             capsys,
         )
         assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err == (
+            f"error: supply vdd={float(vdd):.3e} V overflows the drive current; "
+            "lower vdd\n"
+        )
         assert not out_dir.exists()
 
     def test_unknown_function_is_usage_error(self, tmp_path, capsys):
@@ -451,6 +455,22 @@ class TestParameterFlags:
         )
         assert code == 1
         assert err.startswith("error: unresolvable gate")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("ph_pair", [[], ["--ph-low", "1", "--ph-high", "2"]])
+    def test_overflowing_drive_rejected_at_compile_time(
+        self, tmp_path, capsys, c17_file, ph_pair
+    ):
+        # Branch currents of inf and 0, or nan and inf: neither pair resolves.
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            ["camouflage", str(c17_file), "--gates", "16", "--vdd", "1e200",
+             "--sensitivity", "1e200", *ph_pair, "-o", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: unresolvable gate") and err.count("\n") == 1
+        assert "not finite" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("subcommand", ["gate", "camouflage"])

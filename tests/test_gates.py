@@ -154,6 +154,21 @@ class TestEvaluateStatic:
         with pytest.raises(UnresolvableGateError):
             evaluate_static(prog, PARAMS, 0, 0)
 
+    @pytest.mark.parametrize("pair, currents", [
+        ((2.0, 10.0), "(inf A, 0.000000e+00 A)"),
+        ((1.0, 2.0), "(nan A, inf A)"),
+    ], ids=["inf", "nan"])
+    def test_non_finite_branch_current_unresolvable(self, pair, currents):
+        # At vdd = sensitivity = 1e200 the overdrive squared overflows, and
+        # at pH 1 the triode term is inf - inf.
+        params = IsfetParams(vdd=1e200, sensitivity=1e200)
+        with pytest.raises(UnresolvableGateError) as exc:
+            evaluate_static(program_for(TruthTable2.XOR, *pair), params, 0, 0)
+        assert str(exc.value) == (
+            f"unresolvable gate: branch currents {currents} are not finite "
+            f"for pH pair {pair}"
+        )
+
     def test_matches_truth_table_for_all_functions(self):
         for f in TruthTable2:
             for a, b in product((0, 1), repeat=2):
