@@ -17,7 +17,6 @@ from .bench import (
     ALL_ONES,
     WORD_BITS,
     ZERO,
-    Gate,
     Netlist,
     _eval_gates,
     _input_vectors,
@@ -164,18 +163,19 @@ def _query_vectors(inputs: tuple[str, ...], strategy: str, n_queries, seed):
     return _input_vectors(inputs, strategy, n_queries, seed)
 
 
-def _split_cone(n: Netlist) -> tuple[list[Gate], list[Gate]]:
-    """The CAMO gates with their transitive fan-out, and every other gate,
-    both in ``topo_gates`` order."""
-    cone: list[Gate] = []
-    base: list[Gate] = []
-    cone_nets: set[str] = set()
-    for gate in n.topo_gates:
-        if gate.kind == "CAMO" or not cone_nets.isdisjoint(gate.fanin):
-            cone.append(gate)
-            cone_nets.add(gate.name)
+def _split_cone(n: Netlist) -> tuple[list, list]:
+    """The program entries of the CAMO gates and their transitive fan-out,
+    and every other entry, both in program order."""
+    cone: list = []
+    base: list = []
+    cone_slots: set[int] = set()
+    for entry in n._program:
+        op, out, a, b = entry
+        if op.__class__ is str or a in cone_slots or b in cone_slots:
+            cone.append(entry)
+            cone_slots.add(out)
         else:
-            base.append(gate)
+            base.append(entry)
     return cone, base
 
 
@@ -267,10 +267,10 @@ def oracle_attack(
     # Only the CAMO gates and their fan-out differ between candidates. The
     # oracle and the other gates of camo answer a whole batch of queries in
     # one pass over Python ints, bit k for query k; the cone then runs on a
-    # (Q, 1) all-ones/zero column per net feeding it against the lane masks.
+    # (Q, 1) all-ones/zero column per slot feeding it against the lane masks.
     cone, base = _split_cone(camo)
-    cone_nets = {gate.name for gate in cone}
-    feeds = {f for gate in cone for f in gate.fanin} - cone_nets
+    cone_slots = {out for _, out, _, _ in cone}
+    feeds = {s for _, _, a, b in cone for s in (a, b)} - cone_slots
     q_rows = max(1, min(WORD_BITS, _CONE_WORDS // n_words))
     total, input_words, vector = source
     for first in range(0, total, WORD_BITS):
@@ -279,22 +279,24 @@ def oracle_attack(
         width = min(WORD_BITS, total - first)
         words = [int(w[0]) for w in input_words(first // WORD_BITS, 1)]
         observed = eval_words(oracle, words, oracle_bindings)
-        values = dict(zip(camo.inputs, words))
+        values = words + [None] * len(camo._program)
         _eval_gates(base, values, None)
         # Bit k of ``agree``: query k's outputs outside the cone match.
         agree = ~0
         flips = []
-        for out, obs in zip(camo.outputs, observed):
-            if out in cone_nets:
+        for out, obs in zip(camo._out_slots, observed):
+            if out in cone_slots:
                 flips.append((out, _columns(~obs, width)))
             else:
                 agree &= ~(values[out] ^ obs)
         agree = _columns(agree, width)
-        columns = {net: _columns(values[net], width) for net in feeds}
+        columns = [(s, _columns(values[s], width)) for s in feeds]
 
         for q0 in range(0, width, q_rows):
             rows = slice(q0, q0 + q_rows)
-            cone_values = {net: col[rows] for net, col in columns.items()}
+            cone_values = [None] * len(values)
+            for s, col in columns:
+                cone_values[s] = col[rows]
             _eval_gates(cone, cone_values, lanes)
             match = agree[rows] & alive
             for out, flip in flips:
@@ -379,17 +381,16 @@ def _marginal_attack(camo, oracle, oracle_bindings, source):
         if all(count == 1 for count in counts):
             break
         observed = eval_logic(oracle, vec, oracle_bindings)
-        values = {
-            nm: _Rails(0, full) if bit else _Rails(full, 0)
-            for nm, bit in zip(camo.inputs, vec)
-        }
-        for gate in camo.topo_gates:
-            if gate.kind != "CAMO":
-                _eval_gates((gate,), values, None)
+        values = [_Rails(0, full) if bit else _Rails(full, 0) for bit in vec]
+        values += [None] * len(camo._program)
+        for entry in camo._program:
+            name, out, x, y = entry
+            if name.__class__ is not str:
+                _eval_gates((entry,), values, None)
                 continue
             # Output r is possible where some possible minterm gives r.
-            a, b = (values[f] for f in gate.fanin)
-            shift = 16 * index[gate.name]
+            a, b = values[x], values[y]
+            shift = 16 * index[name]
             group = 0xFFFF << shift
             lo = hi = full ^ group
             minterms = (a.lo & b.lo, a.lo & b.hi, a.hi & b.lo, a.hi & b.hi)
@@ -397,8 +398,8 @@ def _marginal_attack(camo, oracle, oracle_bindings, source):
                 ones <<= shift
                 hi |= can & ones
                 lo |= can & (group ^ ones)
-            values[gate.name] = _Rails(lo, hi)
-        for out, obs in zip(camo.outputs, observed):
+            values[out] = _Rails(lo, hi)
+        for out, obs in zip(camo._out_slots, observed):
             alive &= values[out][obs]
         counts = [((alive >> 16 * j) & 0xFFFF).bit_count() for j in range(len(names))]
         state.query_log.append((tuple(vec), tuple(observed)))

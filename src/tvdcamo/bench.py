@@ -12,10 +12,9 @@ NOT, BUF (1 input), plus the extension token CAMO(a, b) for a camouflaged
 Net names are case-sensitive ``[A-Za-z0-9_]+``; CRLF input is tolerated.
 """
 
-import operator
 import re
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -33,16 +32,28 @@ GATE_KINDS = frozenset(
 )
 UNARY_KINDS = frozenset({"NOT", "BUF"})
 
+# Each gate kind's op, a TruthTable2 value (see _WORD_OPS); an n-ary gate
+# reduces its leading fan-ins by its fold op and applies its own op last.
+_KIND_OPS = {
+    kind: int(TruthTable2[kind]) for kind in ("AND", "OR", "NAND", "NOR", "XOR", "XNOR")
+}
+_KIND_OPS.update(NOT=int(TruthTable2.NOT_A), BUF=int(TruthTable2.A))
+_FOLD_OPS = {
+    int(g): int(f) for f in (TruthTable2.AND, TruthTable2.OR, TruthTable2.XOR)
+    for g in (f, f.complement())
+}
+
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _IO_RE = re.compile(r"^\s*(INPUT|OUTPUT)\s*\(\s*([A-Za-z0-9_]+)\s*\)\s*$")
 _GATE_RE = re.compile(
     r"^\s*([A-Za-z0-9_]+)\s*=\s*([A-Za-z0-9_]+)\s*\(\s*([^()]*?)\s*\)\s*$"
 )
 # A gate line whose net names are all valid, comment included: the parser's
-# fast path. _GATE_RE takes any argument text so that a bad name is located.
+# fast path. The first two fan-ins have groups of their own, any more share
+# one. _GATE_RE takes any argument text so that a bad name is located.
 _GATE_LINE_RE = re.compile(
-    r"\s*([A-Za-z0-9_]+)\s*=\s*([A-Za-z0-9_]+)\s*"
-    r"\(\s*([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)\s*\)\s*(?:#.*)?"
+    r"\s*([A-Za-z0-9_]+)\s*=\s*([A-Za-z0-9_]+)\s*\(\s*([A-Za-z0-9_]+)\s*"
+    r"(?:,\s*([A-Za-z0-9_]+)\s*((?:,\s*[A-Za-z0-9_]+\s*)*))?\)\s*(?:#.*)?"
 )
 _find_names = re.compile(r"[A-Za-z0-9_]+").findall
 
@@ -59,7 +70,7 @@ def _check_arity(kind: str, n: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: the net it drives, its kind, and its ordered fan-in nets."""
 
@@ -95,79 +106,124 @@ class Netlist:
 
     Construction validates the structural invariants (every net has exactly
     one driver, every fan-in is defined, the gate graph is acyclic) and
-    caches a topological gate order for evaluation.
+    compiles the netlist into integer slots, input i at slot i and file gate
+    k at slot n + k for n inputs: ``_fanin`` holds each gate's fan-in slots,
+    ``_order`` the topological gate order and ``_program`` the slot program.
     """
 
     def __init__(self, inputs, outputs, gates):
         self.inputs: tuple[str, ...] = tuple(inputs)
         self.outputs: tuple[str, ...] = tuple(outputs)
         self.gates: tuple[Gate, ...] = tuple(gates)
-        self._validate()
+        self._link(self._validate())
 
     @classmethod
-    def _from_checked(cls, inputs, outputs, gates) -> "Netlist":
-        """A netlist of nets known to be valid, single-driven and defined:
-        builds only the gate map and the topological order, cycle-checked."""
+    def _from_checked(cls, inputs, outputs, gates, like=None) -> "Netlist":
+        """A netlist of valid, single-driven nets, checked only for an
+        undefined net (KeyError) and a cycle. ``like``, a netlist with the
+        same nets and fan-ins in the same places, lends its slots and order."""
         self = cls.__new__(cls)
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
         self.gates = tuple(gates)
-        self.gate_map = {g.name: g for g in self.gates}
-        self.topo_gates = self._topo_sort()
+        if like is None:
+            names = [*self.inputs, *(g.name for g in self.gates)]
+            self._link(dict(zip(names, range(len(names)))))
+        else:
+            self._fanin, self._order = like._fanin, like._order
+            self._out_slots = like._out_slots
         return self
 
-    def _validate(self):
-        drivers: set[str] = set()
+    def _validate(self) -> dict[str, int]:
+        """Each net's slot, once the structure checks pass."""
+        slot: dict[str, int] = {}
         for name in self.inputs:
             if not _NAME_RE.match(name):
                 raise NetlistError(f"invalid net name {name!r}")
-            if name in drivers:
+            if name in slot:
                 raise NetlistError(f"net {name!r} has multiple drivers")
-            drivers.add(name)
-        self.gate_map: dict[str, Gate] = {}
+            slot[name] = len(slot)
         for g in self.gates:
-            if g.name in drivers:
+            if g.name in slot:
                 raise NetlistError(f"net {g.name!r} has multiple drivers")
-            drivers.add(g.name)
-            self.gate_map[g.name] = g
+            slot[g.name] = len(slot)
         for g in self.gates:
             for f in g.fanin:
-                if f not in drivers:
+                if f not in slot:
                     raise NetlistError(f"undefined net {f!r} in gate {g.name!r}")
         seen_out: set[str] = set()
         for o in self.outputs:
-            if o not in drivers:
+            if o not in slot:
                 raise NetlistError(f"undefined net {o!r} in outputs")
             if o in seen_out:
                 raise NetlistError(f"output {o!r} listed twice")
             seen_out.add(o)
-        self.topo_gates: tuple[Gate, ...] = self._topo_sort()
+        return slot
 
-    def _topo_sort(self) -> tuple[Gate, ...]:
-        # Kahn's algorithm over gate-to-gate dependencies, by position in
-        # self.gates; leftovers form a cycle.
-        gates = self.gates
-        position = {g.name: k for k, g in enumerate(gates)}
-        indeg = [0] * len(gates)
-        users: list[list[int]] = [[] for _ in gates]
-        for k, g in enumerate(gates):
-            for f in g.fanin:
-                j = position.get(f)
-                if j is not None:
+    def _link(self, slot: dict[str, int]) -> None:
+        """Slot fan-ins and outputs, then the topological order."""
+        self._fanin = tuple([tuple(map(slot.__getitem__, g.fanin)) for g in self.gates])
+        self._out_slots = tuple(map(slot.__getitem__, self.outputs))
+        self._order = self._topo_sort(len(self.inputs))
+
+    def _topo_sort(self, n: int) -> tuple[int, ...]:
+        # Kahn's algorithm over gate-to-gate dependencies: gate k is slot
+        # n + k, so only fan-in slots from n up count. Leftovers form a cycle.
+        fanin = self._fanin
+        indeg = [0] * len(fanin)
+        users: list[list[int]] = [[] for _ in fanin]
+        for k, slots in enumerate(fanin):
+            for s in slots:
+                if s >= n:
                     indeg[k] += 1
-                    users[j].append(k)
+                    users[s - n].append(k)
         ready = [k for k, d in enumerate(indeg) if d == 0]
-        order: list[Gate] = []
+        order: list[int] = []
         while ready:
             k = ready.pop()
-            order.append(gates[k])
+            order.append(k)
             for u in users[k]:
                 indeg[u] -= 1
                 if indeg[u] == 0:
                     ready.append(u)
-        if len(order) != len(gates):
-            raise CycleError([g.name for g, d in zip(gates, indeg) if d > 0])
+        if len(order) != len(fanin):
+            raise CycleError([g.name for g, d in zip(self.gates, indeg) if d > 0])
         return tuple(order)
+
+    @cached_property
+    def _program(self) -> tuple:
+        """The slot program, compiled on first use.
+
+        Entry ``(op, out, a, b)`` stores word function ``op`` of slots a and
+        b in slot out. NOT and BUF read one slot twice. An n-ary gate folds
+        left through scratch slots from n + len(gates) on, the tree of
+        ``reduce`` then the negation, so n + len(program) slots serve. A CAMO
+        entry's op is the gate's name, bound at run time.
+        """
+        n, fanin = len(self.inputs), self._fanin
+        ops = [_KIND_OPS.get(g.kind, g.name) for g in self.gates]  # CAMO: the name
+        last = [(op, n + k, s[0], s[-1]) for k, (op, s) in enumerate(zip(ops, fanin))]
+        if max(map(len, fanin), default=0) <= 2:
+            return tuple(map(last.__getitem__, self._order))
+        program = []
+        scratch = n + len(fanin)
+        for k in self._order:
+            op, out, a, _ = last[k]
+            for b in fanin[k][1:-1]:
+                program.append((_FOLD_OPS[op], scratch, a, b))
+                a, scratch = scratch, scratch + 1
+            program.append((op, out, a, fanin[k][-1]))
+        return tuple(program)
+
+    @cached_property
+    def topo_gates(self) -> tuple[Gate, ...]:
+        """The gates in topological order."""
+        return tuple(map(self.gates.__getitem__, self._order))
+
+    @cached_property
+    def gate_map(self) -> dict[str, Gate]:
+        """Each gate under the name of the net it drives."""
+        return {g.name: g for g in self.gates}
 
     @property
     def camo_gates(self) -> tuple[str, ...]:
@@ -276,9 +332,9 @@ def parse_bench(text: str) -> Netlist:
     for lineno, raw in enumerate(lines, start=1):
         gate_m = _GATE_LINE_RE.fullmatch(raw)
         if gate_m:
-            name, kind_tok, args = gate_m.groups()
+            name, kind_tok, a, b, more = gate_m.groups()
+            fanin = (a,) if b is None else (a, b, *_find_names(more)) if more else (a, b)
             kind = kind_tok.upper()
-            fanin = tuple(_find_names(args))
             if (
                 kind in GATE_KINDS
                 and name not in driver_lines
@@ -291,18 +347,20 @@ def parse_bench(text: str) -> Netlist:
             raw, lineno, inputs, outputs, gates, driver_lines, output_lines
         )
 
-    for g in gates:
-        for k, net in enumerate(g.fanin):
-            if net not in driver_lines:
-                lineno = driver_lines[g.name]
-                col = _fanin_columns(lines[lineno - 1])[k]
-                raise BenchParseError(f"undefined net {net!r}", lineno, col)
-    for name in outputs:
-        if name not in driver_lines:
-            raise BenchParseError(f"undefined net {name!r}", output_lines[name])
-
     try:
         return Netlist._from_checked(inputs, outputs, gates)
+    except KeyError:
+        # An undefined net: the first fan-in, then the first output.
+        for g in gates:
+            for k, net in enumerate(g.fanin):
+                if net not in driver_lines:
+                    lineno = driver_lines[g.name]
+                    col = _fanin_columns(lines[lineno - 1])[k]
+                    raise BenchParseError(f"undefined net {net!r}", lineno, col) from None
+        for name in outputs:
+            if name not in driver_lines:
+                raise BenchParseError(f"undefined net {name!r}", output_lines[name]) from None
+        raise
     except CycleError as exc:
         first = min(exc.cycle, key=driver_lines.__getitem__)
         raise BenchParseError(str(exc), driver_lines[first]) from exc
@@ -325,44 +383,61 @@ def serialize_bench(n: Netlist) -> str:
 
 
 # The word engine. Vectors are bit-packed 64 to a word: vector k sits at bit
-# k % 64 of word k // 64. It uses only & | ^ ~, so one gate pass serves numpy
-# uint64 word arrays, numpy uint64 scalars and Python ints alike; ~ sets the
-# bits past the last vector, so callers mask those off at the end.
+# k % 64 of word k // 64. It uses only & | ^ ~, so one program runs on numpy
+# uint64 word arrays, numpy uint64 scalars, Python ints (any number of words
+# in one int) and the attack's three-valued rails alike; ~ sets the bits past
+# the last vector, so callers mask those off at the end.
 WORD_BITS = 64
 ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 ZERO = np.uint64(0)
 
-_REDUCERS = {
-    "AND": operator.and_,
-    "NAND": operator.and_,
-    "OR": operator.or_,
-    "NOR": operator.or_,
-    "XOR": operator.xor,
-    "XNOR": operator.xor,
-}
-_NEGATED = frozenset({"NAND", "NOR", "XNOR"})
+# The 16 two-input word functions, indexed by TruthTable2 value.
+_WORD_OPS = (
+    lambda a, b: a & ~a,  # FALSE
+    lambda a, b: a & b,  # AND
+    lambda a, b: a & ~b,  # A_AND_NOT_B
+    lambda a, b: a,  # A
+    lambda a, b: ~a & b,  # NOT_A_AND_B
+    lambda a, b: b,  # B
+    lambda a, b: a ^ b,  # XOR
+    lambda a, b: a | b,  # OR
+    lambda a, b: ~(a | b),  # NOR
+    lambda a, b: ~(a ^ b),  # XNOR
+    lambda a, b: ~b,  # NOT_B
+    lambda a, b: a | ~b,  # A_OR_NOT_B
+    lambda a, b: ~a,  # NOT_A
+    lambda a, b: ~a | b,  # NOT_A_OR_B
+    lambda a, b: ~(a & b),  # NAND
+    lambda a, b: a | ~a,  # TRUE
+)
+def _camo_op(name: str, bindings):
+    if bindings is None or name not in bindings:
+        raise UnprogrammedGateError(f"unprogrammed camouflaged gate {name!r}")
+    bound = bindings[name]
+    if not isinstance(bound, tuple):
+        return _WORD_OPS[TruthTable2(bound)]
+    m0, m1, m2, m3 = bound
+
+    def mux(a, b):
+        na, nb = ~a, ~b
+        return (na & nb & m0) | (na & b & m1) | (a & nb & m2) | (a & b & m3)
+
+    return mux
 
 
-def _camo_word(gate: Gate, a, b, bindings):
-    """A CAMO gate as the minterm mux: mask m holds, in each lane, the output
-    bit for minterm m = 2*A + B. A ``TruthTable2`` binding becomes constant
-    masks of the type of ``a``."""
-    if bindings is None or gate.name not in bindings:
-        raise UnprogrammedGateError(
-            f"unprogrammed camouflaged gate {gate.name!r}"
-        )
-    bound = bindings[gate.name]
-    if isinstance(bound, tuple):
-        m0, m1, m2, m3 = bound
-    else:
-        # Bit (3 - m) of the function is its output for minterm m. Written
-        # out, not looped: this runs once per CAMO gate per eval_logic call.
-        bits = int(TruthTable2(bound))
-        pick = (a & ~a, a | ~a)
-        m0, m1 = pick[bits >> 3], pick[bits >> 2 & 1]
-        m2, m3 = pick[bits >> 1 & 1], pick[bits & 1]
-    na, nb = ~a, ~b
-    return (na & nb & m0) | (na & b & m1) | (a & nb & m2) | (a & b & m3)
+def _eval_gates(program, values: list, bindings) -> None:
+    """Run a slot program on ``values``, a list of words indexed by slot.
+
+    ``bindings`` maps each CAMO entry's name to a ``TruthTable2``, or to a
+    tuple of four masks (M0, M1, M2, M3) of the words' type: mask m holds
+    each lane's output bit for minterm m = 2*A + B.
+    """
+    for op, out, a, b in program:
+        try:
+            fn = _WORD_OPS[op]
+        except TypeError:  # a CAMO entry: op is the gate's name
+            fn = _camo_op(op, bindings)
+        values[out] = fn(values[a], values[b])
 
 
 def eval_words(n: Netlist, input_words, bindings=None) -> list:
@@ -374,32 +449,12 @@ def eval_words(n: Netlist, input_words, bindings=None) -> list:
     (M0, M1, M2, M3) whose bits give each vector's output for minterms
     0..3. Bits past the last vector are left unspecified.
     """
-    values = dict(zip(n.inputs, input_words))
-    _eval_gates(n.topo_gates, values, bindings)
-    return [values[o] for o in n.outputs]
-
-
-def _eval_gates(gates, values: dict, bindings) -> None:
-    """Evaluate ``gates``, given in topological order, into ``values``.
-
-    ``values`` maps every net the gates read and that none of them drives to
-    its word; each gate's word is added under its name. Names are the value
-    keys: net names, or node numbers for the gates the verify miter copies.
-    """
-    for gate in gates:
-        fan = [values[f] for f in gate.fanin]
-        kind = gate.kind
-        if kind == "BUF":
-            out = fan[0]
-        elif kind == "NOT":
-            out = ~fan[0]
-        elif kind == "CAMO":
-            out = _camo_word(gate, fan[0], fan[1], bindings)
-        else:
-            out = reduce(_REDUCERS[kind], fan)
-            if kind in _NEGATED:
-                out = ~out
-        values[gate.name] = out
+    values = list(input_words)
+    if len(values) != len(n.inputs):
+        raise UsageError(f"expected {len(n.inputs)} input words, got {len(values)}")
+    values += [None] * len(n._program)
+    _eval_gates(n._program, values, bindings)
+    return [values[s] for s in n._out_slots]
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:

@@ -13,6 +13,9 @@ from typing import Mapping
 import numpy as np
 
 from .bench import (
+    _FOLD_OPS,
+    _KIND_OPS,
+    UNARY_KINDS,
     WORD_BITS,
     Gate,
     Netlist,
@@ -40,12 +43,7 @@ from .gates import (
 # Gate kinds the 2-input camouflaged cell can stand in for, and the reverse
 # mapping used when a config is folded back into a plain netlist.
 KIND_TO_FUNCTION = {
-    "AND": TruthTable2.AND,
-    "OR": TruthTable2.OR,
-    "NAND": TruthTable2.NAND,
-    "NOR": TruthTable2.NOR,
-    "XOR": TruthTable2.XOR,
-    "XNOR": TruthTable2.XNOR,
+    kind: TruthTable2(op) for kind, op in _KIND_OPS.items() if kind not in UNARY_KINDS
 }
 FUNCTION_TO_KIND = {f: k for k, f in KIND_TO_FUNCTION.items()}
 
@@ -226,7 +224,7 @@ def camouflage(
     specs = []
     for g in n.gates:
         if g.name in chosen:
-            new_gates.append(Gate(name=g.name, kind="CAMO", fanin=g.fanin))
+            new_gates.append(Gate._unchecked(g.name, "CAMO", g.fanin))
             function = KIND_TO_FUNCTION[g.kind]
             specs.append(
                 CamoGateSpec(
@@ -239,8 +237,8 @@ def camouflage(
             )
         else:
             new_gates.append(g)
-    # Same nets and fan-ins as the validated n: only the order is rebuilt.
-    camo_netlist = Netlist._from_checked(n.inputs, n.outputs, new_gates)
+    # Same nets and fan-ins as the validated n: its slots and order serve.
+    camo_netlist = Netlist._from_checked(n.inputs, n.outputs, new_gates, like=n)
     return camo_netlist, CamoConfig(params=params, gates=tuple(specs))
 
 
@@ -274,8 +272,8 @@ def reconstruct(camo: Netlist, resolution: Mapping[str, TruthTable2 | None]) -> 
             raise DomainError(
                 f"gate {g.name!r}: function {f.name} has no concrete gate kind"
             )
-        new_gates.append(Gate(name=g.name, kind=kind, fanin=g.fanin))
-    return Netlist(camo.inputs, camo.outputs, new_gates)
+        new_gates.append(Gate._unchecked(g.name, kind, g.fanin))
+    return Netlist._from_checked(camo.inputs, camo.outputs, new_gates, like=camo)
 
 
 @dataclass(frozen=True)
@@ -293,104 +291,123 @@ class EquivalenceResult:
 
 # Two-input functions with f(a, b) == f(b, a): minterms 1 and 2 agree.
 _SYMMETRIC = frozenset(f for f in TruthTable2 if f.minterm(1) == f.minterm(2))
+_A, _B = int(TruthTable2.A), int(TruthTable2.B)
+# Chunks of at most this many words run on Python ints, larger ones on numpy
+# arrays: the two cross over at 128-256 words (README, "Word types").
+_INT_WORDS = 64
 
 
 def _miter(a: Netlist, b: Netlist, bindings):
-    """Netlist ``a`` plus the gates of ``b`` that hash to no node of ``a``.
+    """One slot program for ``a`` and ``b``, their shared nodes computed once.
 
-    Structural hashing: a node's key is its function and its fan-in nodes.
-    A 2-input AND/OR/NAND/NOR/XOR/XNOR gate and a CAMO gate bound to the
-    same ``TruthTable2`` share a key (fan-ins sorted when the function is
-    symmetric), NOT and n-ary gates key on their kind and sorted fan-ins,
-    and BUF aliases its input. A CAMO gate with per-lane masks is never
-    merged. Gates are hashed in ``a``'s topological order, then ``b``'s, so
-    the first unbound CAMO gate raises just as evaluating a, then b would.
+    Structural hashing over the slot programs of ``a``, then ``b``: inputs
+    are nodes 0..n-1, and an entry's node is keyed by its op and fan-in
+    nodes, sorted when the op is symmetric. A CAMO entry keys on its bound
+    function's op, or with per-lane masks on its name (the same masks). A
+    and B entries (BUF) alias an input. An n-ary gate folds its fan-in nodes
+    anew in sorted order, so AND(x, y, z) and AND(z, x, y) share a node. The
+    first unbound CAMO gate raises as evaluating a, then b would.
 
-    Returns ``(gates, bindings, outs_a, outs_b)``: the gates to evaluate in
-    order, their CAMO bindings and each output's value key. A node of ``a``
-    is keyed by its net name, a gate copied from ``b`` by its node number
-    (which also keys its binding). Equal keys mean the same node.
+    Returns ``(program, outs_a, outs_b)``: ``a``'s own program, its slots
+    its nodes, then an entry per new node (entry j writes node n + j), and
+    each output's node. Equal nodes mean a merged pair.
     """
+    n_in = len(a.inputs)
     hashed: dict = {}
-    # node -> the key its word is stored under; inputs are nodes 0..n-1.
-    value_key: list = list(a.inputs)
-    gates = list(a.topo_gates)
-    miter_bindings = dict(bindings or ())
+    program = list(a._program)
+
+    def node_for(op, x, y):
+        key = (op, y, x) if x > y and op in _SYMMETRIC else (op, x, y)
+        node = hashed.get(key)
+        if node is None:
+            node = hashed[key] = n_in + len(program)
+            program.append((op, node, x, y))
+        return node
+
     outs = []
-    for n, copy in ((a, False), (b, True)):
-        node_of = dict(zip(n.inputs, range(len(n.inputs))))
-        for g in n.topo_gates:
-            kind, fanin = g.kind, g.fanin
-            if kind == "BUF":
-                node_of[g.name] = node_of[fanin[0]]
-                continue
-            function = KIND_TO_FUNCTION.get(kind) if len(fanin) == 2 else None
-            if kind == "CAMO":
-                if bindings is None or g.name not in bindings:
-                    raise UnprogrammedGateError(
-                        f"unprogrammed camouflaged gate {g.name!r}"
-                    )
-                bound = bindings[g.name]
-                if not isinstance(bound, tuple):
-                    function = TruthTable2(bound)
-            if function is not None:
-                x, y = node_of[fanin[0]], node_of[fanin[1]]
-                if x > y and function in _SYMMETRIC:
-                    x, y = y, x
-                key = (function, x, y)
-            elif kind == "CAMO":
-                key = None  # per-lane masks: never merged
+    for net in (a, b):
+        limit = n_in + len(net.gates)  # scratch slots of n-ary folds lie past it
+        node_of = list(range(limit))  # net slot -> node
+        for op, out, x, y in net._program:
+            if out >= limit:
+                continue  # a fold step: the gate's last entry folds anew
+            if op.__class__ is str:
+                if bindings is None or op not in bindings:
+                    raise UnprogrammedGateError(f"unprogrammed camouflaged gate {op!r}")
+                if not isinstance(bindings[op], tuple):  # per-lane: keep the name
+                    op = int(TruthTable2(bindings[op]))
+            if x >= limit:  # the last entry of an n-ary gate
+                fan = sorted([node_of[s] for s in net._fanin[out - n_in]])
+                x = fan[0]
+                for y in fan[1:-1]:
+                    x = node_for(_FOLD_OPS[op], x, y)
+                node_of[out] = node_for(op, x, fan[-1])
+            elif op == _A:
+                node_of[out] = node_of[x]
+            elif op == _B:
+                node_of[out] = node_of[y]
+            elif net is a:  # its entry is in the program: the slot is the node
+                x, y = node_of[x], node_of[y]
+                key = (op, y, x) if x > y and op in _SYMMETRIC else (op, x, y)
+                node_of[out] = hashed.setdefault(key, out)
             else:
-                key = (kind,) + tuple(sorted(node_of[f] for f in fanin))
-            node = hashed.get(key)
-            if node is None:
-                node = len(value_key)
-                if key is not None:
-                    hashed[key] = node
-                if copy:
-                    fanin_keys = tuple(value_key[node_of[f]] for f in fanin)
-                    gates.append(Gate._unchecked(node, kind, fanin_keys))
-                    if kind == "CAMO":
-                        miter_bindings[node] = bindings[g.name]
-                value_key.append(node if copy else g.name)
-            node_of[g.name] = node
-        outs.append([value_key[node_of[o]] for o in n.outputs])
-    return gates, miter_bindings, outs[0], outs[1]
+                node_of[out] = node_for(op, node_of[x], node_of[y])
+        outs.append([node_of[s] for s in net._out_slots])
+    return program, outs[0], outs[1]
 
 
-def _first_mismatch(inputs, miter, input_words, total: int):
+def _int_words(words) -> int:
+    """A uint64 word array as one Python int, word w at bits 64w and up."""
+    return int.from_bytes(np.asarray(words, dtype="<u8").tobytes(), "little")
+
+
+def _first_mismatch(miter, bindings, input_words, total: int):
     """The lowest vector index below ``total`` where a and b differ.
 
-    ``miter`` is what ``_miter`` returns, over the primary ``inputs``, and
-    ``input_words(start, count)`` the input words of words [start, start+count).
-    Returns (index, outputs of a, outputs of b), or None when every vector agrees.
+    ``miter`` is what ``_miter`` returns and ``input_words(start, count)``
+    the input words of words [start, start+count). A per-lane binding holds
+    one word per 64 vectors in each mask. Each chunk runs on Python ints
+    when it has at most ``_INT_WORDS`` words, else on numpy arrays. Returns
+    (index, outputs of a, outputs of b), or None when every vector agrees.
     """
-    gates, bindings, outs_a, outs_b = miter
+    program, outs_a, outs_b = miter
     pairs = [(i, j) for i, j in zip(outs_a, outs_b) if i != j]
     if not pairs:
         return None
+    bindings = bindings or {}
+    per_lane = {nm: masks for nm, masks in bindings.items() if isinstance(masks, tuple)}
     n_words = -(-total // WORD_BITS)
+    if any(len(m) < n_words for masks in per_lane.values() for m in masks):
+        raise UsageError(f"per-lane masks must hold {n_words} words, one per 64 vectors")
     for start in range(0, n_words, _CHUNK_WORDS):
         count = min(_CHUNK_WORDS, n_words - start)
-        values = dict(zip(inputs, input_words(start, count)))
-        _eval_gates(gates, values, bindings)
-        diff = np.zeros(count, dtype=np.uint64)
+        word = _int_words if count <= _INT_WORDS else np.asarray
+        values = [word(w) for w in input_words(start, count)]
+        values += [None] * len(program)
+        lanes = {
+            nm: tuple(word(m[start : start + count]) for m in masks)
+            for nm, masks in per_lane.items()
+        }
+        _eval_gates(program, values, {**bindings, **lanes})
+        diff = 0 if word is _int_words else np.zeros(count, dtype=np.uint64)
         for i, j in pairs:
             diff |= values[i] ^ values[j]
-        hits = np.flatnonzero(diff)
-        if hits.size == 0:
-            continue
-        w = int(hits[0])
-        word = int(diff[w])
-        bit = (word & -word).bit_length() - 1
-        index = (start + w) * WORD_BITS + bit
-        if index >= total:
-            return None
-        return (
-            index,
-            tuple(int(values[i][w]) >> bit & 1 for i in outs_a),
-            tuple(int(values[j][w]) >> bit & 1 for j in outs_b),
-        )
+        if word is np.asarray:
+            diff = _int_words(diff)
+        diff &= (1 << count * WORD_BITS) - 1
+        if diff:
+            bit = (diff & -diff).bit_length() - 1
+            index = start * WORD_BITS + bit
+            if index >= total:
+                return None
+            if word is np.asarray:  # each output's word at the hit, as an int
+                w, bit = divmod(bit, WORD_BITS)
+                values = {s: int(values[s][w]) for s in (*outs_a, *outs_b)}
+            return (
+                index,
+                tuple(values[i] >> bit & 1 for i in outs_a),
+                tuple(values[j] >> bit & 1 for j in outs_b),
+            )
     return None
 
 
@@ -429,7 +446,7 @@ def verify_equivalence(
         raise UsageError(f"unknown equivalence mode {mode!r}")
     total, input_words, vector = _input_vectors(a.inputs, mode, n_vectors, seed)
 
-    hit = _first_mismatch(a.inputs, _miter(a, b, bindings), input_words, total)
+    hit = _first_mismatch(_miter(a, b, bindings), bindings, input_words, total)
     if hit is None:
         return EquivalenceResult(
             equivalent=True, mode=mode, vectors_checked=total, vectors_total=total

@@ -118,6 +118,27 @@ def random_netlist(
     return Netlist(inputs, outputs, gates)
 
 
+def slot_form_netlist(rng: random.Random) -> Netlist:
+    """A random netlist, gates in shuffled file order, with every shape the
+    slot compiler handles: n-ary gates (a 4-input one at least), NOT, a BUF
+    chain, a primary input among the outputs and an output aliased through
+    BUF."""
+    base = random_netlist(
+        rng, max_inputs=8, max_gates=20, unary_weight=0.3, wide_weight=0.3
+    )
+    gates = list(base.gates)
+    nets = list(base.inputs) + [g.name for g in gates]
+    wide = tuple(rng.choice(nets) for _ in range(4))
+    gates.append(Gate("wide", rng.choice(BINARY_KINDS), wide))
+    chain = rng.choice(nets)
+    for k in range(3):
+        gates.append(Gate(f"buf{k}", "BUF", (chain,)))
+        chain = f"buf{k}"
+    rng.shuffle(gates)
+    outputs = dict.fromkeys([*base.outputs, "wide", chain, rng.choice(base.inputs)])
+    return Netlist(base.inputs, list(outputs), gates)
+
+
 def naive_eval(netlist: Netlist, vec, bindings=None):
     """Independent reference evaluator: memoized recursion over drivers."""
     env = dict(zip(netlist.inputs, (int(v) for v in vec)))

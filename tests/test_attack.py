@@ -10,6 +10,7 @@ from conftest import (
     random_netlist,
     reference_marginal_attack,
     reference_oracle_attack,
+    slot_form_netlist,
 )
 from tvdcamo import attack
 from tvdcamo.attack import (
@@ -519,8 +520,12 @@ class TestMarginalModeMatchesReference:
                 continue
             picks = rng.sample(eligible, min(len(eligible), rng.randint(1, 4)))
             camo, cfg = camouflage(n, gates=picks)
+            # Gate k writes slot n + k; scratch slots of n-ary folds follow.
             cone, _ = attack._split_cone(camo)
-            kinds_in_cones |= {(g.kind, len(g.fanin)) for g in cone}
+            slots = {out - len(camo.inputs) for _, out, _, _ in cone}
+            kinds_in_cones |= {
+                (g.kind, len(g.fanin)) for k, g in enumerate(camo.gates) if k in slots
+            }
             kwargs = {
                 "strategy": strategy, "n_queries": rng.randint(0, 60), "seed": seed
             }
@@ -545,6 +550,29 @@ class TestMarginalModeMatchesReference:
             assert (kind, 3) in kinds_in_cones
         assert {("NOT", 1), ("BUF", 1)} <= kinds_in_cones
         assert outcomes["returned"] and outcomes["raised"]
+
+    def test_slot_form_netlists(self):
+        # The cones run n-ary folds through scratch slots, BUF chains and
+        # outputs that are inputs or BUF aliases.
+        folds_in_cones = 0
+        for seed in range(24):
+            rng = random.Random(5100 + seed)
+            n = slot_form_netlist(rng)
+            eligible = [g.name for g in n.gates if len(g.fanin) == 2]
+            if not eligible:
+                continue
+            camo, cfg = camouflage(n, gates=rng.sample(eligible, min(3, len(eligible))))
+            cone, _ = attack._split_cone(camo)
+            folds_in_cones += any(
+                out >= len(camo.inputs) + len(camo.gates) for _, out, _, _ in cone
+            )
+            wrong = {nm: rng.choice(list(TruthTable2)) for nm in camo.camo_gates}
+            for oracle, bindings in ((camo, cfg.bindings()), (n, None), (camo, wrong)):
+                assert_marginal_matches_reference(
+                    camo, oracle, oracle_bindings=bindings,
+                    strategy="random", n_queries=24, seed=seed,
+                )
+        assert folds_in_cones > 10
 
     def test_errors(self, c17):
         camo, cfg = camo_c17(c17, ["16", "19"])

@@ -15,6 +15,7 @@ from conftest import (
     reference_parse_bench,
     reference_query_vectors,
     reference_topo_order,
+    slot_form_netlist,
 )
 from tvdcamo import bench
 from tvdcamo.attack import oracle_attack
@@ -25,12 +26,14 @@ from tvdcamo.bench import (
     Netlist,
     eval_logic,
     eval_vectors,
+    eval_words,
     exhaustive_input_words,
     pack_words,
     parse_bench,
     serialize_bench,
     unpack_words,
 )
+from tvdcamo.camo import _eligible, camouflage, decamouflage, reconstruct
 from tvdcamo.errors import (
     BenchParseError,
     CycleError,
@@ -244,6 +247,53 @@ class TestParserReference:
         assert 50 < cycles < 250
 
 
+class TestSlotForm:
+    """Every netlist is compiled into integer slots: input i is slot i, file
+    gate k slot n + k, and ``_program`` its topological slot program."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_camouflage_and_reconstruct_reuse_the_slot_form(self, seed):
+        rng = random.Random(seed)
+        n = slot_form_netlist(rng)
+        eligible = [g.name for g in n.gates if _eligible(g) is None]
+        camo, cfg = camouflage(n, gates=rng.sample(eligible, min(3, len(eligible))))
+        partial = {name: f for name, f in cfg.bindings().items() if rng.random() < 0.5}
+        rebuilt = reconstruct(camo, partial)
+        restored = decamouflage(camo, cfg)
+        assert restored == n
+        for m in (n, camo, rebuilt, restored):
+            assert m.topo_gates == reference_topo_order(m)
+            assert m._program == parse_bench(serialize_bench(m))._program
+        # Same nets and fan-ins in the same places: slots and order are
+        # reused, not rebuilt.
+        for m in (camo, rebuilt, restored):
+            assert m._fanin is n._fanin and m._order is n._order
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_eval_words_matches_naive(self, seed):
+        rng = random.Random(seed)
+        n = slot_form_netlist(rng)
+        eligible = [g.name for g in n.gates if _eligible(g) is None]
+        camo, cfg = camouflage(n, gates=rng.sample(eligible, min(3, len(eligible))))
+        bindings = {name: TruthTable2(rng.randrange(16)) for name in cfg.bindings()}
+        width = len(n.inputs)
+        vectors = [
+            tuple((index >> (width - 1 - j)) & 1 for j in range(width))
+            for index in range(1 << width)
+        ]
+        count = len(vectors)
+        words = exhaustive_input_words(width, 0, -(-count // 64))
+        int_words = [int.from_bytes(w.astype("<u8").tobytes(), "little") for w in words]
+        for m in (n, camo):
+            expect = [naive_eval(m, vec, bindings) for vec in vectors]
+            outs = eval_words(m, words, bindings)
+            got = [unpack_words(o, count).astype(int).tolist() for o in outs]
+            assert list(zip(*got)) == expect
+            outs = eval_words(m, int_words, bindings)
+            got = [[o >> k & 1 for k in range(count)] for o in outs]
+            assert list(zip(*got)) == expect
+
+
 class TestNetlistValidation:
     def test_programmatic_duplicate_driver(self):
         with pytest.raises(NetlistError):
@@ -430,6 +480,11 @@ class TestWordEngine:
         for f in TruthTable2:
             for a, b in product((0, 1), repeat=2):
                 assert eval_logic(n, [a, b], {"y": f}) == (f.eval(a, b),)
+
+    def test_eval_words_takes_one_word_per_input(self, c17):
+        for count in (4, 6):
+            with pytest.raises(UsageError, match="expected 5 input words"):
+                eval_words(c17, [0] * count)
 
     def test_unequal_input_lengths_rejected(self):
         n = Netlist(["a", "b"], ["y"], [Gate("y", "AND", ("a", "b"))])

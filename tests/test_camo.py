@@ -402,6 +402,94 @@ class TestVerifyWordChunks:
                 assert result.counterexample == tuple(int(v) for v in matrix[hits[0]])
 
 
+def _spy_word_types(monkeypatch) -> list:
+    """The type of the first input word of each program run by verify."""
+    word_types = []
+    run = bench_module._eval_gates
+
+    def spy(program, values, bindings):
+        word_types.append(type(values[0]))
+        return run(program, values, bindings)
+
+    monkeypatch.setattr(camo_module, "_eval_gates", spy)
+    return word_types
+
+
+def _rare_case(n_inputs: int):
+    """A netlist whose camouflaged copy, under a wrong binding, differs in 1
+    of 2**(n_inputs - 1) vectors: where i0..i(n-3) are all 1 and the last two
+    inputs are equal."""
+    inputs = [f"i{k}" for k in range(n_inputs)]
+    plain = Netlist(inputs, ["y"], [
+        Gate("z", "AND", tuple(inputs[-2:])),
+        Gate("y", "AND", (*inputs[:-2], "z")),
+    ])
+    camo, _ = camouflage(plain, gates=["z"])
+    return plain, camo, {"z": TruthTable2.NOR}
+
+
+class TestVerifyWordTypes:
+    """Chunks of at most ``_INT_WORDS`` words run on Python ints, larger
+    ones on numpy arrays; both give the first counterexample."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_random_around_the_int_limit(self, offset, monkeypatch):
+        n_vectors = 64 * camo_module._INT_WORDS + offset
+        word_types = _spy_word_types(monkeypatch)
+        cases = [_rare_case(12)] + [_wrong_binding_case(8, 40 + seed) for seed in range(3)]
+        for a, b, bindings in cases:
+            for seed in range(3):
+                got = verify_equivalence(
+                    a, b, bindings, mode="random", n_vectors=n_vectors, seed=seed
+                )
+                assert got == _brute_force_result(a, b, bindings, "random", n_vectors, seed)
+        assert set(word_types) == {int if offset <= 0 else np.ndarray}
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_exhaustive_around_the_int_limit(self, offset, monkeypatch):
+        # 10 inputs are 16 words: the limit moves so that they lie just
+        # below it, at it and just above it.
+        monkeypatch.setattr(camo_module, "_INT_WORDS", 16 - offset)
+        word_types = _spy_word_types(monkeypatch)
+        cases = [_rare_case(10)] + [_wrong_binding_case(10, 60 + seed) for seed in range(3)]
+        for a, b, bindings in cases:
+            got = verify_equivalence(a, b, bindings)
+            assert got == _brute_force_result(a, b, bindings, "exhaustive")
+        assert set(word_types) == {int if offset <= 0 else np.ndarray}
+
+    @pytest.mark.parametrize("chunk_words", [1, 3])
+    def test_bits_past_an_int_chunk_are_no_difference(self, chunk_words, monkeypatch):
+        # a and b differ only on the all-zero vector. Past a chunk, the bits
+        # of Python-int words hold a and b on that vector, not vectors of
+        # the next chunk, so they must not count as a difference.
+        monkeypatch.setattr(camo_module, "_CHUNK_WORDS", chunk_words)
+        inputs = [f"i{k}" for k in range(8)]
+        a = Netlist(inputs, ["y"], [Gate("y", "NOR", tuple(inputs))])
+        b = Netlist(inputs, ["y"], [
+            Gate("n", "NOT", ("i0",)), Gate("y", "AND", ("i0", "n")),
+        ])
+        for seed in range(4):
+            got = verify_equivalence(a, b, mode="random", n_vectors=1000, seed=seed)
+            assert got == _brute_force_result(a, b, None, "random", 1000, seed)
+
+    @pytest.mark.parametrize("mode, seed, rare_checked", [
+        ("exhaustive", 0, 8189), ("random", 7, 8192),
+    ])
+    def test_chunks_of_both_types_in_one_verify(self, mode, seed, rare_checked, monkeypatch):
+        # 13 inputs, or 8192 random vectors, are 128 words: a chunk of 100
+        # words on numpy arrays, then one of 28 on ints. The rare case first
+        # differs in the second chunk (exhaustive) or nowhere (random seed 7).
+        monkeypatch.setattr(camo_module, "_CHUNK_WORDS", 100)
+        word_types = _spy_word_types(monkeypatch)
+        cases = [_rare_case(13)] + [_wrong_binding_case(13, 80 + k) for k in range(2)]
+        for k, (a, b, bindings) in enumerate(cases):
+            got = verify_equivalence(a, b, bindings, mode=mode, n_vectors=8192, seed=seed)
+            assert got == _brute_force_result(a, b, bindings, mode, 8192, seed)
+            if k == 0:
+                assert got.vectors_checked == rare_checked
+                assert word_types == [np.ndarray, int]
+
+
 def _brute_force_result(a, b, bindings, mode, n_vectors=0, seed=0):
     """The EquivalenceResult of evaluating a and b separately, vector by vector."""
     n_in = len(a.inputs)
@@ -549,9 +637,9 @@ class TestVerifyMiter:
     def test_partly_merged_miter_evaluates_only_the_unshared_gates(self, c17, monkeypatch):
         evaluated = []
 
-        def spy(gates, values, bindings):
-            evaluated.append((list(gates), bindings))
-            return bench_eval_gates(gates, values, bindings)
+        def spy(program, values, bindings):
+            evaluated.append((list(program), list(values[:5]), bindings))
+            return bench_eval_gates(program, values, bindings)
 
         bench_eval_gates = bench_module._eval_gates
         monkeypatch.setattr(bench_module, "_eval_gates", spy)
@@ -561,18 +649,30 @@ class TestVerifyMiter:
         bindings = {"16": flipped}
         result = verify_equivalence(c17, camo, bindings=bindings)
         assert result == _brute_force_result(c17, camo, bindings, "exhaustive")
-        [(gates, miter_bindings)] = evaluated
-        # c17's 6 gates under their net names, then copies of 16, 23 and 22
-        # (the gates that read the flipped 16) keyed by node number: nodes
-        # 0-4 are the inputs and 5-10 c17's gates.
-        assert len(gates) == 9
-        assert gates[:6] == list(c17.topo_gates)
-        assert [(g.name, g.kind, g.fanin) for g in gates[6:]] == [
-            (11, "CAMO", ("2", "11")),
-            (12, "NAND", (11, "19")),
-            (13, "NAND", ("10", 11)),
+        [(program, inputs, run_bindings)] = evaluated
+        # c17's own program first, in topological order (slots 0-4 are its
+        # inputs and 5-10 its gates in file order); then copies of 16, 23
+        # and 22, the gates that read the flipped 16, as nodes 11-13. The
+        # copy of 16 carries its bound function as op.
+        node = {
+            net: k for k, net in enumerate(c17.inputs + tuple(g.name for g in c17.gates))
+        }
+        nand = TruthTable2.NAND
+        assert len(program) == 9
+        assert program[:6] == list(c17._program) == [
+            (nand, node[g.name], node[g.fanin[0]], node[g.fanin[1]])
+            for g in c17.topo_gates
         ]
-        assert miter_bindings == {"16": flipped, 11: flipped}
+        assert program[6:] == [
+            (TruthTable2.AND, 11, node["2"], node["11"]),
+            (nand, 12, 11, node["19"]),
+            (nand, 13, node["10"], 11),
+        ]
+        assert flipped == TruthTable2.AND and run_bindings == bindings
+        # 32 vectors are one word: the chunk runs on Python ints.
+        assert all(type(word) is int for word in inputs)
+        _, outs_a, outs_b = camo_module._miter(c17, camo, bindings)
+        assert (outs_a, outs_b) == ([node["22"], node["23"]], [13, 12])
 
     def test_merged_random_verify_draws_nothing(self, c17, monkeypatch):
         rng = np.random.default_rng
@@ -663,20 +763,45 @@ class TestVerifyMiter:
         )
         assert not verify_equivalence(a, b, bindings=bindings).equivalent
 
-    def test_per_lane_bindings_are_evaluated(self, c17):
+    def test_per_lane_bindings_are_evaluated(self, c17, monkeypatch):
         camo, _ = camouflage(c17, gates=["16"])
         codes = np.random.default_rng(3).integers(0, 16, size=32, dtype=np.uint8)
         lanes = {"16": tuple(pack_words((codes >> (3 - m)) & 1) for m in range(4))}
-        # The same per-lane gate on both sides computes the same values.
-        assert verify_equivalence(camo, camo, bindings=lanes).equivalent
-        result = verify_equivalence(c17, camo, bindings=lanes)
-        for index, vec in enumerate(product((0, 1), repeat=5)):
-            per_vector = {"16": TruthTable2(int(codes[index]))}
-            if naive_eval(c17, vec) != naive_eval(camo, vec, per_vector):
-                break
-        assert result.counterexample == vec
-        assert result.vectors_checked == index + 1
-        assert result.outputs_b == naive_eval(camo, vec, per_vector)
+        # 32 vectors are one word: Python ints at the default limit, numpy
+        # arrays with the limit at 0. Numpy masks must not meet int words.
+        for int_words in (camo_module._INT_WORDS, 0):
+            monkeypatch.setattr(camo_module, "_INT_WORDS", int_words)
+            word_types = _spy_word_types(monkeypatch)
+            # The same per-lane gate on both sides computes the same values.
+            assert verify_equivalence(camo, camo, bindings=lanes).equivalent
+            result = verify_equivalence(c17, camo, bindings=lanes)
+            for index, vec in enumerate(product((0, 1), repeat=5)):
+                per_vector = {"16": TruthTable2(int(codes[index]))}
+                if naive_eval(c17, vec) != naive_eval(camo, vec, per_vector):
+                    break
+            assert result.counterexample == vec
+            assert result.vectors_checked == index + 1
+            assert result.outputs_b == naive_eval(camo, vec, per_vector)
+            assert word_types == [int if int_words else np.ndarray]
+
+    @pytest.mark.parametrize("int_words", [0, camo_module._INT_WORDS])
+    def test_per_lane_masks_follow_the_chunks(self, int_words, monkeypatch):
+        # 256 vectors are 4 words, one chunk each: every chunk reads its own
+        # word of each mask, on either word type.
+        monkeypatch.setattr(camo_module, "_INT_WORDS", int_words)
+        monkeypatch.setattr(camo_module, "_CHUNK_WORDS", 1)
+        plain, camo, _ = _rare_case(8)
+        codes = np.full(256, int(TruthTable2.AND), dtype=np.uint8)
+        codes[252] = int(TruthTable2.NOR)  # i0..i5 all 1, i6 = i7 = 0
+        lanes = {"z": tuple(pack_words((codes >> (3 - m)) & 1) for m in range(4))}
+        result = verify_equivalence(plain, camo, bindings=lanes)
+        vec = (1,) * 6 + (0, 0)
+        assert (result.vectors_checked, result.counterexample) == (253, vec)
+        assert result.outputs_b == naive_eval(camo, vec, {"z": TruthTable2.NOR})
+        # Masks that stop short of the last vector would read as 0 there.
+        short = {"z": tuple(m[:3] for m in lanes["z"])}
+        with pytest.raises(UsageError, match="must hold 4 words"):
+            verify_equivalence(plain, camo, bindings=short)
 
 
 class TestLayoutIndistinguishability:
