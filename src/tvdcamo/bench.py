@@ -200,19 +200,17 @@ class Netlist:
         ``reduce`` then the negation, so n + len(program) slots serve. A CAMO
         entry's op is the gate's name, bound at run time.
         """
-        n, fanin = len(self.inputs), self._fanin
-        ops = [_KIND_OPS.get(g.kind, g.name) for g in self.gates]  # CAMO: the name
-        last = [(op, n + k, s[0], s[-1]) for k, (op, s) in enumerate(zip(ops, fanin))]
-        if max(map(len, fanin), default=0) <= 2:
-            return tuple(map(last.__getitem__, self._order))
+        n, gates = len(self.inputs), self.gates
         program = []
-        scratch = n + len(fanin)
+        scratch = n + len(gates)
         for k in self._order:
-            op, out, a, _ = last[k]
-            for b in fanin[k][1:-1]:
+            op = _KIND_OPS.get(gates[k].kind, gates[k].name)  # CAMO: the name
+            slots = self._fanin[k]
+            a = slots[0]
+            for b in slots[1:-1]:
                 program.append((_FOLD_OPS[op], scratch, a, b))
                 a, scratch = scratch, scratch + 1
-            program.append((op, out, a, fanin[k][-1]))
+            program.append((op, n + k, a, slots[-1]))
         return tuple(program)
 
     @cached_property
@@ -410,6 +408,8 @@ _WORD_OPS = (
     lambda a, b: ~(a & b),  # NAND
     lambda a, b: a | ~a,  # TRUE
 )
+
+
 def _camo_op(name: str, bindings):
     if bindings is None or name not in bindings:
         raise UnprogrammedGateError(f"unprogrammed camouflaged gate {name!r}")

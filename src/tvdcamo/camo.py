@@ -49,9 +49,10 @@ FUNCTION_TO_KIND = {f: k for k, f in KIND_TO_FUNCTION.items()}
 
 EXHAUSTIVE_INPUT_LIMIT = 24
 # Words per evaluation pass: 2048 words are 131072 vectors, 16 KiB per net
-# (32 MiB for a 2000-gate netlist). Exhaustive verify of 20 inputs x 2000
-# gates took 226 ms at 2048 words, against 294 ms at 1024 and 359 ms at 16384
-# (best CPU time of five, 2-vCPU Xeon).
+# (32 MiB for a 2000-gate netlist). On Python ints, an exhaustive verify of
+# 20 inputs x 2000 gates whose outputs do not merge took 400-550 ms at 2048
+# words and 440-600 ms at 1024, against 629 ms at 512 and 815 ms (485 MB
+# peak) at 16384 (best CPU time of three, 2-vCPU Xeon).
 _CHUNK_WORDS = 2048
 
 
@@ -292,9 +293,6 @@ class EquivalenceResult:
 # Two-input functions with f(a, b) == f(b, a): minterms 1 and 2 agree.
 _SYMMETRIC = frozenset(f for f in TruthTable2 if f.minterm(1) == f.minterm(2))
 _A, _B = int(TruthTable2.A), int(TruthTable2.B)
-# Chunks of at most this many words run on Python ints, larger ones on numpy
-# arrays: the two cross over at 128-256 words (README, "Word types").
-_INT_WORDS = 64
 
 
 def _miter(a: Netlist, b: Netlist, bindings):
@@ -305,16 +303,16 @@ def _miter(a: Netlist, b: Netlist, bindings):
     nodes, sorted when the op is symmetric. A CAMO entry keys on its bound
     function's op, or with per-lane masks on its name (the same masks). A
     and B entries (BUF) alias an input. An n-ary gate folds its fan-in nodes
-    anew in sorted order, so AND(x, y, z) and AND(z, x, y) share a node. The
+    in sorted order, so AND(x, y, z) and AND(z, x, y) share a node. The
     first unbound CAMO gate raises as evaluating a, then b would.
 
-    Returns ``(program, outs_a, outs_b)``: ``a``'s own program, its slots
-    its nodes, then an entry per new node (entry j writes node n + j), and
-    each output's node. Equal nodes mean a merged pair.
+    Returns ``(program, outs_a, outs_b)``: one entry per node (entry j
+    writes node n + j) and each output's node. Equal nodes mean a merged
+    pair.
     """
     n_in = len(a.inputs)
     hashed: dict = {}
-    program = list(a._program)
+    program: list = []
 
     def node_for(op, x, y):
         key = (op, y, x) if x > y and op in _SYMMETRIC else (op, x, y)
@@ -346,10 +344,6 @@ def _miter(a: Netlist, b: Netlist, bindings):
                 node_of[out] = node_of[x]
             elif op == _B:
                 node_of[out] = node_of[y]
-            elif net is a:  # its entry is in the program: the slot is the node
-                x, y = node_of[x], node_of[y]
-                key = (op, y, x) if x > y and op in _SYMMETRIC else (op, x, y)
-                node_of[out] = hashed.setdefault(key, out)
             else:
                 node_of[out] = node_for(op, node_of[x], node_of[y])
         outs.append([node_of[s] for s in net._out_slots])
@@ -366,9 +360,9 @@ def _first_mismatch(miter, bindings, input_words, total: int):
 
     ``miter`` is what ``_miter`` returns and ``input_words(start, count)``
     the input words of words [start, start+count). A per-lane binding holds
-    one word per 64 vectors in each mask. Each chunk runs on Python ints
-    when it has at most ``_INT_WORDS`` words, else on numpy arrays. Returns
-    (index, outputs of a, outputs of b), or None when every vector agrees.
+    one word per 64 vectors in each mask. Each chunk runs on Python ints,
+    all of its words in one int. Returns (index, outputs of a, outputs of
+    b), or None when every vector agrees.
     """
     program, outs_a, outs_b = miter
     pairs = [(i, j) for i, j in zip(outs_a, outs_b) if i != j]
@@ -381,28 +375,22 @@ def _first_mismatch(miter, bindings, input_words, total: int):
         raise UsageError(f"per-lane masks must hold {n_words} words, one per 64 vectors")
     for start in range(0, n_words, _CHUNK_WORDS):
         count = min(_CHUNK_WORDS, n_words - start)
-        word = _int_words if count <= _INT_WORDS else np.asarray
-        values = [word(w) for w in input_words(start, count)]
+        values = [_int_words(w) for w in input_words(start, count)]
         values += [None] * len(program)
         lanes = {
-            nm: tuple(word(m[start : start + count]) for m in masks)
+            nm: tuple(_int_words(m[start : start + count]) for m in masks)
             for nm, masks in per_lane.items()
         }
         _eval_gates(program, values, {**bindings, **lanes})
-        diff = 0 if word is _int_words else np.zeros(count, dtype=np.uint64)
+        diff = 0
         for i, j in pairs:
             diff |= values[i] ^ values[j]
-        if word is np.asarray:
-            diff = _int_words(diff)
         diff &= (1 << count * WORD_BITS) - 1
         if diff:
             bit = (diff & -diff).bit_length() - 1
             index = start * WORD_BITS + bit
             if index >= total:
                 return None
-            if word is np.asarray:  # each output's word at the hit, as an int
-                w, bit = divmod(bit, WORD_BITS)
-                values = {s: int(values[s][w]) for s in (*outs_a, *outs_b)}
             return (
                 index,
                 tuple(values[i] >> bit & 1 for i in outs_a),

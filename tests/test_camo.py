@@ -428,13 +428,16 @@ def _rare_case(n_inputs: int):
     return plain, camo, {"z": TruthTable2.NOR}
 
 
-class TestVerifyWordTypes:
-    """Chunks of at most ``_INT_WORDS`` words run on Python ints, larger
-    ones on numpy arrays; both give the first counterexample."""
+class TestVerifyIntWords:
+    """Every chunk runs on Python ints, all its words in one int, and gives
+    the first counterexample on either side of a chunk boundary."""
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_random_around_the_int_limit(self, offset, monkeypatch):
-        n_vectors = 64 * camo_module._INT_WORDS + offset
+    def test_random_around_a_chunk_boundary(self, offset, monkeypatch):
+        # 4096 vectors are 64 words: one chunk of 64 words, or one and a
+        # vector more.
+        monkeypatch.setattr(camo_module, "_CHUNK_WORDS", 64)
+        n_vectors = 64 * 64 + offset
         word_types = _spy_word_types(monkeypatch)
         cases = [_rare_case(12)] + [_wrong_binding_case(8, 40 + seed) for seed in range(3)]
         for a, b, bindings in cases:
@@ -443,19 +446,22 @@ class TestVerifyWordTypes:
                     a, b, bindings, mode="random", n_vectors=n_vectors, seed=seed
                 )
                 assert got == _brute_force_result(a, b, bindings, "random", n_vectors, seed)
-        assert set(word_types) == {int if offset <= 0 else np.ndarray}
+        assert set(word_types) == {int}
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_exhaustive_around_the_int_limit(self, offset, monkeypatch):
-        # 10 inputs are 16 words: the limit moves so that they lie just
-        # below it, at it and just above it.
-        monkeypatch.setattr(camo_module, "_INT_WORDS", 16 - offset)
+    def test_exhaustive_around_a_chunk_boundary(self, offset, monkeypatch):
+        # 10 inputs are 16 words: chunks of 17, 16 and 15 words. The rare
+        # case first differs at vector 1020, in word 15.
+        monkeypatch.setattr(camo_module, "_CHUNK_WORDS", 16 - offset)
         word_types = _spy_word_types(monkeypatch)
         cases = [_rare_case(10)] + [_wrong_binding_case(10, 60 + seed) for seed in range(3)]
-        for a, b, bindings in cases:
+        for k, (a, b, bindings) in enumerate(cases):
             got = verify_equivalence(a, b, bindings)
             assert got == _brute_force_result(a, b, bindings, "exhaustive")
-        assert set(word_types) == {int if offset <= 0 else np.ndarray}
+            if k == 0:
+                assert got.vectors_checked == 1021
+                assert len(word_types) == 1 + (offset == 1)
+        assert set(word_types) == {int}
 
     @pytest.mark.parametrize("chunk_words", [1, 3])
     def test_bits_past_an_int_chunk_are_no_difference(self, chunk_words, monkeypatch):
@@ -471,23 +477,6 @@ class TestVerifyWordTypes:
         for seed in range(4):
             got = verify_equivalence(a, b, mode="random", n_vectors=1000, seed=seed)
             assert got == _brute_force_result(a, b, None, "random", 1000, seed)
-
-    @pytest.mark.parametrize("mode, seed, rare_checked", [
-        ("exhaustive", 0, 8189), ("random", 7, 8192),
-    ])
-    def test_chunks_of_both_types_in_one_verify(self, mode, seed, rare_checked, monkeypatch):
-        # 13 inputs, or 8192 random vectors, are 128 words: a chunk of 100
-        # words on numpy arrays, then one of 28 on ints. The rare case first
-        # differs in the second chunk (exhaustive) or nowhere (random seed 7).
-        monkeypatch.setattr(camo_module, "_CHUNK_WORDS", 100)
-        word_types = _spy_word_types(monkeypatch)
-        cases = [_rare_case(13)] + [_wrong_binding_case(13, 80 + k) for k in range(2)]
-        for k, (a, b, bindings) in enumerate(cases):
-            got = verify_equivalence(a, b, bindings, mode=mode, n_vectors=8192, seed=seed)
-            assert got == _brute_force_result(a, b, bindings, mode, 8192, seed)
-            if k == 0:
-                assert got.vectors_checked == rare_checked
-                assert word_types == [np.ndarray, int]
 
 
 def _brute_force_result(a, b, bindings, mode, n_vectors=0, seed=0):
@@ -650,16 +639,15 @@ class TestVerifyMiter:
         result = verify_equivalence(c17, camo, bindings=bindings)
         assert result == _brute_force_result(c17, camo, bindings, "exhaustive")
         [(program, inputs, run_bindings)] = evaluated
-        # c17's own program first, in topological order (slots 0-4 are its
-        # inputs and 5-10 its gates in file order); then copies of 16, 23
-        # and 22, the gates that read the flipped 16, as nodes 11-13. The
-        # copy of 16 carries its bound function as op.
-        node = {
-            net: k for k, net in enumerate(c17.inputs + tuple(g.name for g in c17.gates))
-        }
+        # c17's gates first, as nodes 5-10 in topological order (0-4 are its
+        # inputs); then copies of 16, 23 and 22, the gates that read the
+        # flipped 16, as nodes 11-13. The copy of 16 carries its bound
+        # function as op.
+        node = dict(zip(c17.inputs, range(5)))
+        node.update((g.name, 5 + k) for k, g in enumerate(c17.topo_gates))
         nand = TruthTable2.NAND
         assert len(program) == 9
-        assert program[:6] == list(c17._program) == [
+        assert program[:6] == [
             (nand, node[g.name], node[g.fanin[0]], node[g.fanin[1]])
             for g in c17.topo_gates
         ]
@@ -669,7 +657,6 @@ class TestVerifyMiter:
             (nand, 13, node["10"], 11),
         ]
         assert flipped == TruthTable2.AND and run_bindings == bindings
-        # 32 vectors are one word: the chunk runs on Python ints.
         assert all(type(word) is int for word in inputs)
         _, outs_a, outs_b = camo_module._miter(c17, camo, bindings)
         assert (outs_a, outs_b) == ([node["22"], node["23"]], [13, 12])
@@ -767,28 +754,23 @@ class TestVerifyMiter:
         camo, _ = camouflage(c17, gates=["16"])
         codes = np.random.default_rng(3).integers(0, 16, size=32, dtype=np.uint8)
         lanes = {"16": tuple(pack_words((codes >> (3 - m)) & 1) for m in range(4))}
-        # 32 vectors are one word: Python ints at the default limit, numpy
-        # arrays with the limit at 0. Numpy masks must not meet int words.
-        for int_words in (camo_module._INT_WORDS, 0):
-            monkeypatch.setattr(camo_module, "_INT_WORDS", int_words)
-            word_types = _spy_word_types(monkeypatch)
-            # The same per-lane gate on both sides computes the same values.
-            assert verify_equivalence(camo, camo, bindings=lanes).equivalent
-            result = verify_equivalence(c17, camo, bindings=lanes)
-            for index, vec in enumerate(product((0, 1), repeat=5)):
-                per_vector = {"16": TruthTable2(int(codes[index]))}
-                if naive_eval(c17, vec) != naive_eval(camo, vec, per_vector):
-                    break
-            assert result.counterexample == vec
-            assert result.vectors_checked == index + 1
-            assert result.outputs_b == naive_eval(camo, vec, per_vector)
-            assert word_types == [int if int_words else np.ndarray]
+        word_types = _spy_word_types(monkeypatch)
+        # The same per-lane gate on both sides computes the same values.
+        assert verify_equivalence(camo, camo, bindings=lanes).equivalent
+        result = verify_equivalence(c17, camo, bindings=lanes)
+        for index, vec in enumerate(product((0, 1), repeat=5)):
+            per_vector = {"16": TruthTable2(int(codes[index]))}
+            if naive_eval(c17, vec) != naive_eval(camo, vec, per_vector):
+                break
+        assert result.counterexample == vec
+        assert result.vectors_checked == index + 1
+        assert result.outputs_b == naive_eval(camo, vec, per_vector)
+        # The numpy masks run with the chunk's words, as Python ints.
+        assert word_types == [int]
 
-    @pytest.mark.parametrize("int_words", [0, camo_module._INT_WORDS])
-    def test_per_lane_masks_follow_the_chunks(self, int_words, monkeypatch):
+    def test_per_lane_masks_follow_the_chunks(self, monkeypatch):
         # 256 vectors are 4 words, one chunk each: every chunk reads its own
-        # word of each mask, on either word type.
-        monkeypatch.setattr(camo_module, "_INT_WORDS", int_words)
+        # word of each mask.
         monkeypatch.setattr(camo_module, "_CHUNK_WORDS", 1)
         plain, camo, _ = _rare_case(8)
         codes = np.full(256, int(TruthTable2.AND), dtype=np.uint8)
