@@ -23,6 +23,7 @@ from .bench import (
     eval_logic,
     eval_words,
     index_bit_words,
+    pack_words,
     unpack_words,
 )
 from .camo import CamoConfig, reconstruct  # noqa: F401  (attack.reconstruct)
@@ -39,6 +40,9 @@ _EXHAUSTIVE_QUERY_LIMIT_BITS = 20
 # for Q = min(WORD_BITS, _CONE_WORDS // n_words) of them at once (at least
 # one), so that a cone net holds at most max(_CONE_WORDS, n_words) words.
 _CONE_WORDS = 4096
+# Before a cone pass, joint mode re-encodes the survivors as explicit lanes
+# once at most 1/_COMPACT_RATIO of more than WORD_BITS lanes are alive.
+_COMPACT_RATIO = 8
 _FILL = np.array([ZERO, ALL_ONES])
 _SHIFTS = np.arange(WORD_BITS, dtype=np.uint64)
 
@@ -185,6 +189,26 @@ def _columns(word: int, count: int) -> np.ndarray:
     return _FILL[bits][:, None]
 
 
+def _alive_ids(ids, alive: np.ndarray, n_lanes: int) -> np.ndarray:
+    """The candidate index of each alive lane, in ascending order; ``ids``
+    maps lane to candidate, or is None while lane L is candidate L."""
+    keep = np.flatnonzero(unpack_words(alive, n_lanes))
+    return keep if ids is None else ids[keep]
+
+
+def _compact_lanes(names, ids, alive: np.ndarray, n_lanes: int):
+    """Explicit lanes for the alive candidates: their indices, each gate's
+    four masks and an all-alive word array (padding bits zero)."""
+    ids = _alive_ids(ids, alive, n_lanes)
+    lanes = {}
+    # The last gate is the candidate index's lowest base-16 digit, and bit
+    # (3 - m) of a digit is its function's output for minterm m.
+    for j, nm in enumerate(reversed(names)):
+        digit = (ids >> 4 * j).astype(np.uint8)
+        lanes[nm] = tuple(pack_words(digit & (8 >> m)) for m in range(4))
+    return ids, lanes, pack_words(np.ones(len(ids), dtype=bool))
+
+
 def _inconsistent_oracle(vec, observed) -> DomainError:
     return DomainError(
         f"oracle response {tuple(observed)} to query {tuple(vec)} "
@@ -208,7 +232,9 @@ def oracle_attack(
     Every query evaluates the oracle netlist (with its true bindings) on one
     input vector; joint candidate assignments whose outputs disagree are
     eliminated. Joint mode answers the queries 64 at a time and evaluates
-    per candidate only the fan-out cone of the camouflaged gates. With g
+    per candidate only the fan-out cone of the camouflaged gates. Once at
+    most 1/8 of more than 64 lanes survive, it rebuilds the lanes from the
+    survivors alone before its next cone pass. With g
     camouflaged gates the joint space is 16^g, which must fit
     ``joint_limit`` unless ``marginal_fallback`` requests the weaker
     per-gate pruning mode (sound, but it ignores cross-gate correlations).
@@ -271,7 +297,7 @@ def oracle_attack(
     cone, base = _split_cone(camo)
     cone_slots = {out for _, out, _, _ in cone}
     feeds = {s for _, _, a, b in cone for s in (a, b)} - cone_slots
-    q_rows = max(1, min(WORD_BITS, _CONE_WORDS // n_words))
+    ids = None
     total, input_words, vector = source
     for first in range(0, total, WORD_BITS):
         if state.survivor_history[-1] <= 1:
@@ -292,7 +318,13 @@ def oracle_attack(
         agree = _columns(agree, width)
         columns = [(s, _columns(values[s], width)) for s in feeds]
 
-        for q0 in range(0, width, q_rows):
+        q0 = 0
+        while q0 < width:
+            count = state.survivor_history[-1]
+            if n_lanes > WORD_BITS and count * _COMPACT_RATIO <= n_lanes:
+                ids, lanes, alive = _compact_lanes(names, ids, alive, n_lanes)
+                n_lanes, n_words = count, len(alive)
+            q_rows = max(1, min(WORD_BITS, _CONE_WORDS // n_words))
             rows = slice(q0, q0 + q_rows)
             cone_values = [None] * len(values)
             for s, col in columns:
@@ -322,11 +354,12 @@ def oracle_attack(
                     break
             if state.survivor_history[-1] <= 1:
                 break
+            q0 += q_rows
 
     funcs = tuple(TruthTable2)
     state.survivors = [
         tuple(funcs[(lane >> 4 * (g - 1 - j)) & 15] for j in range(g))
-        for lane in np.flatnonzero(unpack_words(alive, n_lanes)).tolist()
+        for lane in _alive_ids(ids, alive, n_lanes).tolist()
     ]
     state.marginals = {
         nm: {s[j] for s in state.survivors} for j, nm in enumerate(names)

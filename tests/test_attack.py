@@ -3,6 +3,7 @@ import random
 import re
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -24,7 +25,7 @@ from tvdcamo.attack import (
     resilience_report,
 )
 from tvdcamo.camo import camouflage, decamouflage, verify_equivalence
-from tvdcamo.bench import Gate, Netlist
+from tvdcamo.bench import Gate, Netlist, pack_words, unpack_words
 from tvdcamo.errors import (
     CapacityError,
     CoverageError,
@@ -329,6 +330,143 @@ class TestJointModeMatchesReference:
             assert_matches_reference(
                 camo, c17, strategy="random", n_queries=70, seed=len(names)
             )
+
+
+@pytest.fixture
+def compactions(monkeypatch):
+    """Spy on joint mode's lane rebuild: (lanes before, lanes after) per call."""
+    calls = []
+    rebuild = attack._compact_lanes
+
+    def spy(names, ids, alive, n_lanes):
+        out = rebuild(names, ids, alive, n_lanes)
+        calls.append((n_lanes, len(out[0])))
+        return out
+
+    monkeypatch.setattr(attack, "_compact_lanes", spy)
+    return calls
+
+
+def _gated_netlist(p_inputs=7):
+    """7 inputs and 4 CAMO gates whose outputs are ANDed with i0, the most
+    significant bit of an exhaustive query, so queries 0-63 prune nothing.
+    c3 never sees minterm 1, so two candidates survive all 128 queries.
+    p = AND of the first ``p_inputs`` inputs lies outside the cone."""
+    inputs = [f"i{k}" for k in range(7)]
+    gates = [
+        Gate("t", "AND", ("i4", "i5")),
+        Gate("c0", "CAMO", ("i1", "i2")),
+        Gate("c1", "CAMO", ("i2", "i3")),
+        Gate("c2", "CAMO", ("i3", "i4")),
+        Gate("c3", "CAMO", ("i4", "t")),
+        *(Gate(f"o{k}", "AND", (f"c{k}", "i0")) for k in range(4)),
+        Gate("p", "AND", tuple(inputs[:p_inputs])),
+    ]
+    camo = Netlist(inputs, ["o0", "o1", "o2", "o3", "p"], gates)
+    funcs = (TruthTable2.XOR, TruthTable2.NAND, TruthTable2.A_AND_NOT_B, TruthTable2.OR)
+    return camo, dict(zip(("c0", "c1", "c2", "c3"), funcs))
+
+
+class TestCompactedLanes:
+    def test_rebuild_encodes_each_candidate(self):
+        names = ("a", "b", "c")
+        rng = np.random.default_rng(5)
+        n_lanes = 16**3
+        alive = pack_words(rng.random(n_lanes) < 0.1)
+        ids, lanes, alive2 = attack._compact_lanes(names, None, alive, n_lanes)
+        assert ids.tolist() == np.flatnonzero(unpack_words(alive, n_lanes)).tolist()
+        # Again from explicit lanes: a partial word, with zero padding bits.
+        keep = np.zeros(len(ids), dtype=bool)
+        keep[rng.choice(len(ids), 40, replace=False)] = True
+        ids2, lanes2, alive3 = attack._compact_lanes(
+            names, ids, pack_words(keep), len(ids)
+        )
+        assert ids2.tolist() == ids[keep].tolist()
+        for got_ids, got_lanes, got_alive in ((ids, lanes, alive2), (ids2, lanes2, alive3)):
+            n = len(got_ids)
+            assert len(got_alive) == -(-n // 64)
+            assert unpack_words(got_alive, len(got_alive) * 64).tolist() == (
+                [True] * n + [False] * (len(got_alive) * 64 - n)
+            )
+            for j, nm in enumerate(names):
+                digits = [(int(c) >> 4 * (2 - j)) & 15 for c in got_ids]
+                for m, mask in enumerate(got_lanes[nm]):
+                    want = [TruthTable2(d).minterm(m) for d in digits]
+                    assert unpack_words(mask, n).astype(int).tolist() == want
+
+    @pytest.mark.parametrize("cone_words", [attack._CONE_WORDS, 1])
+    def test_c17_four_gate_subsets(self, c17, compactions, monkeypatch, cone_words):
+        monkeypatch.setattr(attack, "_CONE_WORDS", cone_words)
+        for names in combinations(c17.gate_map, 4):
+            camo, cfg = camo_c17(c17, names)
+            compactions.clear()
+            assert_matches_reference(camo, camo, oracle_bindings=cfg.bindings())
+            assert compactions and compactions[0][0] == 16**4
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "random"])
+    def test_seeded_dags_with_four_camo_gates(self, compactions, strategy):
+        runs = compacted = 0
+        for seed in range(12):
+            rng = random.Random(9300 + seed)
+            n = random_netlist(rng, max_inputs=9, max_gates=24)
+            eligible = [g.name for g in n.gates if len(g.fanin) == 2]
+            if len(eligible) < 4:
+                continue
+            camo, cfg = camouflage(n, gates=rng.sample(eligible, 4))
+            for oracle, bindings in ((camo, cfg.bindings()), (n, None)):
+                compactions.clear()
+                assert_matches_reference(
+                    camo, oracle, oracle_bindings=bindings, strategy=strategy,
+                    n_queries=rng.randint(0, 150), seed=seed,
+                )
+                runs += 1
+                compacted += bool(compactions)
+        assert runs >= 16 and compacted >= runs // 2
+
+    def test_compaction_down_to_one_partial_word(self, c17, compactions, monkeypatch):
+        # One query per cone pass: 256 lanes are 4 words, whose default
+        # pass would answer every query at once and never compact.
+        monkeypatch.setattr(attack, "_CONE_WORDS", 1)
+        for names in combinations(c17.gate_map, 2):
+            camo, cfg = camo_c17(c17, names)
+            compactions.clear()
+            assert_matches_reference(camo, camo, oracle_bindings=cfg.bindings())
+            assert [before for before, _ in compactions] == [256]
+            assert 1 < compactions[0][1] <= 32
+
+    def test_repeated_compaction(self, compactions, monkeypatch):
+        # One query per cone pass, so that compacted lanes compact again.
+        monkeypatch.setattr(attack, "_CONE_WORDS", 1)
+        camo, truth = _gated_netlist()
+        got = assert_matches_reference(camo, camo, oracle_bindings=truth)
+        assert len(got[3]) == 2 and len(compactions) >= 3
+        for (_, after), (before, _) in zip(compactions, compactions[1:]):
+            assert before == after
+
+    @pytest.mark.parametrize("cone_words", [attack._CONE_WORDS, 1])
+    def test_compaction_after_the_first_batch(self, compactions, monkeypatch, cone_words):
+        monkeypatch.setattr(attack, "_CONE_WORDS", cone_words)
+        camo, truth = _gated_netlist()
+        got = assert_matches_reference(camo, camo, oracle_bindings=truth)
+        history = got[2]
+        assert history[64] == 16**4 and len(history) == 129
+        assert compactions[0] == (16**4, history[65 if cone_words == 1 else 68])
+
+    def test_inconsistent_oracle_found_after_compaction(self, compactions):
+        camo, truth = _gated_netlist()
+        oracle, _ = _gated_netlist(p_inputs=6)
+        got = assert_matches_reference(camo, oracle, oracle_bindings=truth)
+        assert got[:2] == ("raised", DomainError)
+        assert str((1, 1, 1, 1, 1, 1, 0)) in got[2]
+        assert compactions
+
+    def test_c17_all_six_gates_exact(self, c17, compactions):
+        camo, _ = camo_c17(c17, c17.gate_map)
+        got = _outcome(oracle_attack, camo, c17, joint_limit=16**6)
+        assert got == _outcome(reference_oracle_attack, camo, c17)
+        assert got[2][:3] == [16**6, 16**5 * 4, 16**5]
+        assert len(got[3]) == 16
+        assert compactions[0][0] == 16**6 and len(compactions) >= 2
 
 
 class TestJointModeErrors:
