@@ -1,8 +1,12 @@
 """Forward-Euler integration kernel for the differential sense-node pair.
 
-This is the transient simulator's hot loop, in plain Python.
+This is the transient simulator's hot loop, in plain Python. Once one node
+freezes, ``_frozen_tail`` steps only the other, and a node that decays
+through its pull-down runs in blocks of a bare update, which is the full
+step bit for bit.
 """
 
+from math import inf
 
 # A step that leaves [-GUARD_V, vdd + GUARD_V] counts as diverged.
 GUARD_V = 0.1
@@ -156,11 +160,47 @@ def _frozen_tail(
     ``m``, with the expressions, guard test and clamp of the full step, and
     stops once ``vdd - m != vdd``. Returns ``(i, m)`` at the last sample
     written, or ``(-bad, m)`` when the step to sample ``bad`` diverged.
+
+    A decaying node, with no p-current, a conducting branch and finite
+    positive constants, runs blocks of the bare update ``_decay`` once it
+    reaches ``[0, ov_n * 2**-55]``. A block is kept when none of its values
+    is negative, which shows that no test of the full step could have
+    fired; otherwise that block is replayed step by step.
     """
+    # Bare phase. Take i_p == 0.0 and finite k_n, ov_n, inv_c > 0 (ov_n > 0
+    # means the branch conducts: lim_n == ov_n), and small = ov_n * 2**-55.
+    # For 0 <= m <= small the full step is the bare update
+    # m - k_n * (ov_n * m) * inv_c, bit for bit:
+    # - fl(0.5*m*m) <= ov_n*m * 2**-56 * (1 + 2**-53) lies below a quarter
+    #   ulp of fl(ov_n*m), or underflows to 0 when that product is
+    #   subnormal, so ov_n*m - 0.5*m*m rounds to ov_n*m.
+    # - m + (i_p - x) * inv_c equals m - x * inv_c, signed zeros included:
+    #   they can differ only for m = -0.0 with x = +0.0, and x = k_n *
+    #   (ov_n * m) has the sign of m.
+    # - m takes the triode branch (m <= small < ov_n) and trips neither the
+    #   guard, a clamp nor the exit test: the tail keeps vdd - m == vdd, so
+    #   m < vdd (integrate enters only with vdd > 0).
+    # The bare update never raises an m >= 0, as it subtracts a product
+    # >= 0. So a block from m in [0, small] stays in that range, and below
+    # the m it started from, up to its first negative value. That value is
+    # finite or -inf, never NaN, so min shows it.
+    small = -1.0  # below every clamped m: no bare phase
+    if i_p == 0.0 and all(0.0 < v < inf for v in (k_n, ov_n, inv_c)):
+        small = ov_n * 2**-55
     start = i
     while i < n_total:
+        stop = min(i + _BLOCK, n_total)
+        switch = small
+        if 0.0 <= m <= small:
+            ms = _decay(m, stop - i, k_n, ov_n, inv_c)
+            if min(ms) >= 0.0:
+                v_move[i + 1 : stop + 1] = ms
+                i = stop
+                m = ms[-1]
+                continue
+            switch = -1.0  # replay this block step by step
         ms = []
-        for i in range(i, min(i + _BLOCK, n_total)):
+        for i in range(i, stop):
             i_n = k_n * (ov_n * m - 0.5 * m * m) if m < lim_n else sat_n
             m = m + (i_p - i_n) * inv_c
             if m < lo or m > hi:
@@ -172,7 +212,7 @@ def _frozen_tail(
             elif m > vdd:
                 m = vdd
             ms.append(m)
-            if vdd - m != vdd:
+            if vdd - m != vdd or m <= switch:
                 break
         i += 1
         v_move[i + 1 - len(ms) : i + 1] = ms
@@ -180,6 +220,11 @@ def _frozen_tail(
             break
     v_frozen[start + 1 : i + 1] = f
     return i, m
+
+
+def _decay(m, n, k_n, ov_n, inv_c):
+    """``n`` bare decay steps from ``m``, as a list."""
+    return [m := m - k_n * (ov_n * m) * inv_c for _ in range(n)]
 
 
 def get_backend() -> str:

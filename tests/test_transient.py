@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from itertools import product
 from math import inf, nan
@@ -283,6 +284,22 @@ def tails(monkeypatch):
     return log
 
 
+@pytest.fixture
+def bare(monkeypatch):
+    """Every block of bare decay steps the kernel computes, as (steps, kept):
+    ``_frozen_tail`` keeps a block when none of its values is negative."""
+    log = []
+    decay = _kernels._decay
+
+    def spy(m, n, *rest):
+        ms = decay(m, n, *rest)
+        log.append((n, min(ms) >= 0.0))
+        return ms
+
+    monkeypatch.setattr(_kernels, "_decay", spy)
+    return log
+
+
 def run_both(race, n_pre, n_total, tails, start=None, bounds=None):
     """Run the reference kernel over the whole range and the kernel, whole or
     in calls over ``bounds``; assert the same return value and array bytes.
@@ -350,6 +367,36 @@ RAIL_RACES = {
     # the first step, so no tail starts.
     "leaves": ((1e-12, VDD, 1e-14, 1e-4, 2.0, 1e-4, 2.0, 5e-8, -2.0), (VDD, 0.0), -1, 0),
 }
+
+
+def decaying_race(r, ov=1.5, k=1.0, dt=1e-12):
+    """A race whose V_OUT has no pull-down and sits at the rail, so it
+    freezes on the first step, while V̄_OUT, whose PMOS that rail keeps off,
+    decays through a branch of overdrive ``ov`` by about
+    ``r = k * ov * dt / c_node`` of its value a step."""
+    return (dt, VDD, dt * k * ov / r, 1e-4, 2.0, k, VDD - ov, 1e-4, 0.3)
+
+
+# name -> (race, V̄_OUT's value at the start), under ov * 2**-55 from the
+# first step unless named "late". Each reaches subnormals within one
+# 25,000-step half. At ov = 0.55, ov * m rounds up far enough at the bottom
+# of the subnormal range that the node reaches exact 0.0; at r = 0.96 that
+# rounding overshoots below 0, so one bare block is replayed step by step.
+DECAYS = {
+    "r0.05": (decaying_race(0.05), 1e-17),
+    "r0.1": (decaying_race(0.1), 1e-17),
+    "r0.3": (decaying_race(0.3), 1e-17),
+    "r0.3-to-zero": (decaying_race(0.3, ov=0.55), 1e-17),
+    "r0.96-overshoot": (decaying_race(0.96, ov=0.6), 1e-17),
+    # Stays above ov * 2**-55 = 4.2e-17 for its first 20 to 30 steps.
+    "r0.05-late": (decaying_race(0.05), 1e-16),
+    # Stiff: the entry step overshoots below 0 and clamps to 0.0.
+    "r1.5-stiff": (decaying_race(1.5), 1e-17),
+    "r2.5-stiff": (decaying_race(2.5), 3e-17),
+}
+# A race whose finite constants overflow: k * (ov * m) is inf for m > 2e-22.
+OVERFLOW_RACE = (1e-12, VDD, 1e-14, 1e-4, 2.0, 1e30, -1e300, 1e-4, 0.3)
+MIN_NORMAL = 2.0**-1022
 
 
 class TestKernelMatchesReference:
@@ -433,13 +480,15 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("frozen", ["out", "bar"])
     @pytest.mark.parametrize("case", sorted(RAIL_RACES))
-    def test_rail_races(self, tails, case, frozen):
+    def test_rail_races(self, tails, bare, case, frozen):
         race, start, bad, n_tails = RAIL_RACES[case]
         if frozen == "bar":
             race = race[:3] + race[5:7] + race[3:5] + race[7:]
             start = start[::-1]
         got, v_out, v_bar = run_both(race, 0, 1000, tails, start)
         assert got == bad
+        # A depletion PMOS feeds the moving node: no bare decay.
+        assert bare == []
         assert [(side, first) for side, first, *_ in tails] == [(frozen, 1)] * n_tails
         moving = v_bar if frozen == "out" else v_out
         if case == "rises":
@@ -454,6 +503,219 @@ class TestKernelMatchesReference:
             assert set(moving[1::2]) == {moving[1]} and set(moving[2::2]) == {0.0}
         elif bad >= 0:
             assert tails[0][2] == -bad
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("frozen", ["out", "bar"])
+    @pytest.mark.parametrize("case", sorted(DECAYS))
+    def test_decaying_tails(self, tails, bare, monkeypatch, case, frozen, block):
+        # Blocks of 1 and 7 steps start on, straddle and end at the switch
+        # to the bare phase; 4096 is the kernel's own block.
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
+        race, m0 = DECAYS[case]
+        start = (VDD, m0)
+        if frozen == "bar":
+            race, start = mirror(race), start[::-1]
+        got, v_out, v_bar = run_both(race, 0, 25000, tails, start)
+        assert got == -1
+        assert [(side, first, last) for side, first, last, _ in tails] == [(frozen, 1, 25000)]
+        moving = v_bar if frozen == "out" else v_out
+        kept = sum(n for n, ok in bare if ok)
+        replayed = [ok for _, ok in bare].count(False)
+        if "stiff" in case:
+            assert np.all(moving[1:] == 0.0)
+            assert (kept, replayed) == (24999, 0)
+            return
+        assert 0.0 < moving[moving > 0.0].min() < MIN_NORMAL
+        assert (moving[-1] == 0.0) == (case in ("r0.3-to-zero", "r0.96-overshoot"))
+        assert replayed == (case == "r0.96-overshoot")
+        if replayed:
+            assert kept >= 24999 - block - 10
+        else:
+            assert kept >= 0.95 * 24999
+        if case == "r0.05-late":
+            # Step by step until the node falls under ov * 2**-55, which
+            # the step to sample `switch` does; bare blocks run from there.
+            small = (VDD - race[6 if frozen == "out" else 4]) * 2**-55
+            switch = 25000 - kept
+            assert moving[switch - 1] > small >= moving[switch]
+            assert 10 < switch < 100
+
+    def test_calls_split_a_bare_block(self, tails, bare):
+        race = reference_race(XOR_PROGRAM, PARAMS, CFG, 0, 1)
+        n_total = CFG.n_steps
+        n_pre = n_total // 2
+        run_both(race, n_pre, n_total, tails)
+        [(_, first, _, _)] = tails
+        # The last sample of the step-by-step phase: bare blocks fill the rest.
+        switch = n_total - sum(n for n, _ in bare)
+        assert 0 < switch - first < 200
+        del tails[:], bare[:]
+        # Boundaries one and two steps into the first bare block, and one
+        # inside each of the next two blocks.
+        block = _kernels._BLOCK
+        bounds = [n_pre, switch + 1, switch + 2, switch + 100, switch + block + 200]
+        run_both(race, n_pre, n_total, tails, bounds=bounds + [n_total])
+        assert [t[1] for t in tails] == [first] + [b + 1 for b in bounds[1:]]
+        # Each later call re-enters the tail after one full step, under the
+        # bound, and runs bare at once.
+        assert all(ok for _, ok in bare)
+        assert sum(n for n, _ in bare) == n_total - switch - (len(bounds) - 1)
+
+    @pytest.mark.parametrize("m0", [0.0, 5e-324, 1e-17])
+    @pytest.mark.parametrize(
+        "race",
+        [
+            # dt / c_node overflows, so every step is NaN or infinite.
+            (1e-12, VDD, 5e-324, 1e-4, 2.0, 1e-4, 0.3, 1e-4, 0.3),
+            (1e-12, VDD, 5e-324, 1e-4, 2.0, 1e-4, 0.3, 1e-4, -0.2),
+            # An infinite gain on the decaying branch.
+            (1e-12, VDD, 1e-14, 1e-4, 2.0, inf, 0.3, 1e-4, 0.3),
+            OVERFLOW_RACE,
+        ],
+        ids=["inv-c-inf", "inv-c-inf-depletion", "k-inf", "k-ov-inf"],
+    )
+    def test_overflowing_constants(self, tails, bare, race, m0):
+        for constants, start in ((race, (VDD, m0)), (mirror(race), (m0, VDD))):
+            run_both(constants, 0, 400, tails, start)
+        if race[0] / race[2] == inf or inf in race:
+            assert bare == []
+
+    @pytest.mark.parametrize("m0", [-0.0, 0.0, 5e-324, 1e-17])
+    @pytest.mark.parametrize("signs", [(-1, -1), (-1, 1), (1, -1)], ids=["k-and-c", "k", "c"])
+    def test_negative_constants(self, tails, bare, signs, m0):
+        # A negative gain or node capacitance keeps the tail step by step.
+        # With both negative the node decays, but the entry step leaves -0.0
+        # at -0.0, where the bare update would give +0.0.
+        race = decaying_race(0.1)
+        race = race[:2] + (signs[1] * race[2],) + race[3:5] + (signs[0] * race[5],) + race[6:]
+        for constants, start in ((race, (VDD, m0)), (mirror(race), (m0, VDD))):
+            got, v_out, v_bar = run_both(constants, 0, 2000, tails, start)
+        assert tails and bare == []
+        if signs == (-1, -1) and m0 == 0.0:
+            # v_out moves in the mirrored race; a zero keeps its sign.
+            assert v_out[-1] == 0.0 and math.copysign(1.0, v_out[-1]) == math.copysign(1.0, m0)
+
+    # (case, V̄_OUT's value where the tail starts): DECAYS races, and
+    # OVERFLOW_RACE, whose step from 1e-17 is -inf, so that its bare block
+    # holds -inf and then NaN.
+    @pytest.mark.parametrize(
+        "case, m0",
+        [
+            (case, m0)
+            for case in ("r0.05", "r0.3-to-zero", "r2.5-stiff")
+            for m0 in (-0.0, 0.0, 5e-324, 1e-17, "small", "above")
+        ]
+        + [("overflow", m0) for m0 in (-0.0, 0.0, 5e-324, 1e-17)],
+    )
+    def test_tail_entry_values(self, bare, case, m0):
+        # _frozen_tail called directly from the value the tail starts at,
+        # against reference_integrate from that value with V_OUT at the
+        # rail. On a decaying branch the kernel's own entry step never
+        # leaves -0.0, so only a direct call reaches it.
+        race = OVERFLOW_RACE if case == "overflow" else DECAYS[case][0]
+        dt, vdd, c_node, _, _, k, vth, _, _ = race
+        ov = vdd - vth
+        small = ov * 2**-55
+        m0 = {"small": small, "above": math.nextafter(small, inf)}.get(m0, m0)
+        n_total = 3000
+        ref_out = np.full(n_total + 1, -7.0)
+        ref_bar = np.full(n_total + 1, -7.0)
+        ref_out[0], ref_bar[0] = vdd, m0
+        bad = reference_integrate(ref_out, ref_bar, 0, n_total, *race)
+        v_out = np.full(n_total + 1, -7.0)
+        v_bar = np.full(n_total + 1, -7.0)
+        v_out[0], v_bar[0] = vdd, m0
+        end, m = _kernels._frozen_tail(
+            v_bar, v_out, 0, n_total, m0, vdd, 0.0, k, ov, ov, 0.5 * k * ov * ov,
+            dt / c_node, -_kernels.GUARD_V, vdd + _kernels.GUARD_V, vdd,
+        )
+        assert end == (n_total if bad < 0 else -bad)
+        assert v_out.tobytes() == ref_out.tobytes()
+        assert v_bar.tobytes() == ref_bar.tobytes()
+        # The first block is bare exactly when the tail starts in range, and
+        # it is replayed exactly when its first step overshoots below 0.
+        assert (bare[0][0] == n_total) == (0.0 <= m0 <= small)
+        overshoots = case in ("r2.5-stiff", "overflow") and m0 > 0.0
+        assert [ok for _, ok in bare].count(False) == (overshoots and m0 <= small)
+        if case == "overflow" and m0 == 1e-17:
+            assert (bad, m) == (1, -inf)
+        elif bad < 0:
+            assert m == ref_bar[-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.floats(1e-4, 4.0),
+        ov=st.floats(1e-3, 1.7),
+        k=st.sampled_from((1e-4, 1.0, 1e4)),
+        dt=st.sampled_from((1e-12, 1e-10)),
+        vth_pmos=st.sampled_from((0.3, 0.0, -1e-9)),
+        m0=st.one_of(
+            st.floats(0.0, 1e-16),
+            st.sampled_from((0.0, -0.0, 5e-324, 1e-17, 1e-300, 1e-16, 2e-16)),
+        ),
+        n_total=st.integers(1, 3000),
+        block=st.sampled_from((1, 2, 7, 64, 4096)),
+        mirrored=st.booleans(),
+        sign=st.sampled_from((1.0, 1.0, 1.0, -1.0)),
+    )
+    def test_random_decays(self, r, ov, k, dt, vth_pmos, m0, n_total, block, mirrored, sign):
+        # A depletion PMOS (threshold below 0) gives the moving node a
+        # p-current, which keeps it out of the bare phase, and so do a
+        # negative gain and node capacitance (sign -1). At threshold 0.0
+        # the p-current is exactly 0.0.
+        race = decaying_race(r, ov, sign * k, dt)[:8] + (vth_pmos,)
+        start = (VDD, m0)
+        if mirrored:
+            race, start = mirror(race), start[::-1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BLOCK", block)
+            run_both(race, 0, n_total, [], start)
+
+    def test_rounding_lemma(self):
+        # ov * m - 0.5 * m * m rounds to ov * m for 0 <= m <= ov * 2**-55,
+        # where ov * m is normal or subnormal, and with room to spare: it
+        # still holds at 4x the bound and fails at 8x.
+        rng = np.random.default_rng(20)
+        ov = 10.0 ** rng.uniform(-3.0, 3.0, 100_000)
+        small = ov * 2.0**-55
+
+        def rounds(m):
+            return ov * m - 0.5 * m * m == ov * m
+
+        below = np.nextafter(small, 0.0)
+        above = np.nextafter(small, inf)
+        for m in (small, below, above, small * rng.uniform(0.0, 1.0, ov.size)):
+            assert np.all(ov * m >= MIN_NORMAL) and np.all(rounds(m))
+        for scale in (2.0**-1000, 2.0**-1040, 2.0**-1060):
+            for m in (small * scale, below * scale, above * scale):
+                assert np.all(ov * m < MIN_NORMAL) and np.all(rounds(m))
+        for m in (5e-324, 1e-310, 0.0):
+            assert np.all(rounds(np.full(ov.size, m)))
+        assert np.all(rounds(4 * small))
+        assert not np.any(rounds(8 * small))
+
+    def test_bare_blocks_in_gate_char_races(self, tails, bare):
+        # At 20 MHz at least 95% of the steps of every resolving pair's tail
+        # run bare, and no block is replayed; no 1 or 2 GHz race runs one.
+        calls = {}
+        for clock in GATE_CHAR_CLOCKS:
+            cfg = SimConfig(clock_freq=clock)
+            for f, pair, m in product(TruthTable2, GATE_CHAR_PAIRS, range(4)):
+                race = reference_race(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
+                calls[race, cfg.n_steps] = clock, pair
+        assert len(calls) == 66
+        for (race, n_total), (clock, pair) in calls.items():
+            del tails[:], bare[:]
+            v_out = np.full(n_total + 1, race[1])
+            v_bar = np.full(n_total + 1, race[1])
+            assert _kernels.integrate(v_out, v_bar, n_total // 2, n_total, *race) == -1
+            steps = sum(last - first for _, first, last, _ in tails)
+            kept = sum(n for n, ok in bare if ok)
+            if clock == CFG.clock_freq and pair != GATE_CHAR_PAIRS[-1]:
+                assert all(ok for _, ok in bare)
+                assert kept >= 0.95 * steps > 0
+            else:
+                assert bare == []
 
 
 def reference_half(race, cfg: SimConfig):
