@@ -410,12 +410,23 @@ _WORD_OPS = (
 )
 
 
-def _camo_op(name: str, bindings):
+def _bound_op(name: str, bindings) -> int:
+    """The op of the one function that ``bindings`` binds CAMO gate ``name`` to."""
     if bindings is None or name not in bindings:
         raise UnprogrammedGateError(f"unprogrammed camouflaged gate {name!r}")
     bound = bindings[name]
+    try:
+        return int(TruthTable2(bound))
+    except ValueError:
+        value = "per-lane masks" if isinstance(bound, tuple) else repr(bound)
+        raise UsageError(f"gate {name!r} bound to {value}, not a TruthTable2") from None
+
+
+def _camo_op(name: str, bindings):
+    """A CAMO entry's word function; per-lane masks (attack lanes) run as a mux."""
+    bound = bindings.get(name) if bindings is not None else None
     if not isinstance(bound, tuple):
-        return _WORD_OPS[TruthTable2(bound)]
+        return _WORD_OPS[_bound_op(name, bindings)]
     m0, m1, m2, m3 = bound
 
     def mux(a, b):

@@ -19,6 +19,7 @@ from .bench import (
     WORD_BITS,
     Gate,
     Netlist,
+    _bound_op,
     _eval_gates,
     _input_vectors,
     eval_vectors,  # noqa: F401  (perfbench/test_perfbench.py reads camo.eval_vectors)
@@ -29,7 +30,6 @@ from .errors import (
     DomainError,
     NotCamouflageableError,
     SignatureMismatchError,
-    UnprogrammedGateError,
     UsageError,
 )
 from .gates import (
@@ -264,10 +264,10 @@ def reconstruct(camo: Netlist, resolution: Mapping[str, TruthTable2 | None]) -> 
     """Rebuild a netlist from resolved functions; unresolved gates stay CAMO."""
     new_gates = []
     for g in camo.gates:
-        f = resolution.get(g.name) if g.kind == "CAMO" else None
-        if f is None:
+        if g.kind != "CAMO" or resolution.get(g.name) is None:
             new_gates.append(g)
             continue
+        f = TruthTable2(_bound_op(g.name, resolution))
         kind = FUNCTION_TO_KIND.get(f)
         if kind is None:
             raise DomainError(
@@ -300,11 +300,11 @@ def _miter(a: Netlist, b: Netlist, bindings):
 
     Structural hashing over the slot programs of ``a``, then ``b``: inputs
     are nodes 0..n-1, and an entry's node is keyed by its op and fan-in
-    nodes, sorted when the op is symmetric. A CAMO entry keys on its bound
-    function's op, or with per-lane masks on its name (the same masks). A
-    and B entries (BUF) alias an input. An n-ary gate folds its fan-in nodes
-    in sorted order, so AND(x, y, z) and AND(z, x, y) share a node. The
-    first unbound CAMO gate raises as evaluating a, then b would.
+    nodes, sorted when the op is symmetric. A CAMO entry takes its bound
+    function's op, so the program holds word ops only. A and B entries
+    (BUF) alias an input. An n-ary gate folds its fan-in nodes in sorted
+    order, so AND(x, y, z) and AND(z, x, y) share a node. The first unbound
+    or malformed binding raises as evaluating a, then b would.
 
     Returns ``(program, outs_a, outs_b)``: one entry per node (entry j
     writes node n + j) and each output's node. Equal nodes mean a merged
@@ -330,10 +330,7 @@ def _miter(a: Netlist, b: Netlist, bindings):
             if out >= limit:
                 continue  # a fold step: the gate's last entry folds anew
             if op.__class__ is str:
-                if bindings is None or op not in bindings:
-                    raise UnprogrammedGateError(f"unprogrammed camouflaged gate {op!r}")
-                if not isinstance(bindings[op], tuple):  # per-lane: keep the name
-                    op = int(TruthTable2(bindings[op]))
+                op = _bound_op(op, bindings)
             if x >= limit:  # the last entry of an n-ary gate
                 fan = sorted([node_of[s] for s in net._fanin[out - n_in]])
                 x = fan[0]
@@ -355,33 +352,24 @@ def _int_words(words) -> int:
     return int.from_bytes(np.asarray(words, dtype="<u8").tobytes(), "little")
 
 
-def _first_mismatch(miter, bindings, input_words, total: int):
+def _first_mismatch(miter, input_words, total: int):
     """The lowest vector index below ``total`` where a and b differ.
 
     ``miter`` is what ``_miter`` returns and ``input_words(start, count)``
-    the input words of words [start, start+count). A per-lane binding holds
-    one word per 64 vectors in each mask. Each chunk runs on Python ints,
-    all of its words in one int. Returns (index, outputs of a, outputs of
-    b), or None when every vector agrees.
+    the input words of words [start, start+count). Each chunk runs the word
+    ops on Python ints, all of its words in one int, with no bindings.
+    Returns (index, outputs of a, outputs of b), or None if all agree.
     """
     program, outs_a, outs_b = miter
     pairs = [(i, j) for i, j in zip(outs_a, outs_b) if i != j]
     if not pairs:
         return None
-    bindings = bindings or {}
-    per_lane = {nm: masks for nm, masks in bindings.items() if isinstance(masks, tuple)}
     n_words = -(-total // WORD_BITS)
-    if any(len(m) < n_words for masks in per_lane.values() for m in masks):
-        raise UsageError(f"per-lane masks must hold {n_words} words, one per 64 vectors")
     for start in range(0, n_words, _CHUNK_WORDS):
         count = min(_CHUNK_WORDS, n_words - start)
         values = [_int_words(w) for w in input_words(start, count)]
         values += [None] * len(program)
-        lanes = {
-            nm: tuple(_int_words(m[start : start + count]) for m in masks)
-            for nm, masks in per_lane.items()
-        }
-        _eval_gates(program, values, {**bindings, **lanes})
+        _eval_gates(program, values, None)
         diff = 0
         for i, j in pairs:
             diff |= values[i] ^ values[j]
@@ -409,13 +397,13 @@ def verify_equivalence(
 ) -> EquivalenceResult:
     """Check functional equivalence of two netlists with shared I/O signature.
 
-    ``bindings`` programs CAMO instances in either netlist (keyed by gate
-    name). Exhaustive mode enumerates every input vector and is sound and
-    complete up to 24 inputs; random mode samples ``n_vectors`` vectors from
-    ``seed`` and reports the first counterexample it finds, if any. Both
-    evaluate one structurally hashed miter of a and b, and none at all when
-    every output pair hashes to the same node; ``vectors_checked`` counts
-    the vectors the answer covers.
+    ``bindings`` maps each CAMO instance of either netlist to the one
+    ``TruthTable2`` its cell realises. Exhaustive mode enumerates every
+    input vector and is sound and complete up to 24 inputs; random mode
+    samples ``n_vectors`` vectors from ``seed`` and reports the first
+    counterexample it finds, if any. Both evaluate one structurally hashed
+    miter of a and b, and none at all when every output pair hashes to the
+    same node; ``vectors_checked`` counts the vectors the answer covers.
     """
     if a.inputs != b.inputs or a.outputs != b.outputs:
         raise SignatureMismatchError(
@@ -428,13 +416,13 @@ def verify_equivalence(
             f"exhaustive mode supports at most {EXHAUSTIVE_INPUT_LIMIT} "
             f"inputs, netlist has {n_in}"
         )
-    if mode == "random" and n_vectors <= 0:
+    if mode == "random" and (n_vectors is None or n_vectors <= 0):
         raise UsageError(f"n_vectors must be positive, got {n_vectors!r}")
     if mode not in ("exhaustive", "random"):
         raise UsageError(f"unknown equivalence mode {mode!r}")
     total, input_words, vector = _input_vectors(a.inputs, mode, n_vectors, seed)
 
-    hit = _first_mismatch(_miter(a, b, bindings), bindings, input_words, total)
+    hit = _first_mismatch(_miter(a, b, bindings), input_words, total)
     if hit is None:
         return EquivalenceResult(
             equivalent=True, mode=mode, vectors_checked=total, vectors_total=total

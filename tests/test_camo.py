@@ -8,10 +8,12 @@ import pytest
 from conftest import naive_eval, random_netlist
 from tvdcamo import bench as bench_module
 from tvdcamo import camo as camo_module
+from tvdcamo.attack import oracle_attack
 from tvdcamo.bench import (
     Gate,
     Netlist,
     eval_logic,
+    eval_vectors,
     pack_words,
     parse_bench,
     serialize_bench,
@@ -22,6 +24,7 @@ from tvdcamo.camo import (
     EquivalenceResult,
     camouflage,
     decamouflage,
+    reconstruct,
     verify_equivalence,
 )
 from tvdcamo.device import IsfetParams
@@ -156,6 +159,18 @@ class TestDecamouflage:
         with pytest.raises(CoverageError) as exc:
             decamouflage(camo, extra)
         assert "ghost" in str(exc.value)
+
+    def test_reconstruct_names_a_gate_bound_to_no_function(self, c17):
+        camo, _ = camouflage(c17, gates=["16"])
+        with pytest.raises(UsageError, match="^gate '16' bound to 99, not a TruthTable2$"):
+            reconstruct(camo, {"16": 99})
+        # A function with no concrete gate kind stays a DomainError.
+        with pytest.raises(DomainError) as exc:
+            reconstruct(camo, {"16": TruthTable2.A})
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == "gate '16': function A has no concrete gate kind"
+        assert reconstruct(camo, {"16": TruthTable2.NAND}) == c17
+        assert reconstruct(camo, {"16": None}) == camo
 
 
 class TestConfigJson:
@@ -585,6 +600,24 @@ class TestVerifyMiter:
                     a, b, bindings, "random", n_vectors, seed
                 )
 
+    def test_programs_hold_word_ops_and_run_unbound(self, monkeypatch):
+        # Each bound CAMO gate enters the miter as its function's op, so
+        # every program verify evaluates is word ops run with no bindings.
+        runs = []
+        run = bench_module._eval_gates
+
+        def spy(program, values, bindings):
+            runs.append(bindings)
+            assert all(type(op) is int for op, _, _, _ in program)
+            return run(program, values, bindings)
+
+        monkeypatch.setattr(camo_module, "_eval_gates", spy)
+        for seed in range(30):
+            for a, b, bindings in _miter_cases(seed):
+                verify_equivalence(a, b, bindings=bindings)
+                verify_equivalence(a, b, bindings=bindings, mode="random", n_vectors=300)
+        assert runs and all(bindings is None for bindings in runs)
+
     def test_rewrites_are_equivalent(self):
         for seed in range(40):
             n = random_netlist(random.Random(seed), max_inputs=8, max_gates=30)
@@ -656,7 +689,7 @@ class TestVerifyMiter:
             (nand, 12, 11, node["19"]),
             (nand, 13, node["10"], 11),
         ]
-        assert flipped == TruthTable2.AND and run_bindings == bindings
+        assert flipped == TruthTable2.AND and run_bindings is None
         assert all(type(word) is int for word in inputs)
         _, outs_a, outs_b = camo_module._miter(c17, camo, bindings)
         assert (outs_a, outs_b) == ([node["22"], node["23"]], [13, 12])
@@ -696,6 +729,8 @@ class TestVerifyMiter:
         (True, {"mode": "sat"}, UsageError, "unknown equivalence mode 'sat'"),
         (True, {"mode": "random", "n_vectors": 10**12}, UsageError, "more than 268435456"),
         (True, {"mode": "random", "n_vectors": 10}, UnprogrammedGateError, "'g'"),
+        (False, {"mode": "random", "n_vectors": None}, SignatureMismatchError, "I/O"),
+        (True, {"mode": "random", "n_vectors": None}, UsageError, "n_vectors must be positive"),
     ])
     def test_error_order(self, monkeypatch, same_signature, kwargs, error, message):
         def fail(seed):
@@ -750,40 +785,39 @@ class TestVerifyMiter:
         )
         assert not verify_equivalence(a, b, bindings=bindings).equivalent
 
-    def test_per_lane_bindings_are_evaluated(self, c17, monkeypatch):
-        camo, _ = camouflage(c17, gates=["16"])
-        codes = np.random.default_rng(3).integers(0, 16, size=32, dtype=np.uint8)
-        lanes = {"16": tuple(pack_words((codes >> (3 - m)) & 1) for m in range(4))}
-        word_types = _spy_word_types(monkeypatch)
-        # The same per-lane gate on both sides computes the same values.
-        assert verify_equivalence(camo, camo, bindings=lanes).equivalent
-        result = verify_equivalence(c17, camo, bindings=lanes)
-        for index, vec in enumerate(product((0, 1), repeat=5)):
-            per_vector = {"16": TruthTable2(int(codes[index]))}
-            if naive_eval(c17, vec) != naive_eval(camo, vec, per_vector):
-                break
-        assert result.counterexample == vec
-        assert result.vectors_checked == index + 1
-        assert result.outputs_b == naive_eval(camo, vec, per_vector)
-        # The numpy masks run with the chunk's words, as Python ints.
-        assert word_types == [int]
 
-    def test_per_lane_masks_follow_the_chunks(self, monkeypatch):
-        # 256 vectors are 4 words, one chunk each: every chunk reads its own
-        # word of each mask.
-        monkeypatch.setattr(camo_module, "_CHUNK_WORDS", 1)
-        plain, camo, _ = _rare_case(8)
-        codes = np.full(256, int(TruthTable2.AND), dtype=np.uint8)
-        codes[252] = int(TruthTable2.NOR)  # i0..i5 all 1, i6 = i7 = 0
-        lanes = {"z": tuple(pack_words((codes >> (3 - m)) & 1) for m in range(4))}
-        result = verify_equivalence(plain, camo, bindings=lanes)
-        vec = (1,) * 6 + (0, 0)
-        assert (result.vectors_checked, result.counterexample) == (253, vec)
-        assert result.outputs_b == naive_eval(camo, vec, {"z": TruthTable2.NOR})
-        # Masks that stop short of the last vector would read as 0 there.
-        short = {"z": tuple(m[:3] for m in lanes["z"])}
-        with pytest.raises(UsageError, match="must hold 4 words"):
-            verify_equivalence(plain, camo, bindings=short)
+class TestMalformedBindings:
+    @pytest.mark.parametrize("value", [99, None, "AND"])
+    def test_every_entry_point_names_the_gate_and_value(self, c17, value):
+        camo, _ = camouflage(c17, gates=["16"])
+        bad = {"16": value}
+        calls = [
+            lambda: eval_logic(camo, [0] * 5, bad),
+            lambda: verify_equivalence(c17, camo, bad),
+            lambda: verify_equivalence(c17, camo, bad, mode="random"),
+            lambda: oracle_attack(camo, camo, oracle_bindings=bad),
+            lambda: oracle_attack(
+                camo, camo, oracle_bindings=bad, joint_limit=1, marginal_fallback=True
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(UsageError) as exc:
+                call()
+            assert type(exc.value) is UsageError
+            assert str(exc.value) == f"gate '16' bound to {value!r}, not a TruthTable2"
+
+    def test_verify_rejects_per_lane_masks(self, c17):
+        camo, _ = camouflage(c17, gates=["16"])
+        masks = tuple(pack_words(np.ones(32, dtype=bool)) for _ in range(4))
+        for a, b in ((c17, camo), (camo, c17), (camo, camo)):
+            with pytest.raises(UsageError) as exc:
+                verify_equivalence(a, b, {"16": masks})
+            assert str(exc.value) == "gate '16' bound to per-lane masks, not a TruthTable2"
+        # The word engine still runs them: all-ones masks are TRUE on every lane.
+        arrays = dict(zip(c17.inputs, np.random.default_rng(0).integers(0, 2, (5, 32))))
+        got = eval_vectors(camo, arrays, {"16": masks})
+        want = eval_vectors(camo, arrays, {"16": TruthTable2.TRUE})
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestLayoutIndistinguishability:
