@@ -20,6 +20,7 @@ from .bench import (
     Netlist,
     _eval_gates,
     _input_vectors,
+    _is_count,
     eval_logic,
     eval_words,
     index_bit_words,
@@ -160,8 +161,10 @@ def _query_vectors(inputs: tuple[str, ...], strategy: str, n_queries, seed):
             f"exhaustive querying supports at most "
             f"{_EXHAUSTIVE_QUERY_LIMIT_BITS} inputs, netlist has {len(inputs)}"
         )
-    if strategy == "random" and (n_queries is None or n_queries < 0):
-        raise UsageError("random strategy requires n_queries >= 0")
+    if strategy == "random" and not (_is_count(n_queries) and n_queries >= 0):
+        if n_queries is None or _is_count(n_queries):
+            raise UsageError("random strategy requires n_queries >= 0")
+        raise UsageError(f"n_queries must be an int, got {n_queries!r}")
     if strategy not in ("exhaustive", "random"):
         raise UsageError(f"unknown query strategy {strategy!r}")
     return _input_vectors(inputs, strategy, n_queries, seed)

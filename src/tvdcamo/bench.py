@@ -15,6 +15,8 @@ Net names are case-sensitive ``[A-Za-z0-9_]+``; CRLF input is tolerated.
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain, compress, count, repeat
+from operator import lt
 
 import numpy as np
 
@@ -48,14 +50,27 @@ _IO_RE = re.compile(r"^\s*(INPUT|OUTPUT)\s*\(\s*([A-Za-z0-9_]+)\s*\)\s*$")
 _GATE_RE = re.compile(
     r"^\s*([A-Za-z0-9_]+)\s*=\s*([A-Za-z0-9_]+)\s*\(\s*([^()]*?)\s*\)\s*$"
 )
-# A gate line whose net names are all valid, comment included: the parser's
-# fast path. The first two fan-ins have groups of their own, any more share
-# one. _GATE_RE takes any argument text so that a bad name is located.
-_GATE_LINE_RE = re.compile(
-    r"\s*([A-Za-z0-9_]+)\s*=\s*([A-Za-z0-9_]+)\s*\(\s*([A-Za-z0-9_]+)\s*"
-    r"(?:,\s*([A-Za-z0-9_]+)\s*((?:,\s*[A-Za-z0-9_]+\s*)*))?\)\s*(?:#.*)?"
-)
 _find_names = re.compile(r"[A-Za-z0-9_]+").findall
+
+
+def _line_shape(body: str):
+    """findall over "\\n" + text of the lines of one shape: ``body`` with
+    spaces and tabs around it, then an optional comment that holds no line
+    break of ``str.splitlines``. Each match starts at its "\\n", so the
+    scan jumps from line to line."""
+    comment = "(?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?"
+    return re.compile(rf"\n[ \t]*{body}[ \t]*{comment}(?![^\n])").findall
+
+
+_NAME = "[A-Za-z0-9_]+"
+_INPUT_LINES = _line_shape(rf"INPUT[ \t]*\([ \t]*({_NAME})[ \t]*\)")
+_OUTPUT_LINES = _line_shape(rf"OUTPUT[ \t]*\([ \t]*({_NAME})[ \t]*\)")
+# Name, kind, the first two fan-ins and the text of any more.
+_GATE_LINES = _line_shape(
+    rf"({_NAME})[ \t]*=[ \t]*({_NAME})[ \t]*\([ \t]*({_NAME})[ \t]*"
+    rf"(?:,[ \t]*({_NAME})[ \t]*((?:,[ \t]*{_NAME}[ \t]*)*))?\)"
+)
+_BLANK_LINES = _line_shape("")
 
 
 def _check_arity(kind: str, n: int) -> str | None:
@@ -105,33 +120,50 @@ class Netlist:
     """An immutable combinational netlist with single-driver nets.
 
     Construction validates the structural invariants (every net has exactly
-    one driver, every fan-in is defined, the gate graph is acyclic) and
-    compiles the netlist into integer slots, input i at slot i and file gate
-    k at slot n + k for n inputs: ``_fanin`` holds each gate's fan-in slots,
-    ``_order`` the topological gate order and ``_program`` the slot program.
+    one driver, every fan-in is defined, the gate graph is acyclic). The
+    gates are kept as three parallel columns in file order: ``_names``,
+    ``_kinds`` and ``_fanins`` (fan-in name tuples); ``gates``, ``gate_map``
+    and ``topo_gates`` are views built on first read. The netlist is
+    compiled into integer slots, input i at slot i and file gate k at slot
+    n + k for n inputs: ``_fanin`` holds each gate's fan-in slots,
+    ``_order`` the gate order of ``_program``, the slot program. That order
+    is file order when every fan-in slot lies below its gate's slot, else
+    Kahn's order.
     """
 
     def __init__(self, inputs, outputs, gates):
+        gates = tuple(gates)
         self.inputs: tuple[str, ...] = tuple(inputs)
         self.outputs: tuple[str, ...] = tuple(outputs)
-        self.gates: tuple[Gate, ...] = tuple(gates)
+        self._names = tuple(g.name for g in gates)
+        self._kinds = tuple(g.kind for g in gates)
+        self._fanins = tuple(g.fanin for g in gates)
+        self.__dict__["gates"] = gates  # the view, as given
         self._link(self._validate())
 
     @classmethod
-    def _from_checked(cls, inputs, outputs, gates, like=None) -> "Netlist":
-        """A netlist of valid, single-driven nets, checked only for an
-        undefined net (KeyError) and a cycle. ``like``, a netlist with the
-        same nets and fan-ins in the same places, lends its slots and order."""
+    def _from_columns(cls, inputs, outputs, names, kinds, fanins, like=None) -> "Netlist":
+        """A netlist of valid names, kinds and arities, given as columns.
+
+        Without ``like``, a duplicate driver or output raises NetlistError,
+        an undefined net KeyError and a cycle CycleError, none of them
+        naming a net. ``like``, a netlist with the same nets and fan-ins in
+        the same places, lends its slots and order unchecked.
+        """
         self = cls.__new__(cls)
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
-        self.gates = tuple(gates)
-        if like is None:
-            names = [*self.inputs, *(g.name for g in self.gates)]
-            self._link(dict(zip(names, range(len(names)))))
-        else:
+        self._names, self._kinds, self._fanins = names, kinds, fanins
+        if like is not None:
             self._fanin, self._order = like._fanin, like._order
             self._out_slots = like._out_slots
+            return self
+        slot = dict(zip(chain(self.inputs, names), count()))
+        if len(slot) != len(self.inputs) + len(names):
+            raise NetlistError("a net has multiple drivers")
+        if len(set(self.outputs)) != len(self.outputs):
+            raise NetlistError("an output is listed twice")
+        self._link(slot)
         return self
 
     def _validate(self) -> dict[str, int]:
@@ -143,14 +175,14 @@ class Netlist:
             if name in slot:
                 raise NetlistError(f"net {name!r} has multiple drivers")
             slot[name] = len(slot)
-        for g in self.gates:
-            if g.name in slot:
-                raise NetlistError(f"net {g.name!r} has multiple drivers")
-            slot[g.name] = len(slot)
-        for g in self.gates:
-            for f in g.fanin:
+        for name in self._names:
+            if name in slot:
+                raise NetlistError(f"net {name!r} has multiple drivers")
+            slot[name] = len(slot)
+        for name, fanin in zip(self._names, self._fanins):
+            for f in fanin:
                 if f not in slot:
-                    raise NetlistError(f"undefined net {f!r} in gate {g.name!r}")
+                    raise NetlistError(f"undefined net {f!r} in gate {name!r}")
         seen_out: set[str] = set()
         for o in self.outputs:
             if o not in slot:
@@ -161,15 +193,21 @@ class Netlist:
         return slot
 
     def _link(self, slot: dict[str, int]) -> None:
-        """Slot fan-ins and outputs, then the topological order."""
-        self._fanin = tuple([tuple(map(slot.__getitem__, g.fanin)) for g in self.gates])
+        """Slot fan-ins and outputs, then the program's gate order."""
+        self._fanin = tuple(map(tuple, map(map, repeat(slot.__getitem__), self._fanins)))
         self._out_slots = tuple(map(slot.__getitem__, self.outputs))
-        self._order = self._topo_sort(len(self.inputs))
+        # Gate k is slot n + k: file order is topological when each gate's
+        # highest fan-in slot lies below its own.
+        if all(map(lt, map(max, self._fanin), count(len(self.inputs)))):
+            self._order = range(len(self._fanin))
+        else:
+            self._order = self._kahn_order
 
-    def _topo_sort(self, n: int) -> tuple[int, ...]:
+    @cached_property
+    def _kahn_order(self) -> tuple[int, ...]:
         # Kahn's algorithm over gate-to-gate dependencies: gate k is slot
         # n + k, so only fan-in slots from n up count. Leftovers form a cycle.
-        fanin = self._fanin
+        n, fanin = len(self.inputs), self._fanin
         indeg = [0] * len(fanin)
         users: list[list[int]] = [[] for _ in fanin]
         for k, slots in enumerate(fanin):
@@ -187,7 +225,7 @@ class Netlist:
                 if indeg[u] == 0:
                     ready.append(u)
         if len(order) != len(fanin):
-            raise CycleError([g.name for g, d in zip(self.gates, indeg) if d > 0])
+            raise CycleError([name for name, d in zip(self._names, indeg) if d > 0])
         return tuple(order)
 
     @cached_property
@@ -200,11 +238,11 @@ class Netlist:
         ``reduce`` then the negation, so n + len(program) slots serve. A CAMO
         entry's op is the gate's name, bound at run time.
         """
-        n, gates = len(self.inputs), self.gates
+        n, names, kinds = len(self.inputs), self._names, self._kinds
         program = []
-        scratch = n + len(gates)
+        scratch = n + len(names)
         for k in self._order:
-            op = _KIND_OPS.get(gates[k].kind, gates[k].name)  # CAMO: the name
+            op = _KIND_OPS.get(kinds[k], names[k])  # CAMO: the name
             slots = self._fanin[k]
             a = slots[0]
             for b in slots[1:-1]:
@@ -214,19 +252,24 @@ class Netlist:
         return tuple(program)
 
     @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates in file order."""
+        return tuple(map(Gate._unchecked, self._names, self._kinds, self._fanins))
+
+    @cached_property
     def topo_gates(self) -> tuple[Gate, ...]:
-        """The gates in topological order."""
-        return tuple(map(self.gates.__getitem__, self._order))
+        """The gates in Kahn's topological order."""
+        return tuple(map(self.gates.__getitem__, self._kahn_order))
 
     @cached_property
     def gate_map(self) -> dict[str, Gate]:
         """Each gate under the name of the net it drives."""
-        return {g.name: g for g in self.gates}
+        return dict(zip(self._names, self.gates))
 
     @property
     def camo_gates(self) -> tuple[str, ...]:
         """Names of camouflaged instances, in file order."""
-        return tuple(g.name for g in self.gates if g.kind == "CAMO")
+        return tuple(compress(self._names, map("CAMO".__eq__, self._kinds)))
 
     def __eq__(self, other):
         if not isinstance(other, Netlist):
@@ -234,13 +277,15 @@ class Netlist:
         return (
             self.inputs == other.inputs
             and self.outputs == other.outputs
-            and self.gates == other.gates
+            and self._names == other._names
+            and self._kinds == other._kinds
+            and self._fanins == other._fanins
         )
 
     def __repr__(self):
         return (
             f"Netlist({len(self.inputs)} inputs, {len(self.outputs)} outputs, "
-            f"{len(self.gates)} gates)"
+            f"{len(self._names)} gates)"
         )
 
 
@@ -257,102 +302,103 @@ def _fanin_columns(line: str) -> list[int]:
     return cols
 
 
-def _parse_statement(raw, lineno, inputs, outputs, gates, driver_lines, output_lines):
-    """Parse one line the fast path did not take, locating any error in it."""
-    line = raw.split("#", 1)[0]
-    if not line.strip():
-        return
-    io_m = _IO_RE.match(line)
-    if io_m:
-        keyword, name = io_m.group(1), io_m.group(2)
-        if keyword == "INPUT":
-            if name in driver_lines:
-                raise BenchParseError(
-                    f"net {name!r} already driven at line {driver_lines[name]}",
-                    lineno,
-                    io_m.start(2) + 1,
-                )
-            driver_lines[name] = lineno
-            inputs.append(name)
-        else:
-            if name in output_lines:
-                raise BenchParseError(
-                    f"output {name!r} already listed at line {output_lines[name]}",
-                    lineno,
-                    io_m.start(2) + 1,
-                )
-            output_lines[name] = lineno
-            outputs.append(name)
-        return
-    gate_m = _GATE_RE.match(line)
-    if gate_m:
-        name, kind_tok, args = gate_m.group(1), gate_m.group(2), gate_m.group(3)
-        kind = kind_tok.upper()
-        if kind not in GATE_KINDS:
-            raise BenchParseError(
-                f"unknown gate kind {kind_tok!r}", lineno, gate_m.start(2) + 1
-            )
-        if name in driver_lines:
-            raise BenchParseError(
-                f"net {name!r} already driven at line {driver_lines[name]}",
-                lineno,
-                gate_m.start(1) + 1,
-            )
-        fanin = [tok.strip() for tok in args.split(",")]
-        for net, col in zip(fanin, _fanin_columns(line)):
-            if not _NAME_RE.match(net):
-                raise BenchParseError(f"invalid net name {net!r}", lineno, col)
-        problem = _check_arity(kind, len(fanin))
-        if problem:
-            raise BenchParseError(problem, lineno, gate_m.start(2) + 1)
-        driver_lines[name] = lineno
-        gates.append(Gate._unchecked(name, kind, tuple(fanin)))
-        return
-    col = len(line) - len(line.lstrip()) + 1
-    raise BenchParseError(f"unrecognized statement {line.strip()!r}", lineno, col)
+def _parse_text(text: str) -> Netlist | None:
+    """The netlist of well-formed text whose only line break is "\\n", from
+    one findall per line shape and no loop per gate; None for any other
+    text, which ``_parse_lines`` then reads line by line."""
+    text = "\n" + text
+    inputs, outputs, rows = _INPUT_LINES(text), _OUTPUT_LINES(text), _GATE_LINES(text)
+    if len(inputs) + len(outputs) + len(rows) + len(_BLANK_LINES(text)) != text.count("\n"):
+        return None  # a line of no shape, or another line break
+    names, kind_toks, firsts, seconds, more = zip(*rows) if rows else ((),) * 5
+    kinds = tuple(map(str.upper, kind_toks))
+    if all(seconds) and not any(more):  # every gate has two fan-ins
+        fanins = tuple(zip(firsts, seconds))
+    else:
+        fanins = tuple(map(tuple, map(_find_names, map(" ".join, zip(firsts, seconds, more)))))
+    for kind, arity in set(zip(kinds, map(len, fanins))):
+        if kind not in GATE_KINDS or _check_arity(kind, arity):
+            return None
+    try:
+        return Netlist._from_columns(inputs, outputs, names, kinds, fanins)
+    except (KeyError, NetlistError):  # an undefined net, a double or a cycle
+        return None
 
 
-def parse_bench(text: str) -> Netlist:
-    """Parse .bench source into a Netlist, or raise a located BenchParseError.
-
-    A well-formed gate line is checked once, by ``_GATE_LINE_RE`` and the
-    kind, driver and arity tests; every other line, and a gate line failing
-    one of those tests, goes through ``_parse_statement``, which locates the
-    error. Columns of undefined fan-in nets are worked out only on error.
-    """
+def _parse_lines(text: str) -> Netlist:
+    """Parse .bench source line by line, locating the first error."""
     inputs: list[str] = []
     outputs: list[str] = []
-    gates: list[Gate] = []
+    names: list[str] = []
+    kinds: list[str] = []
+    fanins: list[tuple[str, ...]] = []
     driver_lines: dict[str, int] = {}  # net -> line of its INPUT or gate
     output_lines: dict[str, int] = {}
     lines = text.splitlines()
 
     for lineno, raw in enumerate(lines, start=1):
-        gate_m = _GATE_LINE_RE.fullmatch(raw)
-        if gate_m:
-            name, kind_tok, a, b, more = gate_m.groups()
-            fanin = (a,) if b is None else (a, b, *_find_names(more)) if more else (a, b)
-            kind = kind_tok.upper()
-            if (
-                kind in GATE_KINDS
-                and name not in driver_lines
-                and _check_arity(kind, len(fanin)) is None
-            ):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        io_m = _IO_RE.match(line)
+        if io_m:
+            keyword, name = io_m.group(1), io_m.group(2)
+            if keyword == "INPUT":
+                if name in driver_lines:
+                    raise BenchParseError(
+                        f"net {name!r} already driven at line {driver_lines[name]}",
+                        lineno,
+                        io_m.start(2) + 1,
+                    )
                 driver_lines[name] = lineno
-                gates.append(Gate._unchecked(name, kind, fanin))
-                continue
-        _parse_statement(
-            raw, lineno, inputs, outputs, gates, driver_lines, output_lines
-        )
+                inputs.append(name)
+            else:
+                if name in output_lines:
+                    raise BenchParseError(
+                        f"output {name!r} already listed at line {output_lines[name]}",
+                        lineno,
+                        io_m.start(2) + 1,
+                    )
+                output_lines[name] = lineno
+                outputs.append(name)
+            continue
+        gate_m = _GATE_RE.match(line)
+        if gate_m:
+            name, kind_tok, args = gate_m.group(1), gate_m.group(2), gate_m.group(3)
+            kind = kind_tok.upper()
+            if kind not in GATE_KINDS:
+                raise BenchParseError(
+                    f"unknown gate kind {kind_tok!r}", lineno, gate_m.start(2) + 1
+                )
+            if name in driver_lines:
+                raise BenchParseError(
+                    f"net {name!r} already driven at line {driver_lines[name]}",
+                    lineno,
+                    gate_m.start(1) + 1,
+                )
+            fanin = tuple(tok.strip() for tok in args.split(","))
+            for net, col in zip(fanin, _fanin_columns(line)):
+                if not _NAME_RE.match(net):
+                    raise BenchParseError(f"invalid net name {net!r}", lineno, col)
+            problem = _check_arity(kind, len(fanin))
+            if problem:
+                raise BenchParseError(problem, lineno, gate_m.start(2) + 1)
+            driver_lines[name] = lineno
+            names.append(name)
+            kinds.append(kind)
+            fanins.append(fanin)
+            continue
+        col = len(line) - len(line.lstrip()) + 1
+        raise BenchParseError(f"unrecognized statement {line.strip()!r}", lineno, col)
 
     try:
-        return Netlist._from_checked(inputs, outputs, gates)
+        return Netlist._from_columns(inputs, outputs, tuple(names), tuple(kinds), tuple(fanins))
     except KeyError:
         # An undefined net: the first fan-in, then the first output.
-        for g in gates:
-            for k, net in enumerate(g.fanin):
+        for name, fanin in zip(names, fanins):
+            for k, net in enumerate(fanin):
                 if net not in driver_lines:
-                    lineno = driver_lines[g.name]
+                    lineno = driver_lines[name]
                     col = _fanin_columns(lines[lineno - 1])[k]
                     raise BenchParseError(f"undefined net {net!r}", lineno, col) from None
         for name in outputs:
@@ -362,6 +408,18 @@ def parse_bench(text: str) -> Netlist:
     except CycleError as exc:
         first = min(exc.cycle, key=driver_lines.__getitem__)
         raise BenchParseError(str(exc), driver_lines[first]) from exc
+
+
+def parse_bench(text: str) -> Netlist:
+    """Parse .bench source into a Netlist, or raise a located BenchParseError.
+
+    Well-formed text whose only line break is "\\n" takes ``_parse_text``,
+    which checks kinds and arities once per distinct (kind, fan-in count)
+    and nets through the slot map. Any other text, and every file with an
+    error, goes through ``_parse_lines``, which locates the first error.
+    """
+    netlist = _parse_text(text)
+    return _parse_lines(text) if netlist is None else netlist
 
 
 def serialize_bench(n: Netlist) -> str:
@@ -375,7 +433,8 @@ def serialize_bench(n: Netlist) -> str:
     lines.extend(f"INPUT({name})" for name in n.inputs)
     lines.extend(f"OUTPUT({name})" for name in n.outputs)
     lines.extend(
-        f"{g.name} = {g.kind}({', '.join(g.fanin)})" for g in n.gates
+        f"{name} = {kind}({', '.join(fanin)})"
+        for name, kind, fanin in zip(n._names, n._kinds, n._fanins)
     )
     return "\n".join(lines) + "\n"
 
@@ -552,6 +611,11 @@ def eval_logic(n: Netlist, inputs, bindings=None) -> tuple[int, ...]:
 # 2**28 cells (10**7 vectors of 26 inputs) are a 256 MiB matrix. Drawing and
 # packing 2**25 cells raised peak RSS by 46 MB.
 _MAX_RANDOM_CELLS = 2**28
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an int and not a bool: a vector or query count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _input_vectors(names: tuple[str, ...], mode: str, count, seed):

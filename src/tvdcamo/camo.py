@@ -6,8 +6,11 @@ secret), together with the pH pair that programs it.
 """
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, fields
+from itertools import compress, count
+from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 import numpy as np
@@ -22,6 +25,7 @@ from .bench import (
     _bound_op,
     _eval_gates,
     _input_vectors,
+    _is_count,
     eval_vectors,  # noqa: F401  (perfbench/test_perfbench.py reads camo.eval_vectors)
 )
 from .device import IsfetParams, _check_ph
@@ -46,6 +50,8 @@ KIND_TO_FUNCTION = {
     kind: TruthTable2(op) for kind, op in _KIND_OPS.items() if kind not in UNARY_KINDS
 }
 FUNCTION_TO_KIND = {f: k for k, f in KIND_TO_FUNCTION.items()}
+# The (kind, fan-in count) of every gate that _eligible admits.
+_CAMO_SHAPES = frozenset((kind, 2) for kind in KIND_TO_FUNCTION)
 
 EXHAUSTIVE_INPUT_LIMIT = 24
 # Words per evaluation pass: 2048 words are 131072 vectors, 16 KiB per net
@@ -102,21 +108,29 @@ class CamoConfig:
         return {g.name: g.function for g in self.gates}
 
     def to_json(self) -> str:
-        doc = {
-            "params": asdict(self.params),
-            "gates": [
-                {
-                    "name": g.name,
-                    "function_name": g.function.name,
-                    "function_bits": int(g.function),
-                    "assignment": list(g.assignment.lvt_on_out_side),
-                    "ph_low": g.ph_low,
-                    "ph_high": g.ph_high,
-                }
-                for g in self.gates
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        """The config as ``json.dumps(doc, indent=2, sort_keys=True)`` and a
+        newline, byte for byte, written from a fixed per-gate template.
+
+        ``doc`` holds ``params`` (the ``IsfetParams`` fields) and ``gates``,
+        one object per spec: ``name``, ``function_name``, ``function_bits``,
+        ``assignment`` (the four flags), ``ph_low`` and ``ph_high``.
+        """
+        params = ",\n".join(
+            f"    {_json_leaf(key, 2)}: {_json_leaf(value, 2)}"
+            for key, value in sorted(asdict(self.params).items())
+        )
+        gates = ",\n".join(
+            _GATE_JSON.format(
+                *[_json_leaf(flag, 4) for flag in g.assignment.lvt_on_out_side],
+                *[
+                    _json_leaf(value, 3)
+                    for value in (int(g.function), g.function.name, g.name, g.ph_high, g.ph_low)
+                ],
+            )
+            for g in self.gates
+        )
+        gates = f"[\n{gates}\n  ]" if gates else "[]"
+        return f'{{\n  "gates": {gates},\n  "params": {{\n{params}\n  }}\n}}\n'
 
     @classmethod
     def from_json(cls, text: str) -> "CamoConfig":
@@ -155,6 +169,41 @@ class CamoConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed camouflage config: {exc}") from exc
         return cls(params=params, gates=tuple(gates))
+
+
+# One entry of the config's "gates" list as json.dumps(indent=2,
+# sort_keys=True) writes it: the four assignment flags, then function_bits,
+# function_name, name, ph_high and ph_low.
+_GATE_JSON = """\
+    {{
+      "assignment": [
+        {},
+        {},
+        {},
+        {}
+      ],
+      "function_bits": {},
+      "function_name": {},
+      "name": {},
+      "ph_high": {},
+      "ph_low": {}
+    }}"""
+
+
+def _json_leaf(value, depth: int) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at
+    ``depth`` levels of indent. Strings, finite floats, ints and bools are
+    written directly; any other type goes through the ``json`` encoder."""
+    cls = value.__class__
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is float and math.isfinite(value):
+        return float.__repr__(value)
+    if cls is int:
+        return int.__repr__(value)
+    if cls is bool:
+        return "true" if value else "false"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
 def _eligible(gate: Gate) -> str | None:
@@ -200,46 +249,49 @@ def camouflage(
             f"netlist already contains camouflaged gates: {list(n.camo_gates)}"
         )
 
+    names, kinds, fanins = n._names, n._kinds, n._fanins
     if gates is not None:
-        chosen = set()
+        position = dict(zip(names, count()))
+        selected: dict[str, int] = {}  # name -> file position
         for name in gates:
-            if name in chosen:
+            if name in selected:
                 raise UsageError(f"gate {name!r} selected twice")
-            chosen.add(name)
-            if name not in n.gate_map:
+            k = position.get(name)
+            if k is None:
                 raise UsageError(f"no gate named {name!r}")
-            problem = _eligible(n.gate_map[name])
+            problem = _eligible(Gate._unchecked(name, kinds[k], fanins[k]))
             if problem:
                 raise NotCamouflageableError(
                     f"gate {name!r} not camouflageable: {problem}"
                 )
+            selected[name] = k
+        chosen = selected.values()
     else:
         if not 0 <= fraction <= 1:
             raise UsageError(f"fraction must lie in [0, 1], got {fraction!r}")
-        eligible = [g.name for g in n.gates if _eligible(g) is None]
-        count = round(fraction * len(eligible))
+        shapes = zip(kinds, map(len, fanins))
+        eligible = list(compress(count(), map(_CAMO_SHAPES.__contains__, shapes)))
         rng = random.Random(seed)
-        chosen = set(rng.sample(eligible, count))
+        chosen = rng.sample(eligible, round(fraction * len(eligible)))
 
-    new_gates = []
+    new_kinds = list(kinds)
     specs = []
-    for g in n.gates:
-        if g.name in chosen:
-            new_gates.append(Gate._unchecked(g.name, "CAMO", g.fanin))
-            function = KIND_TO_FUNCTION[g.kind]
-            specs.append(
-                CamoGateSpec(
-                    name=g.name,
-                    function=function,
-                    assignment=assignment_for(function),
-                    ph_low=ph_low,
-                    ph_high=ph_high,
-                )
+    for k in sorted(chosen):
+        function = KIND_TO_FUNCTION[kinds[k]]
+        new_kinds[k] = "CAMO"
+        specs.append(
+            CamoGateSpec(
+                name=names[k],
+                function=function,
+                assignment=assignment_for(function),
+                ph_low=ph_low,
+                ph_high=ph_high,
             )
-        else:
-            new_gates.append(g)
+        )
     # Same nets and fan-ins as the validated n: its slots and order serve.
-    camo_netlist = Netlist._from_checked(n.inputs, n.outputs, new_gates, like=n)
+    camo_netlist = Netlist._from_columns(
+        n.inputs, n.outputs, names, tuple(new_kinds), fanins, like=n
+    )
     return camo_netlist, CamoConfig(params=params, gates=tuple(specs))
 
 
@@ -262,19 +314,21 @@ def decamouflage(camo: Netlist, cfg: CamoConfig) -> Netlist:
 
 def reconstruct(camo: Netlist, resolution: Mapping[str, TruthTable2 | None]) -> Netlist:
     """Rebuild a netlist from resolved functions; unresolved gates stay CAMO."""
-    new_gates = []
-    for g in camo.gates:
-        if g.kind != "CAMO" or resolution.get(g.name) is None:
-            new_gates.append(g)
+    kinds = list(camo._kinds)
+    for k in compress(count(), map("CAMO".__eq__, camo._kinds)):
+        name = camo._names[k]
+        if resolution.get(name) is None:
             continue
-        f = TruthTable2(_bound_op(g.name, resolution))
+        f = TruthTable2(_bound_op(name, resolution))
         kind = FUNCTION_TO_KIND.get(f)
         if kind is None:
             raise DomainError(
-                f"gate {g.name!r}: function {f.name} has no concrete gate kind"
+                f"gate {name!r}: function {f.name} has no concrete gate kind"
             )
-        new_gates.append(Gate._unchecked(g.name, kind, g.fanin))
-    return Netlist._from_checked(camo.inputs, camo.outputs, new_gates, like=camo)
+        kinds[k] = kind
+    return Netlist._from_columns(
+        camo.inputs, camo.outputs, camo._names, tuple(kinds), camo._fanins, like=camo
+    )
 
 
 @dataclass(frozen=True)
@@ -324,7 +378,7 @@ def _miter(a: Netlist, b: Netlist, bindings):
 
     outs = []
     for net in (a, b):
-        limit = n_in + len(net.gates)  # scratch slots of n-ary folds lie past it
+        limit = n_in + len(net._names)  # scratch slots of n-ary folds lie past it
         node_of = list(range(limit))  # net slot -> node
         for op, out, x, y in net._program:
             if out >= limit:
@@ -416,8 +470,9 @@ def verify_equivalence(
             f"exhaustive mode supports at most {EXHAUSTIVE_INPUT_LIMIT} "
             f"inputs, netlist has {n_in}"
         )
-    if mode == "random" and (n_vectors is None or n_vectors <= 0):
-        raise UsageError(f"n_vectors must be positive, got {n_vectors!r}")
+    if mode == "random" and not (_is_count(n_vectors) and n_vectors > 0):
+        need = "positive" if n_vectors is None or _is_count(n_vectors) else "an int"
+        raise UsageError(f"n_vectors must be {need}, got {n_vectors!r}")
     if mode not in ("exhaustive", "random"):
         raise UsageError(f"unknown equivalence mode {mode!r}")
     total, input_words, vector = _input_vectors(a.inputs, mode, n_vectors, seed)

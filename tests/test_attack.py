@@ -507,6 +507,25 @@ class TestJointModeErrors:
             got = assert_matches_reference(net, c17, strategy="random", **kwargs)
             assert got[:2] == ("raised", UsageError)
 
+    def test_query_count_must_be_an_int(self, c17):
+        # Checked where a missing count is, before any query is drawn: a
+        # float, a bool or a string count never reaches the vector source.
+        camo, cfg = camo_c17(c17, ["16", "19"])
+        for n_queries in (2.5, True, "2", 2.0):
+            with pytest.raises(UsageError) as exc:
+                oracle_attack(
+                    camo, camo, oracle_bindings=cfg.bindings(), strategy="random",
+                    n_queries=n_queries,
+                )
+            assert str(exc.value) == f"n_queries must be an int, got {n_queries!r}"
+        # An exhaustive attack reads no count.
+        runs = [
+            oracle_attack(camo, camo, oracle_bindings=cfg.bindings(), **count)
+            for count in ({}, {"n_queries": 2.5})
+        ]
+        assert runs[0].query_log == runs[1].query_log
+        assert runs[0].survivors == runs[1].survivors
+
     def test_unbound_oracle_gates(self, c17):
         camo, _ = camo_c17(c17, ["16", "19"])
         got = assert_matches_reference(camo, camo)

@@ -33,7 +33,7 @@ from tvdcamo.bench import (
     serialize_bench,
     unpack_words,
 )
-from tvdcamo.camo import _eligible, camouflage, decamouflage, reconstruct
+from tvdcamo.camo import CamoConfig, _eligible, camouflage, decamouflage, reconstruct
 from tvdcamo.errors import (
     BenchParseError,
     CycleError,
@@ -245,6 +245,108 @@ class TestParserReference:
             assert outcomes[0] == outcomes[1]
             cycles += isinstance(outcomes[0], list)
         assert 50 < cycles < 250
+
+
+# Runs of spaces and tabs, the only blanks the whole-text path reads.
+_BLANKS = st.text(" \t", max_size=3)
+
+
+@st.composite
+def _perturbed_bench(draw):
+    """Serialized random netlist text, gate lines shuffled, with spaces and
+    tabs around every token, kind tokens in any case, trailing comments,
+    blank and comment lines, and line breaks of "\\n", CRLF or lone "\\r";
+    sometimes with one of ``_mutate``'s edits first."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    text = serialize_bench(random_netlist(rng, max_gates=12, unary_weight=0.25, wide_weight=0.25))
+    if draw(st.booleans()):
+        text = _mutate(text, rng)
+    lines = text.splitlines()
+    at = [k for k, line in enumerate(lines) if "=" in line.split("#")[0]]
+    for k, line in zip(at, draw(st.permutations([lines[k] for k in at]))):
+        lines[k] = line
+    out = []
+    for line in lines:
+        line = re.sub(r"[ \t]*([(),=])[ \t]*", lambda m: draw(_BLANKS) + m[1] + draw(_BLANKS), line)
+        line = re.sub(
+            r"(?<== )(\w+)(?=\()", lambda m: draw(st.sampled_from([m[1], m[1].lower(), m[1].title()])),
+            line,
+        )
+        line = draw(_BLANKS) + line + draw(_BLANKS)
+        if draw(st.booleans()):
+            line += "#" + draw(st.text("ab =(),#\t", max_size=5))
+        out.append(line)
+        if draw(st.integers(0, 4)) == 0:
+            out.append(draw(st.sampled_from(["", " \t", "# note", "\t# x = AND(a, b)"])))
+    breaks = st.sampled_from(["\n", "\r\n", "\r"]) if draw(st.booleans()) else st.just("\n")
+    return "".join(line + draw(breaks) for line in out)[: -1 if draw(st.booleans()) else None]
+
+
+class TestWholeTextParse:
+    """``parse_bench`` reads well-formed text with one findall per line shape
+    and sends everything else line by line; both agree with the reference."""
+
+    @given(text=_perturbed_bench())
+    @settings(max_examples=300, deadline=None)
+    def test_perturbed_text_parses_like_the_reference(self, text):
+        got = _parse_outcome(parse_bench, text)
+        assert got == _parse_outcome(reference_parse_bench, text)
+        fast = bench._parse_text(text)
+        if got[0] == "error":
+            assert fast is None
+        else:
+            assert got[2] == reference_topo_order(got[1])
+            # Well-formed text whose only blanks are spaces, tabs and "\n"
+            # takes the whole-text path.
+            assert fast == got[1] or (fast is None and re.search(r"[^\S \t\n]", text))
+
+    @staticmethod
+    def _dag_text(rng: random.Random, n_inputs: int, n_gates: int) -> str:
+        nets = [f"i{k}" for k in range(n_inputs)]
+        lines = [f"INPUT({net})" for net in nets]
+        for k in range(n_gates):
+            a, b = rng.sample(nets[-300:], 2)
+            lines.append(f"g{k} = {rng.choice(('AND', 'OR', 'NAND', 'NOR', 'XOR', 'XNOR'))}({a}, {b})")
+            nets.append(f"g{k}")
+        lines[n_inputs:n_inputs] = [f"OUTPUT({net})" for net in nets[-20:]]
+        return "\n".join(lines) + "\n"
+
+    def test_signoff_chain_builds_no_gate(self, monkeypatch):
+        text = self._dag_text(random.Random(7), 20, 2000)
+        built = []
+        unchecked = Gate._unchecked.__func__
+        monkeypatch.setattr(
+            Gate, "_unchecked", classmethod(lambda cls, *args: built.append(args) or unchecked(cls, *args))
+        )
+        original = parse_bench(text)
+        round_trip = parse_bench(serialize_bench(original))
+        assert round_trip == original
+        camo, cfg = camouflage(round_trip, fraction=0.1, seed=7)
+        cfg2 = CamoConfig.from_json(cfg.to_json())
+        assert verify_equivalence(camo, original, bindings=cfg2.bindings()).equivalent
+        flipped = cfg2.bindings()
+        flipped[camo.camo_gates[0]] = flipped[camo.camo_gates[0]].complement()
+        assert not verify_equivalence(
+            camo, original, bindings=flipped, mode="random", n_vectors=1024
+        ).equivalent
+        assert built == []
+        # File order is topological here, so the program follows it.
+        assert tuple(original._order) == tuple(range(2000))
+        assert len(original.gates) == 2000 and len(built) == 2000
+
+    def test_shuffled_file_gets_kahns_order(self):
+        rng = random.Random(8)
+        lines = self._dag_text(rng, 20, 2000).splitlines()
+        gate_lines = lines[40:]
+        rng.shuffle(gate_lines)
+        shuffled = parse_bench("\n".join(lines[:40] + gate_lines))
+        position = {g.name: k for k, g in enumerate(shuffled.gates)}
+        kahn = reference_topo_order(shuffled)
+        assert shuffled._order == tuple(position[g.name] for g in kahn)
+        assert shuffled.topo_gates == kahn
+        original = parse_bench("\n".join(lines))
+        assert tuple(original._order) == tuple(range(2000))
+        assert verify_equivalence(shuffled, original).equivalent
 
 
 class TestSlotForm:

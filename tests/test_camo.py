@@ -1,9 +1,13 @@
 import json
 import random
+import re
+from dataclasses import asdict
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_eval, random_netlist
 from tvdcamo import bench as bench_module
@@ -27,7 +31,7 @@ from tvdcamo.camo import (
     reconstruct,
     verify_equivalence,
 )
-from tvdcamo.device import IsfetParams
+from tvdcamo.device import NERNST_SENSITIVITY, IsfetParams
 from tvdcamo.errors import (
     CoverageError,
     DomainError,
@@ -69,6 +73,16 @@ class TestCamouflage:
         a2, c2 = camouflage(c17, fraction=0.5, seed=11)
         assert serialize_bench(a1) == serialize_bench(a2)
         assert c1.to_json() == c2.to_json()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_config_lists_gates_in_file_order(self, seed):
+        n = random_netlist(random.Random(seed), max_gates=30)
+        eligible = [g.name for g in n.gates if camo_module._eligible(g) is None]
+        for camo, cfg in (
+            camouflage(n, fraction=0.7, seed=seed),
+            camouflage(n, gates=eligible[::-1]),
+        ):
+            assert tuple(spec.name for spec in cfg.gates) == camo.camo_gates
 
     def test_unary_gate_not_camouflageable(self):
         n = Netlist(["a"], ["y"], [Gate("y", "NOT", ("a",))])
@@ -173,7 +187,83 @@ class TestDecamouflage:
         assert reconstruct(camo, {"16": None}) == camo
 
 
+def _reference_json(cfg: CamoConfig) -> str:
+    """The config text as the json encoder writes it: the format of record."""
+    doc = {
+        "params": asdict(cfg.params),
+        "gates": [
+            {
+                "name": g.name,
+                "function_name": g.function.name,
+                "function_bits": int(g.function),
+                "assignment": list(g.assignment.lvt_on_out_side),
+                "ph_low": g.ph_low,
+                "ph_high": g.ph_high,
+            }
+            for g in cfg.gates
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Ints, floats of any magnitude the fields admit, and -0.0.
+_PH = st.one_of(st.integers(0, 14), st.floats(0, 14), st.just(-0.0))
+# Names that need escaping: quotes, backslashes, control and non-ASCII
+# characters, and surrogates; and names that are not strings at all.
+_NAMES = st.one_of(
+    st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr))),
+    st.integers(), st.none(),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def _configs(draw):
+    vdd = draw(st.one_of(st.integers(2, 5), st.floats(0.5, 5.0)))
+    vth0 = draw(st.floats(0.01, 0.49)) * vdd
+    if isinstance(vdd, int) and draw(st.booleans()):
+        vth0 = 1
+    params = IsfetParams(
+        k_gain=draw(st.one_of(st.integers(1, 3), st.floats(1e-9, 1e3))),
+        vth0=vth0,
+        ph_ref=draw(_PH),
+        sensitivity=draw(st.one_of(st.just(NERNST_SENSITIVITY), st.integers(0, 1),
+                                   st.floats(0, 1))),
+        vdd=vdd,
+    )
+    names = draw(st.lists(_NAMES, max_size=6, unique=True))
+    gates = []
+    for name in names:
+        low, high = sorted(draw(st.lists(_PH, min_size=2, max_size=2, unique=True)))
+        function = draw(st.sampled_from(TruthTable2))
+        gates.append(CamoGateSpec(name, function, assignment_for(function), low, high))
+    return CamoConfig(params, gates)
+
+
 class TestConfigJson:
+    @given(cfg=_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_to_json_is_the_json_encoders_text(self, cfg):
+        text = cfg.to_json()
+        assert text == _reference_json(cfg)
+        # json.loads joins an escaped surrogate pair into one character,
+        # whatever wrote the text.
+        if not re.search("[\ud800-\udfff]", "".join(map(str, (g.name for g in cfg.gates)))):
+            assert CamoConfig.from_json(text) == cfg
+
+    def test_to_json_of_leaves_the_template_does_not_write(self):
+        # A float subclass, a tuple name and an empty gate list go through
+        # the json encoder, indented as deep as the leaf sits.
+        spec = CamoGateSpec(
+            ("x", 1), TruthTable2.XOR, assignment_for(TruthTable2.XOR),
+            np.float64(2.5), 10,
+        )
+        for cfg in (
+            CamoConfig(IsfetParams(vdd=np.float64(1.8)), [spec]),
+            CamoConfig(IsfetParams(), []),
+        ):
+            assert cfg.to_json() == _reference_json(cfg)
+
     def test_exact_key_names(self, c17):
         _, cfg = camouflage(c17, gates=["16"])
         doc = json.loads(cfg.to_json())
@@ -672,27 +762,27 @@ class TestVerifyMiter:
         result = verify_equivalence(c17, camo, bindings=bindings)
         assert result == _brute_force_result(c17, camo, bindings, "exhaustive")
         [(program, inputs, run_bindings)] = evaluated
-        # c17's gates first, as nodes 5-10 in topological order (0-4 are its
-        # inputs); then copies of 16, 23 and 22, the gates that read the
-        # flipped 16, as nodes 11-13. The copy of 16 carries its bound
-        # function as op.
+        # c17's gates first, as nodes 5-10 in file order, which is
+        # topological (0-4 are its inputs); then copies of 16, 22 and 23, the
+        # gates that read the flipped 16, as nodes 11-13. The copy of 16
+        # carries its bound function as op.
         node = dict(zip(c17.inputs, range(5)))
-        node.update((g.name, 5 + k) for k, g in enumerate(c17.topo_gates))
+        node.update((g.name, 5 + k) for k, g in enumerate(c17.gates))
         nand = TruthTable2.NAND
         assert len(program) == 9
         assert program[:6] == [
             (nand, node[g.name], node[g.fanin[0]], node[g.fanin[1]])
-            for g in c17.topo_gates
+            for g in c17.gates
         ]
         assert program[6:] == [
             (TruthTable2.AND, 11, node["2"], node["11"]),
-            (nand, 12, 11, node["19"]),
-            (nand, 13, node["10"], 11),
+            (nand, 12, node["10"], 11),
+            (nand, 13, 11, node["19"]),
         ]
         assert flipped == TruthTable2.AND and run_bindings is None
         assert all(type(word) is int for word in inputs)
         _, outs_a, outs_b = camo_module._miter(c17, camo, bindings)
-        assert (outs_a, outs_b) == ([node["22"], node["23"]], [13, 12])
+        assert (outs_a, outs_b) == ([node["22"], node["23"]], [12, 13])
 
     def test_merged_random_verify_draws_nothing(self, c17, monkeypatch):
         rng = np.random.default_rng
@@ -731,6 +821,11 @@ class TestVerifyMiter:
         (True, {"mode": "random", "n_vectors": 10}, UnprogrammedGateError, "'g'"),
         (False, {"mode": "random", "n_vectors": None}, SignatureMismatchError, "I/O"),
         (True, {"mode": "random", "n_vectors": None}, UsageError, "n_vectors must be positive"),
+        (False, {"mode": "random", "n_vectors": 10.5}, SignatureMismatchError, "I/O"),
+        (True, {"mode": "random", "n_vectors": 10.5}, UsageError, "n_vectors must be an int"),
+        (True, {"mode": "random", "n_vectors": True}, UsageError, "n_vectors must be an int"),
+        (True, {"mode": "random", "n_vectors": "10"}, UsageError, "n_vectors must be an int"),
+        (True, {"mode": "sat", "n_vectors": 10.5}, UsageError, "unknown equivalence mode"),
     ])
     def test_error_order(self, monkeypatch, same_signature, kwargs, error, message):
         def fail(seed):
