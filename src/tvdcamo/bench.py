@@ -126,9 +126,9 @@ class Netlist:
     and ``topo_gates`` are views built on first read. The netlist is
     compiled into integer slots, input i at slot i and file gate k at slot
     n + k for n inputs: ``_fanin`` holds each gate's fan-in slots,
-    ``_order`` the gate order of ``_program``, the slot program. That order
-    is file order when every fan-in slot lies below its gate's slot, else
-    Kahn's order.
+    ``_ops`` each gate's op and ``_order`` the gate order of ``_program``,
+    the slot program. That order is file order when every fan-in slot lies
+    below its gate's slot, else Kahn's order.
     """
 
     def __init__(self, inputs, outputs, gates):
@@ -229,27 +229,24 @@ class Netlist:
         return tuple(order)
 
     @cached_property
-    def _program(self) -> tuple:
-        """The slot program, compiled on first use.
+    def _ops(self) -> tuple:
+        """Each gate's op in file order: its kind's ``TruthTable2`` value, or
+        for a CAMO gate its name, bound at run time."""
+        return tuple(map(_KIND_OPS.get, self._kinds, self._names))
 
-        Entry ``(op, out, a, b)`` stores word function ``op`` of slots a and
-        b in slot out. NOT and BUF read one slot twice. An n-ary gate folds
-        left through scratch slots from n + len(gates) on, the tree of
-        ``reduce`` then the negation, so n + len(program) slots serve. A CAMO
-        entry's op is the gate's name, bound at run time.
-        """
-        n, names, kinds = len(self.inputs), self._names, self._kinds
-        program = []
-        scratch = n + len(names)
-        for k in self._order:
-            op = _KIND_OPS.get(kinds[k], names[k])  # CAMO: the name
-            slots = self._fanin[k]
-            a = slots[0]
-            for b in slots[1:-1]:
-                program.append((_FOLD_OPS[op], scratch, a, b))
-                a, scratch = scratch, scratch + 1
-            program.append((op, n + k, a, slots[-1]))
-        return tuple(program)
+    @cached_property
+    def _camo_order(self) -> tuple[int, ...]:
+        """The file positions of the CAMO gates, in program order."""
+        camo = compress(count(), map("CAMO".__eq__, self._kinds))
+        if self._order.__class__ is range:
+            return tuple(camo)
+        return tuple(compress(self._order, map(set(camo).__contains__, self._order)))
+
+    @cached_property
+    def _program(self) -> tuple:
+        """The slot program of ``_ops``, compiled on first use (see
+        ``_slot_program``). A CAMO entry's op is the gate's name."""
+        return tuple(_slot_program(self, self._ops))
 
     @cached_property
     def gates(self) -> tuple[Gate, ...]:
@@ -287,6 +284,29 @@ class Netlist:
             f"Netlist({len(self.inputs)} inputs, {len(self.outputs)} outputs, "
             f"{len(self._names)} gates)"
         )
+
+
+def _slot_program(net: Netlist, ops) -> list:
+    """``net``'s slot program, gate k taking op ``ops[k]``.
+
+    Entry ``(op, out, a, b)`` stores word function ``op`` of slots a and b
+    in slot out. NOT and BUF read one slot twice. An n-ary gate folds left
+    through scratch slots from n + len(gates) on, the tree of ``reduce``
+    then the negation, so n + len(program) slots serve.
+    """
+    n, fanin = len(net.inputs), net._fanin
+    program = []
+    scratch = n + len(ops)
+    for k in net._order:
+        op = ops[k]
+        slots = fanin[k]
+        a = slots[0]
+        if len(slots) > 2:
+            for b in slots[1:-1]:
+                program.append((_FOLD_OPS[op], scratch, a, b))
+                a, scratch = scratch, scratch + 1
+        program.append((op, n + k, a, slots[-1]))
+    return program
 
 
 def _fanin_columns(line: str) -> list[int]:
@@ -474,6 +494,8 @@ def _bound_op(name: str, bindings) -> int:
     if bindings is None or name not in bindings:
         raise UnprogrammedGateError(f"unprogrammed camouflaged gate {name!r}")
     bound = bindings[name]
+    if bound.__class__ is TruthTable2:
+        return bound._value_
     try:
         return int(TruthTable2(bound))
     except ValueError:

@@ -11,6 +11,7 @@ import random
 from dataclasses import asdict, dataclass, fields
 from itertools import compress, count
 from json.encoder import encode_basestring_ascii
+from operator import ne
 from typing import Mapping
 
 import numpy as np
@@ -26,6 +27,7 @@ from .bench import (
     _eval_gates,
     _input_vectors,
     _is_count,
+    _slot_program,
     eval_vectors,  # noqa: F401  (perfbench/test_perfbench.py reads camo.eval_vectors)
 )
 from .device import IsfetParams, _check_ph
@@ -352,6 +354,8 @@ _A, _B = int(TruthTable2.A), int(TruthTable2.B)
 def _miter(a: Netlist, b: Netlist, bindings):
     """One slot program for ``a`` and ``b``, their shared nodes computed once.
 
+    The miter of a pair whose slots differ, such as a rewrite or an
+    unrelated netlist; a pair that shares its slots takes ``_slot_miter``.
     Structural hashing over the slot programs of ``a``, then ``b``: inputs
     are nodes 0..n-1, and an entry's node is keyed by its op and fan-in
     nodes, sorted when the op is symmetric. A CAMO entry takes its bound
@@ -399,6 +403,60 @@ def _miter(a: Netlist, b: Netlist, bindings):
                 node_of[out] = node_for(op, node_of[x], node_of[y])
         outs.append([node_of[s] for s in net._out_slots])
     return program, outs[0], outs[1]
+
+
+def _bound_ops(net: Netlist, bindings) -> list:
+    """``net``'s op column with each CAMO gate bound, in program order, so
+    the first unbound or malformed binding raises as evaluating it would."""
+    ops = list(net._ops)
+    for k in net._camo_order:
+        ops[k] = _bound_op(ops[k], bindings)
+    return ops
+
+
+def _slot_miter(a: Netlist, b: Netlist, bindings):
+    """The miter of ``a`` and a ``b`` with a's slots, paired slot by slot.
+
+    b's gate k reads a's fan-in slots, so where its bound op equals a's and
+    no gate upstream differs it computes a's slot k. Every other gate of b,
+    a differing op and its fan-out cone, gets entries of its own. The
+    program is a's slot program with its CAMO ops bound, then those gates
+    of b on fresh nodes in program order, an n-ary gate folding through
+    nodes of its own by its own op's fold op. When every output pair shares
+    a slot, the program is empty and none is compiled.
+
+    Returns what ``_miter`` returns.
+    """
+    n_in = len(a.inputs)
+    ops_a, ops_b = _bound_ops(a, bindings), _bound_ops(b, bindings)
+    order, fanin = a._order, a._fanin
+    cone = []  # b's gates downstream of a differing op, in program order
+    dirty = set()  # their slots
+    if ops_a != ops_b:
+        differs = set(compress(count(), map(ne, ops_a, ops_b)))
+        # In file order (a range), no gate before the first differing one
+        # reads it.
+        start = min(differs) if order.__class__ is range else 0
+        for k in order[start:]:
+            if k in differs or not dirty.isdisjoint(fanin[k]):
+                cone.append(k)
+                dirty.add(n_in + k)
+    outs_a = list(a._out_slots)
+    if a._out_slots == b._out_slots and dirty.isdisjoint(outs_a):
+        return [], outs_a, outs_a
+    program = _slot_program(a, ops_a)
+    node = {}  # slot of a gate in the cone -> its node
+    for k in cone:
+        op = ops_b[k]
+        fan = [node.get(s, s) for s in fanin[k]]
+        x = fan[0]
+        for y in fan[1:-1]:
+            fold = n_in + len(program)
+            program.append((_FOLD_OPS[op], fold, x, y))
+            x = fold
+        out = node[n_in + k] = n_in + len(program)
+        program.append((op, out, x, fan[-1]))
+    return program, outs_a, [node.get(s, s) for s in b._out_slots]
 
 
 def _int_words(words) -> int:
@@ -455,9 +513,12 @@ def verify_equivalence(
     ``TruthTable2`` its cell realises. Exhaustive mode enumerates every
     input vector and is sound and complete up to 24 inputs; random mode
     samples ``n_vectors`` vectors from ``seed`` and reports the first
-    counterexample it finds, if any. Both evaluate one structurally hashed
-    miter of a and b, and none at all when every output pair hashes to the
-    same node; ``vectors_checked`` counts the vectors the answer covers.
+    counterexample it finds, if any. Both evaluate one miter of a and b.
+    When b has a's slots (the same fan-in slots and program order, as a
+    camouflaged copy has), the miter pairs them slot by slot
+    (``_slot_miter``); any other pair is structurally hashed (``_miter``).
+    Nothing is evaluated when every output pair shares its node;
+    ``vectors_checked`` counts the vectors the answer covers.
     """
     if a.inputs != b.inputs or a.outputs != b.outputs:
         raise SignatureMismatchError(
@@ -477,7 +538,11 @@ def verify_equivalence(
         raise UsageError(f"unknown equivalence mode {mode!r}")
     total, input_words, vector = _input_vectors(a.inputs, mode, n_vectors, seed)
 
-    hit = _first_mismatch(_miter(a, b, bindings), input_words, total)
+    if a._fanin == b._fanin and a._order == b._order:
+        miter = _slot_miter(a, b, bindings)
+    else:
+        miter = _miter(a, b, bindings)
+    hit = _first_mismatch(miter, input_words, total)
     if hit is None:
         return EquivalenceResult(
             equivalent=True, mode=mode, vectors_checked=total, vectors_total=total

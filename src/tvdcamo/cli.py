@@ -214,7 +214,7 @@ def _cmd_camouflage(args, outdir: Path) -> tuple[list, list]:
     config_path = outdir / args.out_config
     config_path.write_text(cfg.to_json())
     print(
-        f"camouflaged {len(cfg.gates)} of {len(netlist.gates)} gates; "
+        f"camouflaged {len(cfg.gates)} of {len(netlist._names)} gates; "
         f"wrote {bench_path} and {config_path}"
     )
     return [args.netlist], [bench_path, config_path]

@@ -118,6 +118,20 @@ def random_netlist(
     return Netlist(inputs, outputs, gates)
 
 
+def dag_text(rng: random.Random, n_inputs: int, n_gates: int) -> str:
+    """.bench text of a random DAG of 2-input gates in topological file
+    order, each reading two of the last 300 nets; its last 20 nets are the
+    outputs."""
+    nets = [f"i{k}" for k in range(n_inputs)]
+    lines = [f"INPUT({net})" for net in nets]
+    for k in range(n_gates):
+        a, b = rng.sample(nets[-300:], 2)
+        lines.append(f"g{k} = {rng.choice(BINARY_KINDS)}({a}, {b})")
+        nets.append(f"g{k}")
+    lines[n_inputs:n_inputs] = [f"OUTPUT({net})" for net in nets[-20:]]
+    return "\n".join(lines) + "\n"
+
+
 def slot_form_netlist(rng: random.Random) -> Netlist:
     """A random netlist, gates in shuffled file order, with every shape the
     slot compiler handles: n-ary gates (a 4-input one at least), NOT, a BUF

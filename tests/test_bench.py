@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    dag_text,
     naive_eval,
     random_netlist,
     reference_parse_bench,
@@ -300,19 +301,8 @@ class TestWholeTextParse:
             # takes the whole-text path.
             assert fast == got[1] or (fast is None and re.search(r"[^\S \t\n]", text))
 
-    @staticmethod
-    def _dag_text(rng: random.Random, n_inputs: int, n_gates: int) -> str:
-        nets = [f"i{k}" for k in range(n_inputs)]
-        lines = [f"INPUT({net})" for net in nets]
-        for k in range(n_gates):
-            a, b = rng.sample(nets[-300:], 2)
-            lines.append(f"g{k} = {rng.choice(('AND', 'OR', 'NAND', 'NOR', 'XOR', 'XNOR'))}({a}, {b})")
-            nets.append(f"g{k}")
-        lines[n_inputs:n_inputs] = [f"OUTPUT({net})" for net in nets[-20:]]
-        return "\n".join(lines) + "\n"
-
     def test_signoff_chain_builds_no_gate(self, monkeypatch):
-        text = self._dag_text(random.Random(7), 20, 2000)
+        text = dag_text(random.Random(7), 20, 2000)
         built = []
         unchecked = Gate._unchecked.__func__
         monkeypatch.setattr(
@@ -336,7 +326,7 @@ class TestWholeTextParse:
 
     def test_shuffled_file_gets_kahns_order(self):
         rng = random.Random(8)
-        lines = self._dag_text(rng, 20, 2000).splitlines()
+        lines = dag_text(rng, 20, 2000).splitlines()
         gate_lines = lines[40:]
         rng.shuffle(gate_lines)
         shuffled = parse_bench("\n".join(lines[:40] + gate_lines))

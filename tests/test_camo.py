@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_eval, random_netlist
+from conftest import BINARY_KINDS, dag_text, naive_eval, random_netlist, slot_form_netlist
 from tvdcamo import bench as bench_module
 from tvdcamo import camo as camo_module
 from tvdcamo.attack import oracle_attack
@@ -809,7 +809,9 @@ class TestVerifyMiter:
     # Each case breaks every check listed after its expected error and passes
     # those before it: the I/O signature, the exhaustive input limit,
     # n_vectors, the mode, the random-cell ceiling, then an unbound CAMO gate.
-    @pytest.mark.parametrize("same_signature, kwargs, error, message", [
+    # ``pair`` is False for netlists of two signatures, True for a netlist
+    # with itself and "kahn" for _kahn_pair, whose b has a's slots.
+    @pytest.mark.parametrize("pair, kwargs, error, message", [
         (False, {"mode": "exhaustive"}, SignatureMismatchError, "I/O signatures differ"),
         (False, {"mode": "random", "n_vectors": 0}, SignatureMismatchError, "I/O signatures"),
         (False, {"mode": "sat"}, SignatureMismatchError, "I/O signatures differ"),
@@ -826,15 +828,34 @@ class TestVerifyMiter:
         (True, {"mode": "random", "n_vectors": True}, UsageError, "n_vectors must be an int"),
         (True, {"mode": "random", "n_vectors": "10"}, UsageError, "n_vectors must be an int"),
         (True, {"mode": "sat", "n_vectors": 10.5}, UsageError, "unknown equivalence mode"),
+        # Bound in program order, a's CAMO gates w then y before b's x.
+        ("kahn", {"mode": "random", "n_vectors": 10}, UnprogrammedGateError, "'w'"),
+        ("kahn", {"mode": "random", "n_vectors": 10, "bindings": {"w": TruthTable2.AND}},
+         UnprogrammedGateError, "'y'"),
+        ("kahn", {"mode": "random", "n_vectors": 10, "bindings": {"x": TruthTable2.AND}},
+         UnprogrammedGateError, "'w'"),
+        ("kahn", {"mode": "random", "n_vectors": 10,
+                  "bindings": {"w": TruthTable2.AND, "y": TruthTable2.OR}},
+         UnprogrammedGateError, "'x'"),
+        ("kahn", {"mode": "random", "n_vectors": 10, "bindings": {"w": 99, "x": TruthTable2.AND}},
+         UsageError, "gate 'w' bound to 99, not a TruthTable2"),
+        ("kahn", {"mode": "random", "n_vectors": 10, "bindings": {"w": TruthTable2.AND, "x": 99}},
+         UnprogrammedGateError, "'y'"),
+        ("kahn", {"mode": "random", "n_vectors": 10,
+                  "bindings": {"w": TruthTable2.AND, "y": TruthTable2.OR, "x": "AND"}},
+         UsageError, "gate 'x' bound to 'AND', not a TruthTable2"),
     ])
-    def test_error_order(self, monkeypatch, same_signature, kwargs, error, message):
+    def test_error_order(self, monkeypatch, pair, kwargs, error, message):
         def fail(seed):
             raise AssertionError("drew random vectors")
 
         monkeypatch.setattr(np.random, "default_rng", fail)
         inputs = [f"i{k}" for k in range(25)]
         a = Netlist(inputs, ["g"], [Gate("g", "CAMO", ("i0", "i1"))])
-        b = a if same_signature else Netlist(inputs, ["i0"], [])
+        if pair == "kahn":
+            a, b = _kahn_pair(inputs)
+        else:
+            b = a if pair else Netlist(inputs, ["i0"], [])
         with pytest.raises(error) as exc:
             verify_equivalence(a, b, **kwargs)
         assert type(exc.value) is error
@@ -879,6 +900,213 @@ class TestVerifyMiter:
             a, b, bindings, "exhaustive"
         )
         assert not verify_equivalence(a, b, bindings=bindings).equivalent
+
+
+def _kahn_pair(inputs):
+    """Two netlists with the same slots whose files list y, x, w while the
+    program runs w, x, y: a camouflages w and y, b camouflages x."""
+    def netlist(camo):
+        gates = [("y", "NAND", ("x", "i2")), ("x", "AND", ("w", "i1")), ("w", "OR", ("i0", "i3"))]
+        return Netlist(inputs, ["y"], [
+            Gate(name, "CAMO" if name in camo else kind, fanin) for name, kind, fanin in gates
+        ])
+
+    a, b = netlist("wy"), netlist("x")
+    assert a._order == b._order == (2, 1, 0) and a._fanin == b._fanin
+    return a, b
+
+
+def _rekind(n: Netlist, rng: random.Random) -> Netlist:
+    """n with about a third of its plain gates turned into another kind of the
+    same arity: NOT and BUF swap, any other takes another binary kind."""
+    gates = []
+    for g in n.gates:
+        kind = g.kind
+        if kind in ("NOT", "BUF") and rng.random() < 0.3:
+            kind = "BUF" if kind == "NOT" else "NOT"
+        elif kind in BINARY_KINDS and rng.random() < 0.3:
+            kind = rng.choice([k for k in BINARY_KINDS if k != kind])
+        gates.append(Gate(g.name, kind, g.fanin))
+    return Netlist(n.inputs, n.outputs, gates)
+
+
+def _renamed(n: Netlist, rng: random.Random) -> Netlist:
+    """n with its gate names shuffled among its gates, every fan-in following
+    its net: the same slots, but its output names read other slots."""
+    names = [g.name for g in n.gates]
+    new = dict(zip(names, rng.sample(names, len(names))))
+    gates = [Gate(new[g.name], g.kind, tuple(new.get(f, f) for f in g.fanin)) for g in n.gates]
+    return Netlist(n.inputs, n.outputs, gates)
+
+
+def _slot_paired_cases(seed: int):
+    """(a, b, bindings) pairs where b has a's slots: those of _miter_cases,
+    then a netlist in shuffled file order with n-ary, NOT and BUF gates
+    against copies with CAMO gates on a, b or both, with other kinds or
+    with shuffled names, under true, flipped and scrambled bindings."""
+    cases = [
+        (a, b, bindings)
+        for a, b, bindings in _miter_cases(seed)
+        if a._fanin == b._fanin and a._order == b._order
+    ]
+    rng = random.Random(1000 + seed)
+    n = slot_form_netlist(rng)
+    other, renamed = _rekind(n, rng), _renamed(n, rng)
+    cases += [(n, n, None), (n, other, None), (other, n, None), (n, renamed, None)]
+    eligible = [g.name for g in n.gates if camo_module._eligible(g) is None]
+    if eligible:
+        one, cfg_one = camouflage(n, gates=rng.sample(eligible, -(-len(eligible) // 2)))
+        two, cfg_two = camouflage(n, gates=rng.sample(eligible, -(-len(eligible) // 2)))
+        true = {**cfg_one.bindings(), **cfg_two.bindings()}
+        flipped = dict(true)
+        victim = rng.choice(sorted(flipped))
+        flipped[victim] = flipped[victim].complement()
+        scrambled = {name: TruthTable2(rng.randrange(16)) for name in true}
+        for bindings in (true, flipped, scrambled):
+            cases += [
+                (one, n, bindings), (n, one, bindings), (one, two, bindings),
+                (two, one, bindings), (one, one, bindings), (other, two, bindings),
+                (one, renamed, bindings),
+            ]
+    return cases
+
+
+def _fan_out_cone(n: Netlist, name: str) -> set[str]:
+    """The gate ``name`` and every gate that reads it, directly or not."""
+    readers: dict[str, list[str]] = {}
+    for g in n.gates:
+        for f in g.fanin:
+            readers.setdefault(f, []).append(g.name)
+    cone, todo = set(), [name]
+    while todo:
+        net = todo.pop()
+        if net not in cone:
+            cone.add(net)
+            todo += readers.get(net, [])
+    return cone
+
+
+class TestSlotPairedMiter:
+    """A b with a's slots (same fan-in slots and program order) is paired
+    with a slot by slot; the structural hash of ``_miter`` serves every
+    other pair. Both find the same first counterexample."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_hash_and_separate_evaluation(self, seed, monkeypatch):
+        hashed = camo_module._miter
+
+        def fail(*args):
+            raise AssertionError("hashed a pair that shares its slots")
+
+        monkeypatch.setattr(camo_module, "_miter", fail)
+        for a, b, bindings in _slot_paired_cases(seed):
+            paired = camo_module._slot_miter(a, b, bindings)
+            miter = hashed(a, b, bindings)
+            for mode, n_vectors in (("exhaustive", 1024), ("random", 1), ("random", 70), ("random", 300)):
+                total, words, _ = bench_module._input_vectors(a.inputs, mode, n_vectors, seed)
+                hit = camo_module._first_mismatch(paired, words, total)
+                assert hit == camo_module._first_mismatch(miter, words, total)
+                got = verify_equivalence(a, b, bindings, mode=mode, n_vectors=n_vectors, seed=seed)
+                assert got == _brute_force_result(a, b, bindings, mode, n_vectors, seed)
+                assert got.equivalent == (hit is None)
+
+    def test_cases_cover_kahn_order_and_n_ary_cones(self):
+        # Shuffled files whose program runs in Kahn's order, and n-ary gates
+        # downstream of a differing op. Each gate of that cone is refolded on
+        # fresh nodes, one entry per fan-in past the first.
+        kahn = n_ary = 0
+        for seed in range(30):
+            for a, b, bindings in _slot_paired_cases(seed):
+                ops_a = camo_module._bound_ops(a, bindings)
+                ops_b = camo_module._bound_ops(b, bindings)
+                cone = set().union(*(
+                    _fan_out_cone(b, name)
+                    for name, op_a, op_b in zip(b._names, ops_a, ops_b) if op_a != op_b
+                ))
+                fans = [len(g.fanin) for g in b.gates if g.name in cone]
+                program, _, _ = camo_module._slot_miter(a, b, bindings)
+                if program:
+                    assert len(program) == len(a._program) + sum(max(1, f - 1) for f in fans)
+                kahn += a._order.__class__ is tuple
+                n_ary += bool(program) and max(fans, default=0) > 2
+        assert kahn > 300 and n_ary > 100
+
+    @staticmethod
+    def _signoff_pair():
+        original = parse_bench(dag_text(random.Random(7), 20, 2000))
+        camo, cfg = camouflage(original, fraction=0.1, seed=7)
+        return original, camo, cfg
+
+    def test_own_config_compiles_and_draws_nothing(self, monkeypatch):
+        original, camo, cfg = self._signoff_pair()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("hashed, compiled, evaluated or drew")
+
+        for module, name in [
+            (camo_module, "_miter"), (camo_module, "_slot_program"),
+            (bench_module, "_slot_program"), (camo_module, "_eval_gates"),
+            (np.random, "default_rng"),
+        ]:
+            monkeypatch.setattr(module, name, fail)
+        for a, b in ((camo, original), (original, camo), (camo, camo)):
+            assert verify_equivalence(a, b, cfg.bindings()) == EquivalenceResult(
+                True, "exhaustive", 1 << 20, 1 << 20
+            )
+            assert verify_equivalence(a, b, cfg.bindings(), mode="random") == EquivalenceResult(
+                True, "random", 1024, 1024
+            )
+        assert "_program" not in vars(camo) and "_program" not in vars(original)
+
+    def test_flipped_gate_evaluates_a_and_its_fan_out_cone(self, monkeypatch):
+        original, camo, cfg = self._signoff_pair()
+        victim = next(
+            name for name in camo.camo_gates
+            if _fan_out_cone(original, name) & set(original.outputs)
+        )
+        cone = _fan_out_cone(original, victim)
+        flipped = {**cfg.bindings(), victim: cfg.bindings()[victim].complement()}
+        miter = camo_module._miter(camo, original, flipped)
+        compiled, evaluated = [], []
+        compile_program, run = bench_module._slot_program, bench_module._eval_gates
+
+        def compile_spy(net, ops):
+            compiled.append(net)
+            return compile_program(net, ops)
+
+        def run_spy(program, values, bindings):
+            evaluated.append(list(program))
+            return run(program, values, bindings)
+
+        monkeypatch.setattr(bench_module, "_slot_program", compile_spy)
+        monkeypatch.setattr(camo_module, "_slot_program", compile_spy)
+        monkeypatch.setattr(camo_module, "_eval_gates", run_spy)
+        result = verify_equivalence(camo, original, flipped, mode="random", seed=3)
+        assert len(compiled) == 1 and compiled[0] is camo
+        [program] = evaluated
+        total, words, vector = bench_module._input_vectors(camo.inputs, "random", 1024, 3)
+        index, outputs_a, outputs_b = camo_module._first_mismatch(miter, words, total)
+        assert result == EquivalenceResult(
+            False, "random", index + 1, 1024, vector(index), outputs_a, outputs_b
+        )
+        # a's slot program with its CAMO gates bound, then the cone of the
+        # victim with the original's ops, in file order, on fresh nodes.
+        n = len(camo.inputs)
+        a_part = [
+            (int(flipped[op]) if isinstance(op, str) else op, out, x, y)
+            for op, out, x, y in camo._program
+        ]
+        assert program[: len(a_part)] == a_part
+        cone_gates = [g for g in original.gates if g.name in cone]
+        tail = program[len(a_part):]
+        assert len(tail) == len(cone_gates) < 2000
+        node = {g.name: n + k for k, g in enumerate(original.gates)}
+        node.update((g.name, n + 2000 + j) for j, g in enumerate(cone_gates))
+        node.update(zip(original.inputs, range(n)))
+        assert tail == [
+            (int(TruthTable2[g.kind]), node[g.name], node[g.fanin[0]], node[g.fanin[1]])
+            for g in cone_gates
+        ]
 
 
 class TestMalformedBindings:

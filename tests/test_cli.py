@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import tempfile
 import warnings
 from itertools import product
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import first_difference, naive_eval
-from tvdcamo.bench import parse_bench
+from conftest import dag_text, first_difference, naive_eval
+from tvdcamo.bench import Gate, parse_bench
 from tvdcamo.camo import CamoConfig
 from tvdcamo.cli import main
 from tvdcamo.device import BiasPoint, IsfetParams, ids, iv_sweep
@@ -271,6 +272,22 @@ class TestCamouflageVerifyAttack:
             "per_gate_marginals",
         }
         assert report["camo_gates"] == ["16", "19"]
+
+    def test_camouflage_builds_no_gate(self, tmp_path, capsys, monkeypatch):
+        netlist = tmp_path / "dag.bench"
+        netlist.write_text(dag_text(random.Random(7), 20, 2000))
+        built = []
+        unchecked = Gate._unchecked.__func__
+        monkeypatch.setattr(
+            Gate, "_unchecked", classmethod(lambda cls, *args: built.append(args) or unchecked(cls, *args))
+        )
+        code, out, _ = run(["camouflage", str(netlist), "--rate", "0.1", "-o", str(tmp_path)], capsys)
+        assert code == 0
+        assert built == []
+        assert out == (
+            f"camouflaged 200 of 2000 gates; wrote {tmp_path / 'camo.bench'} and "
+            f"{tmp_path / 'camo_config.json'}\n"
+        )
 
     @pytest.mark.parametrize("flipped", ["16", "19", "23"])
     def test_verify_prints_first_mismatch(
