@@ -142,13 +142,17 @@ class Netlist:
         self._link(self._validate())
 
     @classmethod
-    def _from_columns(cls, inputs, outputs, names, kinds, fanins, like=None) -> "Netlist":
+    def _from_columns(
+        cls, inputs, outputs, names, kinds, fanins, like=None, pairs=None
+    ) -> "Netlist":
         """A netlist of valid names, kinds and arities, given as columns.
 
         Without ``like``, a duplicate driver or output raises NetlistError,
         an undefined net KeyError and a cycle CycleError, none of them
         naming a net. ``like``, a netlist with the same nets and fan-ins in
-        the same places, lends its slots and order unchecked.
+        the same places, lends its slots and order unchecked. ``pairs``, when
+        every gate has two fan-ins, is the first and the second fan-in
+        column, which are then linked column by column.
         """
         self = cls.__new__(cls)
         self.inputs = tuple(inputs)
@@ -163,7 +167,7 @@ class Netlist:
             raise NetlistError("a net has multiple drivers")
         if len(set(self.outputs)) != len(self.outputs):
             raise NetlistError("an output is listed twice")
-        self._link(slot)
+        self._link(slot, pairs)
         return self
 
     def _validate(self) -> dict[str, int]:
@@ -192,16 +196,23 @@ class Netlist:
             seen_out.add(o)
         return slot
 
-    def _link(self, slot: dict[str, int]) -> None:
-        """Slot fan-ins and outputs, then the program's gate order."""
-        self._fanin = tuple(map(tuple, map(map, repeat(slot.__getitem__), self._fanins)))
-        self._out_slots = tuple(map(slot.__getitem__, self.outputs))
+    def _link(self, slot: dict[str, int], pairs=None) -> None:
+        """Slot fan-ins and outputs, then the program's gate order.
+
+        ``pairs``, the first and second fan-in columns of a netlist whose
+        every gate has two fan-ins, is linked column by column."""
+        n, slot_of = len(self.inputs), slot.__getitem__
         # Gate k is slot n + k: file order is topological when each gate's
-        # highest fan-in slot lies below its own.
-        if all(map(lt, map(max, self._fanin), count(len(self.inputs)))):
-            self._order = range(len(self._fanin))
+        # fan-in slots lie below its own.
+        if pairs is None:
+            self._fanin = tuple(map(tuple, map(map, repeat(slot_of), self._fanins)))
+            topological = all(map(lt, map(max, self._fanin), count(n)))
         else:
-            self._order = self._kahn_order
+            firsts, seconds = [list(map(slot_of, column)) for column in pairs]
+            self._fanin = tuple(zip(firsts, seconds))
+            topological = all(map(lt, firsts, count(n))) and all(map(lt, seconds, count(n)))
+        self._out_slots = tuple(map(slot_of, self.outputs))
+        self._order = range(len(self._fanin)) if topological else self._kahn_order
 
     @cached_property
     def _kahn_order(self) -> tuple[int, ...]:
@@ -331,16 +342,22 @@ def _parse_text(text: str) -> Netlist | None:
     if len(inputs) + len(outputs) + len(rows) + len(_BLANK_LINES(text)) != text.count("\n"):
         return None  # a line of no shape, or another line break
     names, kind_toks, firsts, seconds, more = zip(*rows) if rows else ((),) * 5
-    kinds = tuple(map(str.upper, kind_toks))
+    tokens = set(kind_toks)
+    # Tokens that are all kinds already are the kind column as written.
+    kinds = kind_toks if tokens <= GATE_KINDS else tuple(map(str.upper, kind_toks))
     if all(seconds) and not any(more):  # every gate has two fan-ins
+        pairs = firsts, seconds
         fanins = tuple(zip(firsts, seconds))
+        shapes = {(token.upper(), 2) for token in tokens}
     else:
+        pairs = None
         fanins = tuple(map(tuple, map(_find_names, map(" ".join, zip(firsts, seconds, more)))))
-    for kind, arity in set(zip(kinds, map(len, fanins))):
+        shapes = set(zip(kinds, map(len, fanins)))
+    for kind, arity in shapes:
         if kind not in GATE_KINDS or _check_arity(kind, arity):
             return None
     try:
-        return Netlist._from_columns(inputs, outputs, names, kinds, fanins)
+        return Netlist._from_columns(inputs, outputs, names, kinds, fanins, pairs=pairs)
     except (KeyError, NetlistError):  # an undefined net, a double or a cycle
         return None
 

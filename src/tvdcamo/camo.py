@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields
 from itertools import compress, count
 from json.encoder import encode_basestring_ascii
 from operator import ne
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .errors import (
     UsageError,
 )
 from .gates import (
+    _ASSIGNMENTS,
     BranchAssignment,
     GatePhProgram,
     TruthTable2,
@@ -92,6 +93,16 @@ class CamoGateSpec:
             )
         _check_ph_pair(self.ph_low, self.ph_high, f"gate {self.name!r}")
 
+    @classmethod
+    def _unchecked(cls, name, function, assignment, ph_low, ph_high) -> "CamoGateSpec":
+        """A spec whose assignment is its function's and whose pH pair is
+        already checked."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(
+            name=name, function=function, assignment=assignment, ph_low=ph_low, ph_high=ph_high
+        )
+        return spec
+
 
 @dataclass(frozen=True)
 class CamoConfig:
@@ -115,20 +126,18 @@ class CamoConfig:
 
         ``doc`` holds ``params`` (the ``IsfetParams`` fields) and ``gates``,
         one object per spec: ``name``, ``function_name``, ``function_bits``,
-        ``assignment`` (the four flags), ``ph_low`` and ``ph_high``.
+        ``assignment`` (the four flags), ``ph_low`` and ``ph_high``. The
+        text of an entry up to its name is its function's row of
+        ``_FUNCTION_ROWS``.
         """
         params = ",\n".join(
             f"    {_json_leaf(key, 2)}: {_json_leaf(value, 2)}"
             for key, value in sorted(asdict(self.params).items())
         )
         gates = ",\n".join(
-            _GATE_JSON.format(
-                *[_json_leaf(flag, 4) for flag in g.assignment.lvt_on_out_side],
-                *[
-                    _json_leaf(value, 3)
-                    for value in (int(g.function), g.function.name, g.name, g.ph_high, g.ph_low)
-                ],
-            )
+            f"{_FUNCTION_ROWS[g.function].head}{_json_leaf(g.name, 3)},\n"
+            f'      "ph_high": {_json_leaf(g.ph_high, 3)},\n'
+            f'      "ph_low": {_json_leaf(g.ph_low, 3)}\n    }}'
             for g in self.gates
         )
         gates = f"[\n{gates}\n  ]" if gates else "[]"
@@ -136,6 +145,14 @@ class CamoConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "CamoConfig":
+        """The config that ``to_json`` wrote, or DomainError.
+
+        An entry whose ``(function_bits, function_name, assignment)`` is a
+        row of ``_FUNCTION_ROWS`` and whose pH values are ints or floats
+        takes that row's function and assignment, and each distinct pH pair
+        (by value) is checked once. Any other entry is decoded key by key
+        (``_decode_gate``), which raises what it finds first.
+        """
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -151,45 +168,63 @@ class CamoConfig:
             except UsageError as exc:
                 raise DomainError(f"camouflage config params: {exc}") from exc
             gates = []
+            checked = set()  # the pH pairs that passed
             for entry in doc["gates"]:
-                function = TruthTable2(entry["function_bits"])
-                if function.name != entry["function_name"]:
-                    raise DomainError(
-                        f"gate {entry['name']!r}: function_name "
-                        f"{entry['function_name']!r} does not match bits "
-                        f"{entry['function_bits']}"
-                    )
+                try:
+                    row = _ENTRY_ROWS[
+                        entry["function_bits"], entry["function_name"], tuple(entry["assignment"])
+                    ]
+                    name, ph_low, ph_high = entry["name"], entry["ph_low"], entry["ph_high"]
+                except (KeyError, TypeError):
+                    row = None
+                # A bool or float function_bits finds the row of its value;
+                # the key-by-key path rejects it.
+                if (
+                    row is None
+                    or entry["function_bits"].__class__ is not int
+                    or ph_low.__class__ not in _PH_TYPES
+                    or ph_high.__class__ not in _PH_TYPES
+                ):
+                    gates.append(_decode_gate(entry))
+                    continue
+                if (ph_low, ph_high) not in checked:
+                    _check_ph_pair(ph_low, ph_high, f"gate {name!r}")
+                    checked.add((ph_low, ph_high))
                 gates.append(
-                    CamoGateSpec(
-                        name=entry["name"],
-                        function=function,
-                        assignment=BranchAssignment(tuple(entry["assignment"])),
-                        ph_low=entry["ph_low"],
-                        ph_high=entry["ph_high"],
-                    )
+                    CamoGateSpec._unchecked(name, row.function, row.assignment, ph_low, ph_high)
                 )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed camouflage config: {exc}") from exc
         return cls(params=params, gates=tuple(gates))
 
 
-# One entry of the config's "gates" list as json.dumps(indent=2,
-# sort_keys=True) writes it: the four assignment flags, then function_bits,
-# function_name, name, ph_high and ph_low.
-_GATE_JSON = """\
-    {{
-      "assignment": [
-        {},
-        {},
-        {},
-        {}
-      ],
-      "function_bits": {},
-      "function_name": {},
-      "name": {},
-      "ph_high": {},
-      "ph_low": {}
-    }}"""
+# The types json.loads gives a pH that from_json accepts. A bool is an int
+# but no pH, and (True, 10) would find the checked pair (1, 10).
+_PH_TYPES = frozenset({int, float})
+
+
+def _decode_gate(entry) -> CamoGateSpec:
+    """One ``gates`` entry of a config document, read key by key."""
+    bits = entry["function_bits"]
+    if bits.__class__ is not int:
+        raise DomainError(
+            f"gate {entry['name']!r}: function_bits must be an int, got {bits!r}"
+        )
+    function = TruthTable2(bits)
+    if function.name != entry["function_name"]:
+        raise DomainError(
+            f"gate {entry['name']!r}: function_name "
+            f"{entry['function_name']!r} does not match bits {bits}"
+        )
+    name = entry["name"]
+    assignment = BranchAssignment(tuple(entry["assignment"]))
+    ph_low, ph_high = entry["ph_low"], entry["ph_high"]
+    for key, value in (("ph_low", ph_low), ("ph_high", ph_high)):
+        if value.__class__ not in _PH_TYPES:
+            raise DomainError(
+                f"gate {name!r}: {key} must be an int or a float, got {value!r}"
+            )
+    return CamoGateSpec(name, function, assignment, ph_low, ph_high)
 
 
 def _json_leaf(value, depth: int) -> str:
@@ -206,6 +241,43 @@ def _json_leaf(value, depth: int) -> str:
     if cls is bool:
         return "true" if value else "false"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+class _FunctionRow(NamedTuple):
+    function: TruthTable2
+    assignment: BranchAssignment  # the one in gates._ASSIGNMENTS
+    head: str  # a config entry's text up to its name's value
+
+
+# An entry of the config's "gates" list as json.dumps(indent=2,
+# sort_keys=True) writes it, up to its name: the four assignment flags,
+# function_bits, function_name, then the "name" key. ph_high and ph_low
+# follow the name.
+_GATE_HEAD = """\
+    {{
+      "assignment": [
+        {},
+        {},
+        {},
+        {}
+      ],
+      "function_bits": {},
+      "function_name": {},
+      "name": """
+
+# One row per function, indexed by truth-table value.
+_FUNCTION_ROWS = tuple(
+    _FunctionRow(f, a, _GATE_HEAD.format(
+        *[_json_leaf(flag, 4) for flag in a.lvt_on_out_side], int(f), _json_leaf(f.name, 3)
+    ))
+    for f, a in zip(TruthTable2, _ASSIGNMENTS)
+)
+# Each row under the (function_bits, function_name, assignment) that
+# json.loads reads from its entry.
+_ENTRY_ROWS = {
+    (int(row.function), row.function.name, row.assignment.lvt_on_out_side): row
+    for row in _FUNCTION_ROWS
+}
 
 
 def _eligible(gate: Gate) -> str | None:
@@ -246,7 +318,7 @@ def camouflage(
     program = GatePhProgram(ph_low, ph_high, assignment_for(TruthTable2.FALSE))
     evaluate_static(program, params, 0, 0)
 
-    if n.camo_gates:
+    if "CAMO" in n._kinds:
         raise NotCamouflageableError(
             f"netlist already contains camouflaged gates: {list(n.camo_gates)}"
         )
@@ -279,16 +351,10 @@ def camouflage(
     new_kinds = list(kinds)
     specs = []
     for k in sorted(chosen):
-        function = KIND_TO_FUNCTION[kinds[k]]
+        row = _FUNCTION_ROWS[_KIND_OPS[kinds[k]]]
         new_kinds[k] = "CAMO"
         specs.append(
-            CamoGateSpec(
-                name=names[k],
-                function=function,
-                assignment=assignment_for(function),
-                ph_low=ph_low,
-                ph_high=ph_high,
-            )
+            CamoGateSpec._unchecked(names[k], row.function, row.assignment, ph_low, ph_high)
         )
     # Same nets and fan-ins as the validated n: its slots and order serve.
     camo_netlist = Netlist._from_columns(

@@ -61,6 +61,18 @@ def _out_path(outdir: Path, name) -> Path:
     return outdir / name
 
 
+def _check_distinct_outputs(outdir: Path, outputs) -> None:
+    """UsageError if two of a command's outputs, or one of them and
+    manifest.json, resolve to the same path, where the later write would
+    replace the earlier. ``outputs`` holds (flag or file name, name) pairs."""
+    seen = {(outdir / "manifest.json").resolve(): "manifest.json"}
+    for label, name in outputs:
+        path = (outdir / name).resolve()
+        if path in seen:
+            raise UsageError(f"{label} names the same file as {seen[path]}: {path}")
+        seen[path] = label
+
+
 def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -193,6 +205,9 @@ def _cmd_derive_table(args, outdir: Path) -> tuple[list, list]:
 
 
 def _cmd_camouflage(args, outdir: Path) -> tuple[list, list]:
+    _check_distinct_outputs(
+        outdir, [("--out-bench", args.out_bench), ("--out-config", args.out_config)]
+    )
     netlist = parse_bench(_read_text(args.netlist))
     if (args.gates is None) == (args.rate is None):
         raise UsageError("specify exactly one of --gates or --rate")
@@ -245,6 +260,10 @@ def _cmd_verify(args, outdir: Path) -> tuple[list, list]:
 
 
 def _cmd_attack(args, outdir: Path) -> tuple[list, list]:
+    outputs = [("--out-report", args.out_report)]
+    if args.kind == "profiling":
+        outputs.append(("reconstructed.bench", "reconstructed.bench"))
+    _check_distinct_outputs(outdir, outputs)
     camo = parse_bench(_read_text(args.netlist))
     cfg = CamoConfig.from_json(_read_text(args.config))
 

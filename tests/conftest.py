@@ -1,6 +1,8 @@
+import json
 import random
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -36,7 +38,8 @@ from tvdcamo.bench import (
     parse_bench,
     unpack_words,
 )
-from tvdcamo.device import vth_from_ph
+from tvdcamo.camo import CamoConfig, CamoGateSpec
+from tvdcamo.device import IsfetParams, vth_from_ph
 from tvdcamo.errors import (
     BenchParseError,
     CycleError,
@@ -44,7 +47,13 @@ from tvdcamo.errors import (
     UnresolvableGateError,
     UsageError,
 )
-from tvdcamo.gates import SERIES_K_FACTOR, TruthTable2, branch_current, minterm_index
+from tvdcamo.gates import (
+    SERIES_K_FACTOR,
+    BranchAssignment,
+    TruthTable2,
+    branch_current,
+    minterm_index,
+)
 from tvdcamo.transient import _PROBE_V_DS, GateTrace, _evaluate
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -288,6 +297,60 @@ def reference_parse_bench(text: str) -> Netlist:
     except CycleError as exc:
         first = min(exc.cycle, key=lambda n: gate_lines.get(n, 0))
         raise BenchParseError(str(exc), gate_lines.get(first, 1)) from exc
+
+
+def reference_from_json(text: str) -> CamoConfig:
+    """``CamoConfig.from_json``, each entry read key by key and each spec
+    built through ``CamoGateSpec``'s own checks. ``function_bits`` must be
+    an int and each pH an int or a float, none of them a bool."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"malformed camouflage config: {exc}") from exc
+    try:
+        odd = set(doc["params"]) ^ {f.name for f in fields(IsfetParams)}
+        if odd:
+            raise DomainError(
+                f"camouflage config params: missing or unknown keys {sorted(odd)}"
+            )
+        try:
+            params = IsfetParams(**doc["params"])
+        except UsageError as exc:
+            raise DomainError(f"camouflage config params: {exc}") from exc
+        gates = []
+        for entry in doc["gates"]:
+            bits = entry["function_bits"]
+            if isinstance(bits, bool) or not isinstance(bits, int):
+                raise DomainError(
+                    f"gate {entry['name']!r}: function_bits must be an int, got {bits!r}"
+                )
+            function = TruthTable2(bits)
+            if function.name != entry["function_name"]:
+                raise DomainError(
+                    f"gate {entry['name']!r}: function_name "
+                    f"{entry['function_name']!r} does not match bits "
+                    f"{entry['function_bits']}"
+                )
+            name = entry["name"]
+            assignment = BranchAssignment(tuple(entry["assignment"]))
+            ph_low, ph_high = entry["ph_low"], entry["ph_high"]
+            for key, value in (("ph_low", ph_low), ("ph_high", ph_high)):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise DomainError(
+                        f"gate {name!r}: {key} must be an int or a float, got {value!r}"
+                    )
+            gates.append(
+                CamoGateSpec(
+                    name=name,
+                    function=function,
+                    assignment=assignment,
+                    ph_low=ph_low,
+                    ph_high=ph_high,
+                )
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed camouflage config: {exc}") from exc
+    return CamoConfig(params=params, gates=tuple(gates))
 
 
 def reference_topo_order(netlist) -> tuple[Gate, ...]:

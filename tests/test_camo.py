@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BINARY_KINDS, dag_text, naive_eval, random_netlist, slot_form_netlist
+from conftest import (
+    BINARY_KINDS,
+    dag_text,
+    naive_eval,
+    random_netlist,
+    reference_from_json,
+    slot_form_netlist,
+)
 from tvdcamo import bench as bench_module
 from tvdcamo import camo as camo_module
 from tvdcamo.attack import oracle_attack
@@ -332,6 +339,183 @@ class TestConfigJson:
         doc["gates"][0]["assignment"] = [False, False, False, False]
         with pytest.raises(DomainError):
             CamoConfig.from_json(json.dumps(doc))
+
+
+# Values of every type json.loads gives, for keys of the wrong type.
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-20, 20), st.floats(-20, 20), st.just(-0.0),
+    st.sampled_from([float("nan"), float("inf"), 10**20]), st.text(max_size=3),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_LEAVES,
+    st.lists(_JSON_LEAVES, max_size=5),
+    st.dictionaries(st.text(max_size=3), _JSON_LEAVES, max_size=2),
+)
+_GATE_KEYS = ("name", "function_name", "function_bits", "assignment", "ph_low", "ph_high")
+
+
+def _integral(draw, value):
+    """An int, a float or (for zero) -0.0 of the same value as ``value``."""
+    if value != int(value):
+        return value
+    forms = [int(value), float(value)] + ([-0.0] if value == 0 else [])
+    return draw(st.sampled_from(forms))
+
+
+# Edits of one entry of a config document: first the forms that from_json
+# accepts and to_json does not write, then malformed ones.
+_ENTRY_EDITS = {
+    "int flags": lambda draw, e, doc: e.update(assignment=[int(f) for f in e["assignment"]]),
+    "float flags": lambda draw, e, doc: e.update(assignment=[float(f) for f in e["assignment"]]),
+    "other truthy flags": lambda draw, e, doc: e.update(
+        assignment=[2 * f for f in e["assignment"]]
+    ),
+    "integral ph": lambda draw, e, doc: e.update(
+        ph_low=_integral(draw, e["ph_low"]), ph_high=_integral(draw, e["ph_high"])
+    ),
+    "float bits": lambda draw, e, doc: e.update(function_bits=float(e["function_bits"])),
+    "bool bits": lambda draw, e, doc: e.update(function_bits=draw(st.booleans())),
+    "bool ph": lambda draw, e, doc: e.update(
+        {draw(st.sampled_from(["ph_low", "ph_high"])): draw(st.booleans())}
+    ),
+    "missing key": lambda draw, e, doc: e.pop(draw(st.sampled_from(_GATE_KEYS))),
+    "extra key": lambda draw, e, doc: e.update(
+        {draw(st.sampled_from(("bogus", "function", "ph"))): draw(_JSON_VALUES)}
+    ),
+    "wrong type": lambda draw, e, doc: e.update(
+        {draw(st.sampled_from(_GATE_KEYS)): draw(_JSON_VALUES)}
+    ),
+    "bits out of range": lambda draw, e, doc: e.update(
+        function_bits=draw(st.sampled_from([16, -1, 255, 10**20]))
+    ),
+    "other bits": lambda draw, e, doc: e.update(function_bits=draw(st.integers(0, 15))),
+    "other name": lambda draw, e, doc: e.update(
+        function_name=draw(st.sampled_from([f.name for f in TruthTable2] + ["nand", ""]))
+    ),
+    "other assignment": lambda draw, e, doc: e.update(assignment=draw(st.one_of(
+        st.sampled_from(TruthTable2).map(lambda f: list(assignment_for(f).lvt_on_out_side)),
+        st.lists(st.booleans(), max_size=6),
+    ))),
+    "reversed ph": lambda draw, e, doc: e.update(ph_low=e["ph_high"], ph_high=e["ph_low"]),
+    "equal ph": lambda draw, e, doc: e.update(ph_high=e["ph_low"]),
+    "ph out of range": lambda draw, e, doc: e.update(
+        {draw(st.sampled_from(["ph_low", "ph_high"])):
+         draw(st.sampled_from([-1, -0.5, 14.5, 20, float("nan"), float("inf"), -float("inf")]))}
+    ),
+    "duplicate name": lambda draw, e, doc: e.update(
+        name=draw(st.sampled_from(doc["gates"]))["name"]
+    ),
+    "not an object": lambda draw, e, doc: doc["gates"].__setitem__(
+        doc["gates"].index(e), draw(_JSON_VALUES)
+    ),
+}
+
+
+@st.composite
+def _config_documents(draw):
+    """The text of a ``_configs()`` config with up to four of its entries
+    edited, or with a ``gates`` that is not a list."""
+    doc = json.loads(draw(_configs()).to_json())
+    for _ in range(draw(st.integers(0, 4))):
+        entries = [e for e in doc["gates"] if isinstance(e, dict)]
+        if not entries:
+            break
+        edit = draw(st.sampled_from(sorted(_ENTRY_EDITS)))
+        try:
+            _ENTRY_EDITS[edit](draw, draw(st.sampled_from(entries)), doc)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass  # an edit of a key that an earlier edit removed or retyped
+    if draw(st.integers(0, 9)) == 0:
+        doc["gates"] = draw(st.one_of(
+            _JSON_LEAVES, st.just({str(k): e for k, e in enumerate(doc["gates"])}),
+        ))
+    return json.dumps(doc)
+
+
+def _decoded(decode, text):
+    """What ``decode(text)`` gives: the config's repr and text, or the
+    exception's type and message."""
+    try:
+        cfg = decode(text)
+    except Exception as exc:  # noqa: BLE001  (any type must match)
+        return type(exc), str(exc)
+    return repr(cfg), cfg.to_json()
+
+
+class TestConfigTablePath:
+    """``from_json`` takes an entry whose function fields are a row of the
+    function table through that row and checks each distinct pH pair once;
+    it decodes, accepts and rejects what ``reference_from_json`` does."""
+
+    @given(text=_config_documents())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_the_key_by_key_reference(self, text):
+        got, want = _decoded(CamoConfig.from_json, text), _decoded(reference_from_json, text)
+        assert got == want
+        if isinstance(got[0], str) and "NaN" not in text:
+            assert CamoConfig.from_json(text) == reference_from_json(text)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("ph_low", True, "gate '16': ph_low must be an int or a float, got True"),
+            ("ph_high", False, "gate '16': ph_high must be an int or a float, got False"),
+            ("ph_low", "2", "gate '16': ph_low must be an int or a float, got '2'"),
+            ("function_bits", True, "gate '16': function_bits must be an int, got True"),
+            ("function_bits", 14.0, "gate '16': function_bits must be an int, got 14.0"),
+        ],
+    )
+    def test_rejects_a_bool_or_non_number(self, c17, key, value, message):
+        _, cfg = camouflage(c17, gates=["16"])
+        doc = json.loads(cfg.to_json())
+        doc["gates"][0][key] = value
+        with pytest.raises(DomainError) as exc:
+            CamoConfig.from_json(json.dumps(doc))
+        assert type(exc.value) is DomainError and str(exc.value) == message
+
+    def test_accepts_what_the_table_does_not_hold(self, c17):
+        # Truthy flags that are not 1 and floats of an int pH miss the
+        # table's keys or checked pairs by type only, and are accepted.
+        _, cfg = camouflage(c17, gates=["16", "19"])
+        doc = json.loads(cfg.to_json())
+        doc["gates"][0]["assignment"] = [2, "x", 0.5, 0]
+        doc["gates"][1].update(ph_low=2, ph_high=10)
+        got = CamoConfig.from_json(json.dumps(doc))
+        assert got == cfg and repr(got) == repr(reference_from_json(json.dumps(doc)))
+        assert repr(got.gates[1].ph_low) == "2"
+
+    def test_specs_are_checked_once_per_distinct_value(self, monkeypatch):
+        original = parse_bench(dag_text(random.Random(7), 20, 2000))
+        # Several pH pairs, some equal by value in another type.
+        pairs = [(2.0, 10.0), (3, 9), (2, 10), (-0.0, 14), (0.0, 14.0), (0, 14), (3.0, 9.0)]
+        inits, checked = [], []
+        for cls in (CamoGateSpec, BranchAssignment):
+            monkeypatch.setattr(
+                cls, "__post_init__",
+                lambda self, real=cls.__post_init__: inits.append(self) or real(self),
+            )
+        check = camo_module._check_ph_pair
+        monkeypatch.setattr(
+            camo_module, "_check_ph_pair",
+            lambda low, high, where: checked.append((low, high)) or check(low, high, where),
+        )
+        _, cfg = camouflage(original, fraction=0.1, seed=7)
+        assert len(cfg.gates) == 200 and checked == [(2.0, 10.0)] and not inits
+        doc = json.loads(cfg.to_json())
+        for k, entry in enumerate(doc["gates"]):
+            entry["ph_low"], entry["ph_high"] = pairs[k % len(pairs)]
+        text = json.dumps(doc)
+        checked.clear()
+        got = CamoConfig.from_json(text)
+        assert not inits
+        assert [(repr(low), repr(high)) for low, high in checked] == [
+            ("2.0", "10.0"), ("3", "9"), ("-0.0", "14"),
+        ]
+        assert [(repr(g.ph_low), repr(g.ph_high)) for g in got.gates] == [
+            tuple(map(repr, pairs[k % len(pairs)])) for k in range(200)
+        ]
+        monkeypatch.undo()
+        assert repr(got) == repr(reference_from_json(text))
 
 
 class TestVerifyEquivalence:

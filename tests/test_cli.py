@@ -558,6 +558,80 @@ class TestParameterFlags:
         assert "k_gain" in err
 
 
+class TestOutputCollisions:
+    """An output name that resolves to the path of another output of the
+    same command, or of manifest.json, is a usage error raised before
+    anything is written."""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--out-bench", "x", "--out-config", "x"],
+             "--out-config names the same file as --out-bench: {out}/x"),
+            (["--out-config", "manifest.json"],
+             "--out-config names the same file as manifest.json: {out}/manifest.json"),
+            (["--out-bench", "manifest.json"],
+             "--out-bench names the same file as manifest.json: {out}/manifest.json"),
+            (["--out-config", "sub/../camo.bench"],
+             "--out-config names the same file as --out-bench: {out}/camo.bench"),
+            (["--out-config", "{out}/./camo.bench"],
+             "--out-config names the same file as --out-bench: {out}/camo.bench"),
+        ],
+        ids=["same-name", "config-manifest", "bench-manifest", "dot-dot", "absolute"],
+    )
+    def test_camouflage(self, tmp_path, capsys, c17_file, extra, message):
+        out_dir = (tmp_path / "out").resolve()
+        extra = [arg.format(out=out_dir) for arg in extra]
+        code, out, err = run(
+            ["camouflage", str(c17_file), "--rate", "0.5", *extra, "-o", str(out_dir)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(out=out_dir)}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--out-report", "manifest.json"],
+             "--out-report names the same file as manifest.json: {out}/manifest.json"),
+            (["--kind", "profiling", "--out-report", "reconstructed.bench"],
+             "reconstructed.bench names the same file as --out-report: "
+             "{out}/reconstructed.bench"),
+            (["--kind", "profiling", "--mechanism", "implant",
+              "--out-report", "a/../reconstructed.bench"],
+             "reconstructed.bench names the same file as --out-report: "
+             "{out}/reconstructed.bench"),
+        ],
+        ids=["report-manifest", "report-reconstruction", "report-reconstruction-dot-dot"],
+    )
+    def test_attack(self, tmp_path, capsys, c17_file, extra, message):
+        camouflaged = ["camouflage", str(c17_file), "--gates", "16,19", "-o", str(tmp_path)]
+        assert run(camouflaged, capsys)[0] == 0
+        out_dir = (tmp_path / "out").resolve()
+        code, out, err = run(
+            ["attack", str(tmp_path / "camo.bench"),
+             "--config", str(tmp_path / "camo_config.json"), *extra, "-o", str(out_dir)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(out=out_dir)}\n"
+        assert not out_dir.exists()
+
+    def test_an_oracle_report_may_take_the_reconstruction_name(self, tmp_path, capsys, c17_file):
+        # Only a profiling attack writes reconstructed.bench.
+        run(["camouflage", str(c17_file), "--gates", "16,19", "-o", str(tmp_path)], capsys)
+        out_dir = tmp_path / "out"
+        code, _, _ = run(
+            ["attack", str(tmp_path / "camo.bench"),
+             "--config", str(tmp_path / "camo_config.json"),
+             "--out-report", "reconstructed.bench", "-o", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "reconstructed.bench"]
+        assert "joint_survivors" in json.loads((out_dir / "reconstructed.bench").read_text())
+
+
 class TestExitCodes:
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
