@@ -23,7 +23,7 @@ from .bench import (
     _is_count,
     eval_logic,
     eval_words,
-    index_bit_words,
+    index_bit_rows,
     pack_words,
     unpack_words,
 )
@@ -45,7 +45,10 @@ _CONE_WORDS = 4096
 # once at most 1/_COMPACT_RATIO of more than WORD_BITS lanes are alive.
 _COMPACT_RATIO = 8
 _FILL = np.array([ZERO, ALL_ONES])
-_SHIFTS = np.arange(WORD_BITS, dtype=np.uint64)
+_WORD_MASK = (1 << WORD_BITS) - 1
+# Bit (3 - m) of a function's value is its output for minterm m.
+_MINTERM_BITS = np.array([8, 4, 2, 1], dtype=np.uint8)[:, None]
+_FUNCS = tuple(TruthTable2)
 
 
 @dataclass(frozen=True)
@@ -186,10 +189,19 @@ def _split_cone(n: Netlist) -> tuple[list, list]:
     return cone, base
 
 
-def _columns(word: int, count: int) -> np.ndarray:
-    """A (count, 1) column whose row k is all ones where bit k of ``word`` is."""
-    bits = (np.uint64(word & ((1 << count) - 1)) >> _SHIFTS[:count]) & np.uint64(1)
-    return _FILL[bits][:, None]
+def _bit_rows(ints) -> np.ndarray:
+    """A (len(ints), 64) uint8 array whose row r holds bits 0..63 of
+    ``ints[r]``, two's complement for a negative int."""
+    raw = np.array([v & _WORD_MASK for v in ints], dtype="<u8")
+    return np.unpackbits(raw.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+
+
+def _all_alive(n_lanes: int) -> np.ndarray:
+    """An alive mask with lanes 0..n_lanes-1 set and the padding bits zero."""
+    alive = np.full(-(-n_lanes // WORD_BITS), ALL_ONES)
+    if n_lanes % WORD_BITS:
+        alive[-1] = (1 << n_lanes % WORD_BITS) - 1
+    return alive
 
 
 def _alive_ids(ids, alive: np.ndarray, n_lanes: int) -> np.ndarray:
@@ -203,13 +215,13 @@ def _compact_lanes(names, ids, alive: np.ndarray, n_lanes: int):
     """Explicit lanes for the alive candidates: their indices, each gate's
     four masks and an all-alive word array (padding bits zero)."""
     ids = _alive_ids(ids, alive, n_lanes)
-    lanes = {}
-    # The last gate is the candidate index's lowest base-16 digit, and bit
-    # (3 - m) of a digit is its function's output for minterm m.
-    for j, nm in enumerate(reversed(names)):
-        digit = (ids >> 4 * j).astype(np.uint8)
-        lanes[nm] = tuple(pack_words(digit & (8 >> m)) for m in range(4))
-    return ids, lanes, pack_words(np.ones(len(ids), dtype=bool))
+    # Row j is gate j's base-16 digit of each candidate index (gate 0 most
+    # significant); uint8 keeps its low byte, whose low nibble is the digit.
+    shifts = np.arange(4 * len(names) - 4, -1, -4)[:, None]
+    digits = (ids >> shifts).astype(np.uint8)
+    masks = pack_words(digits[:, None, :] & _MINTERM_BITS)
+    lanes = {nm: tuple(m) for nm, m in zip(names, masks)}
+    return ids, lanes, _all_alive(len(ids))
 
 
 def _inconsistent_oracle(vec, observed) -> DomainError:
@@ -274,23 +286,16 @@ def oracle_attack(
     # Lane L is the candidate whose gate j has function digit j of L in base
     # 16 (gate 0 most significant), so lanes run in the order of
     # product(range(16), repeat=g). Bit (3 - m) of a function is its output
-    # for minterm m, hence gate j's mask M_m is index bit 4(g-1-j) + 3 - m.
+    # for minterm m, hence gate j's mask M_m is index bit 4(g-1-j) + 3 - m,
+    # row 4j + m of the lane-index bits from 4g-1 down to 0.
     n_lanes = 16**g
     n_words = -(-n_lanes // WORD_BITS)
-    lanes = {
-        nm: tuple(
-            index_bit_words(4 * (g - 1 - j) + 3 - m, 0, n_words) for m in range(4)
-        )
-        for j, nm in enumerate(names)
-    }
-    alive = np.full(n_words, ALL_ONES)
-    if n_lanes < WORD_BITS:
-        alive[0] = (1 << n_lanes) - 1
+    masks = index_bit_rows(range(4 * g - 1, -1, -1), 0, n_words).reshape(g, 4, n_words)
+    lanes = {nm: tuple(m) for nm, m in zip(names, masks)}
+    alive = _all_alive(n_lanes)
+    count = n_lanes
     state = CandidateState(
-        camo_gates=names,
-        mode="joint",
-        marginals={nm: set(TruthTable2) for nm in names},
-        survivor_history=[n_lanes],
+        camo_gates=names, mode="joint", marginals={}, survivor_history=[count]
     )
 
     # Only the CAMO gates and their fan-out differ between candidates. The
@@ -299,11 +304,13 @@ def oracle_attack(
     # (Q, 1) all-ones/zero column per slot feeding it against the lane masks.
     cone, base = _split_cone(camo)
     cone_slots = {out for _, out, _, _ in cone}
-    feeds = {s for _, _, a, b in cone for s in (a, b)} - cone_slots
+    feeds = list({s for _, _, a, b in cone for s in (a, b)} - cone_slots)
+    n_in = len(camo.inputs)
+    n_log = n_in + len(camo.outputs)
     ids = None
-    total, input_words, vector = source
+    total, input_words, _ = source
     for first in range(0, total, WORD_BITS):
-        if state.survivor_history[-1] <= 1:
+        if count <= 1:
             break
         width = min(WORD_BITS, total - first)
         words = [int(w[0]) for w in input_words(first // WORD_BITS, 1)]
@@ -312,25 +319,32 @@ def oracle_attack(
         _eval_gates(base, values, None)
         # Bit k of ``agree``: query k's outputs outside the cone match.
         agree = ~0
-        flips = []
+        flip_slots, flip_ints = [], []
         for out, obs in zip(camo._out_slots, observed):
             if out in cone_slots:
-                flips.append((out, _columns(~obs, width)))
+                flip_slots.append(out)
+                flip_ints.append(~obs)
             else:
                 agree &= ~(values[out] ^ obs)
-        agree = _columns(agree, width)
-        columns = [(s, _columns(values[s], width)) for s in feeds]
+        # One bit row per int: the batch's vectors and responses, then the
+        # agree, flip and feed columns, whose row k is all ones where bit k
+        # of the int is set.
+        feed_ints = [values[s] for s in feeds]
+        bits = _bit_rows(words + observed + [agree] + flip_ints + feed_ints)
+        vectors, responses = bits[:n_in].T, bits[n_in:n_log].T
+        agree, *columns = _FILL[bits[n_log:, :width, None]]
+        flips = list(zip(flip_slots, columns))
+        feeds_at = list(zip(feeds, columns[len(flips) :]))
 
         q0 = 0
-        while q0 < width:
-            count = state.survivor_history[-1]
+        while q0 < width and count > 1:
             if n_lanes > WORD_BITS and count * _COMPACT_RATIO <= n_lanes:
                 ids, lanes, alive = _compact_lanes(names, ids, alive, n_lanes)
                 n_lanes, n_words = count, len(alive)
             q_rows = max(1, min(WORD_BITS, _CONE_WORDS // n_words))
             rows = slice(q0, q0 + q_rows)
             cone_values = [None] * len(values)
-            for s, col in columns:
+            for s, col in feeds_at:
                 cone_values[s] = col[rows]
             _eval_gates(cone, cone_values, lanes)
             match = agree[rows] & alive
@@ -344,24 +358,23 @@ def oracle_attack(
             while step < len(match):
                 match[step:] &= match[:-step]
                 step *= 2
-            for r, count in enumerate(np.bitwise_count(match).sum(axis=1).tolist()):
-                k = q0 + r
-                vec = vector(first + k)
-                response = tuple((obs >> k) & 1 for obs in observed)
-                state.query_log.append((vec, response))
-                state.survivor_history.append(count)
-                if count == 0:
-                    raise _inconsistent_oracle(vec, response)
-                alive = match[r]
-                if count <= 1:
-                    break
-            if state.survivor_history[-1] <= 1:
-                break
+            # Counts never rise down the running AND, so the queries logged
+            # run up to the first count of at most one, where pruning stops.
+            counts = np.bitwise_count(match).sum(axis=1)
+            n = min(len(counts), int(np.count_nonzero(counts > 1)) + 1)
+            done = slice(q0, q0 + n)
+            state.query_log += zip(
+                map(tuple, vectors[done].tolist()), map(tuple, responses[done].tolist())
+            )
+            state.survivor_history += counts[:n].tolist()
+            count = state.survivor_history[-1]
+            if count == 0:
+                raise _inconsistent_oracle(*state.query_log[-1])
+            alive = match[n - 1]
             q0 += q_rows
 
-    funcs = tuple(TruthTable2)
     state.survivors = [
-        tuple(funcs[(lane >> 4 * (g - 1 - j)) & 15] for j in range(g))
+        tuple(_FUNCS[(lane >> 4 * (g - 1 - j)) & 15] for j in range(g))
         for lane in _alive_ids(ids, alive, n_lanes).tolist()
     ]
     state.marginals = {

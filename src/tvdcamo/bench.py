@@ -581,23 +581,32 @@ def unpack_words(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(raw, count=count, bitorder="little").astype(bool)
 
 
-# Bit k < 6 of a vector index is a fixed pattern inside every word.
-_LOW_INDEX_BITS = tuple(
-    np.uint64(sum(1 << p for p in range(WORD_BITS) if p >> k & 1))
-    for k in range(6)
+# Bit k < 6 of a vector index is a fixed pattern inside every word; bit
+# k >= 6 is bit k - 6 of the word index, all-0 or all-1 across the word. A
+# shift of 63 clears any word index (indices are below 2**64), so row k of
+# these two gives bit k either way.
+_LOW_INDEX_BITS = np.array(
+    [sum(1 << p for p in range(WORD_BITS) if p >> k & 1) for k in range(6)]
+    + [0] * (WORD_BITS - 6),
+    dtype=np.uint64,
 )
+_WORD_INDEX_SHIFTS = np.array([63] * 6 + list(range(WORD_BITS - 6)), dtype=np.uint64)
 
 
-def index_bit_words(k: int, start_word: int, n_words: int) -> np.ndarray:
-    """Words whose bit for vector index i is bit k of i.
+def index_bit_rows(bits, start_word: int, n_words: int) -> np.ndarray:
+    """A (len(bits), n_words) array whose row r has, for vector index i, bit
+    ``bits[r]`` of i.
 
     Covers indices from ``start_word * 64`` on: 0xAAAA..., 0xCCCC...,
-    0xF0F0... for k = 0, 1, 2 and so on, and all-0 or all-1 words for k >= 6.
+    0xF0F0... for bits 0, 1, 2 and so on, and all-0 or all-1 words for
+    bits 6 to 63.
     """
-    if k < 6:
-        return np.full(n_words, _LOW_INDEX_BITS[k], dtype=np.uint64)
+    bits = np.asarray(bits, dtype=np.intp)
     word = np.arange(start_word, start_word + n_words, dtype=np.uint64)
-    return np.where((word >> np.uint64(k - 6)) & np.uint64(1), ALL_ONES, ZERO)
+    rows = (word >> _WORD_INDEX_SHIFTS[bits, None]) & np.uint64(1)
+    np.subtract(ZERO, rows, out=rows)
+    rows |= _LOW_INDEX_BITS[bits, None]
+    return rows
 
 
 def exhaustive_input_words(n_inputs: int, start_word: int, n_words: int) -> list:
@@ -606,10 +615,7 @@ def exhaustive_input_words(n_inputs: int, start_word: int, n_words: int) -> list
     Index bit (n-1-j) drives input j, so the first-listed input is the most
     significant bit of the index.
     """
-    return [
-        index_bit_words(n_inputs - 1 - j, start_word, n_words)
-        for j in range(n_inputs)
-    ]
+    return list(index_bit_rows(range(n_inputs - 1, -1, -1), start_word, n_words))
 
 
 def eval_vectors(n: Netlist, input_arrays: dict, bindings=None) -> list[np.ndarray]:

@@ -61,16 +61,29 @@ def _out_path(outdir: Path, name) -> Path:
     return outdir / name
 
 
-def _check_distinct_outputs(outdir: Path, outputs) -> None:
-    """UsageError if two of a command's outputs, or one of them and
-    manifest.json, resolve to the same path, where the later write would
-    replace the earlier. ``outputs`` holds (flag or file name, name) pairs."""
+def _check_outputs(outdir: Path, outputs) -> None:
+    """UsageError if an output of a command cannot be written where it is
+    named, checked before anything is written: two outputs, or one and
+    manifest.json, that resolve to the same path (the later write would
+    replace the earlier); one that names a directory; or one whose parent
+    is neither an existing directory nor the output directory, which is
+    created on the first write. ``outputs`` holds (flag or file name, name)
+    pairs."""
+    resolved = [(label, name, (outdir / name).resolve()) for label, name in outputs]
     seen = {(outdir / "manifest.json").resolve(): "manifest.json"}
-    for label, name in outputs:
-        path = (outdir / name).resolve()
+    for label, _, path in resolved:
         if path in seen:
             raise UsageError(f"{label} names the same file as {seen[path]}: {path}")
         seen[path] = label
+    home = outdir.resolve()
+    for label, name, path in resolved:
+        if path == home or path.is_dir():
+            raise UsageError(f"{label} names a directory: {path}")
+        # The write opens ``outdir / name`` as given, so a ".." in the name
+        # needs the directory before it to exist.
+        parent = (outdir / name).parent
+        if not (parent.is_dir() or (path.parent == home and ".." not in Path(name).parts)):
+            raise UsageError(f"{label} is in a directory that does not exist: {parent}")
 
 
 def _write_json(path: Path, doc) -> None:
@@ -205,7 +218,7 @@ def _cmd_derive_table(args, outdir: Path) -> tuple[list, list]:
 
 
 def _cmd_camouflage(args, outdir: Path) -> tuple[list, list]:
-    _check_distinct_outputs(
+    _check_outputs(
         outdir, [("--out-bench", args.out_bench), ("--out-config", args.out_config)]
     )
     netlist = parse_bench(_read_text(args.netlist))
@@ -263,7 +276,7 @@ def _cmd_attack(args, outdir: Path) -> tuple[list, list]:
     outputs = [("--out-report", args.out_report)]
     if args.kind == "profiling":
         outputs.append(("reconstructed.bench", "reconstructed.bench"))
-    _check_distinct_outputs(outdir, outputs)
+    _check_outputs(outdir, outputs)
     camo = parse_bench(_read_text(args.netlist))
     cfg = CamoConfig.from_json(_read_text(args.config))
 

@@ -34,7 +34,6 @@ from tvdcamo.bench import (
     Netlist,
     eval_logic,
     eval_words,
-    index_bit_words,
     parse_bench,
     unpack_words,
 )
@@ -405,6 +404,24 @@ def reference_query_vectors(n_inputs: int, strategy: str, n_queries, seed):
             yield tuple(int(v) for v in row)
         return
     raise UsageError(f"unknown query strategy {strategy!r}")
+
+
+# One index bit per call, as bench built the exhaustive input words and the
+# attack's lane masks before both took every bit from one array step
+# (bench.index_bit_rows). Kept as the per-bit reference for that helper and
+# for reference_oracle_attack's lanes.
+_LOW_INDEX_BITS = tuple(
+    np.uint64(sum(1 << p for p in range(WORD_BITS) if p >> k & 1))
+    for k in range(6)
+)
+
+
+def index_bit_words(k: int, start_word: int, n_words: int) -> np.ndarray:
+    """Words whose bit for vector index i is bit k of i, from ``start_word * 64`` on."""
+    if k < 6:
+        return np.full(n_words, _LOW_INDEX_BITS[k], dtype=np.uint64)
+    word = np.arange(start_word, start_word + n_words, dtype=np.uint64)
+    return np.where((word >> np.uint64(k - 6)) & np.uint64(1), ALL_ONES, ZERO)
 
 
 # Joint-mode oracle attack as it was before the cone/base split: per query,

@@ -1,16 +1,22 @@
+import ast
 import math
 import random
 import re
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    BINARY_KINDS,
     naive_eval,
     random_netlist,
     reference_marginal_attack,
     reference_oracle_attack,
+    reference_query_vectors,
     slot_form_netlist,
 )
 from tvdcamo import attack
@@ -467,6 +473,143 @@ class TestCompactedLanes:
         assert got[2][:3] == [16**6, 16**5 * 4, 16**5]
         assert len(got[3]) == 16
         assert compactions[0][0] == 16**6 and len(compactions) >= 2
+
+
+def _old_columns(word: int, count: int) -> np.ndarray:
+    """The attack's former per-int column: a (count, 1) column whose row k is
+    all ones where bit k of ``word`` is."""
+    shifts = np.arange(64, dtype=np.uint64)[:count]
+    bits = (np.uint64(word & ((1 << count) - 1)) >> shifts) & np.uint64(1)
+    return np.array([np.uint64(0), np.uint64(2**64 - 1)])[bits][:, None]
+
+
+class TestBatchSteps:
+    """Each array step of a joint-mode batch against the per-item form it
+    replaced."""
+
+    @pytest.mark.parametrize("width", [1, 7, 63, 64])
+    def test_columns_equal_per_int_columns(self, width):
+        rng = random.Random(width)
+        ints = [0, -1, ~0 << 3, -(1 << 63), 2**64 - 1, (1 << 63) | 5, ~(1 << 40)]
+        ints += [rng.randrange(-(2**70), 2**70) for _ in range(20)]
+        bits = attack._bit_rows(ints)
+        assert bits.shape == (len(ints), 64)
+        columns = attack._FILL[bits[:, :width, None]]
+        for v, row, col in zip(ints, bits, columns):
+            assert row.tolist() == [(v >> k) & 1 for k in range(64)]
+            assert col.shape == (width, 1)
+            assert col.tolist() == _old_columns(v, width).tolist()
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_compacted_masks_equal_per_gate_packing(self, g):
+        names = tuple(f"c{j}" for j in range(g))
+        rng = np.random.default_rng(g)
+        n_lanes = 16**g
+        for p_alive in (1.0, 0.3, 0.01):
+            alive = pack_words(rng.random(n_lanes) < p_alive)
+            ids, lanes, _ = attack._compact_lanes(names, None, alive, n_lanes)
+            for j, nm in enumerate(reversed(names)):
+                digit = (ids >> 4 * j).astype(np.uint8)
+                want = [pack_words(digit & (8 >> m)) for m in range(4)]
+                assert len(lanes[nm]) == 4
+                for got, w in zip(lanes[nm], want):
+                    assert got.tolist() == w.tolist()
+
+
+@st.composite
+def _attack_cases(draw):
+    """A random DAG of 5-9 inputs with 1-3 CAMO gates, an oracle for it and
+    the attack's query arguments. The oracle is the truth, another
+    candidate, a mutant or the DAG with one output flipped on a rare input
+    pattern; the last two may be inconsistent with the camouflaged DAG."""
+    n_in = draw(st.integers(5, 9))
+    nets = [f"i{k}" for k in range(n_in)]
+    gates = []
+    for k in range(draw(st.integers(3, 12))):
+        fanin = draw(st.lists(st.sampled_from(nets), min_size=2, max_size=2, unique=True))
+        gates.append(Gate(f"g{k}", draw(st.sampled_from(BINARY_KINDS)), tuple(fanin)))
+        nets.append(f"g{k}")
+    # Every gate that no other gate reads is an output, so that each CAMO
+    # gate reaches one; a few other nets may be outputs too.
+    read = {net for g in gates for net in g.fanin}
+    outputs = [g.name for g in gates if g.name not in read]
+    outputs += draw(st.lists(st.sampled_from(nets), max_size=2, unique=True))
+    n = Netlist(nets[:n_in], list(dict.fromkeys(outputs)), gates)
+    picks = draw(st.permutations([g.name for g in gates]))[: draw(st.integers(1, 3))]
+    camo, cfg = camouflage(n, gates=picks)
+    oracle_kind = draw(st.sampled_from(["truth", "candidate", "mutant", "rare"]))
+    if oracle_kind == "truth":
+        oracle, bindings = camo, cfg.bindings()
+    elif oracle_kind == "candidate":
+        oracle = camo
+        bindings = {nm: TruthTable2(draw(st.integers(0, 15))) for nm in picks}
+    elif oracle_kind == "mutant":
+        k = draw(st.integers(0, len(gates) - 1))
+        kind = draw(st.sampled_from([x for x in BINARY_KINDS if x != gates[k].kind]))
+        mutated = gates[:k] + [Gate(gates[k].name, kind, gates[k].fanin)] + gates[k + 1 :]
+        oracle, bindings = Netlist(n.inputs, n.outputs, mutated), None
+    else:
+        # One output flipped where 2-4 drawn inputs are all 1: an oracle
+        # that is usually found out only after several queries.
+        k = draw(st.integers(0, len(n.outputs) - 1))
+        rare = draw(st.lists(st.sampled_from(n.inputs), min_size=2, max_size=4, unique=True))
+        flipped = list(n.outputs)
+        flipped[k] = "flip"
+        extra = [Gate("rare", "AND", tuple(rare)), Gate("flip", "XOR", (n.outputs[k], "rare"))]
+        oracle, bindings = Netlist(n.inputs, flipped, gates + extra), None
+    strategy = draw(st.sampled_from(["exhaustive", "random"]))
+    kwargs = {"oracle_bindings": bindings, "strategy": strategy}
+    if strategy == "random":
+        kwargs.update(n_queries=draw(st.integers(1, 200)), seed=draw(st.integers(0, 99)))
+    cone_words = draw(st.sampled_from([attack._CONE_WORDS, 1]))
+    return camo, oracle, kwargs, cone_words
+
+
+def _stop_index(camo, got, kwargs):
+    """The index of the query at which a run stopped pruning, or None when it
+    ran out of queries with more than one candidate left."""
+    if got[0] == "returned":
+        return len(got[1]) - 1 if got[2][-1] == 1 else None
+    if got[1] is not DomainError:
+        return None
+    vec = ast.literal_eval(re.search(r"to query (\([^)]*\))", got[2]).group(1))
+    queries = list(reference_query_vectors(
+        len(camo.inputs), kwargs["strategy"], kwargs.get("n_queries"), kwargs.get("seed")
+    ))
+    # A repeated query eliminates nothing, so the first one is the stop.
+    return queries.index(vec)
+
+
+class TestJointModeDifferential:
+    def test_drawn_dags_match_reference(self):
+        """Drawn DAGs, oracles and query counts against the reference. The
+        draws must stop at one and at zero survivors inside a batch (before
+        its last query), each with and without a compaction before it."""
+        reached = set()
+
+        @given(case=_attack_cases())
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        def check(case):
+            camo, oracle, kwargs, cone_words = case
+            calls = []
+            rebuild = attack._compact_lanes
+
+            def spy(*args):
+                calls.append(args)
+                return rebuild(*args)
+
+            with mock.patch.object(attack, "_compact_lanes", spy), \
+                    mock.patch.object(attack, "_CONE_WORDS", cone_words):
+                got = assert_matches_reference(camo, oracle, **kwargs)
+            stop = _stop_index(camo, got, kwargs)
+            total = kwargs.get("n_queries", 2 ** len(camo.inputs))
+            if stop is not None and (stop + 1) % 64 and stop + 1 < total:
+                reached.add((got[0], bool(calls)))
+
+        check()
+        assert reached == {
+            ("returned", False), ("returned", True), ("raised", False), ("raised", True),
+        }
 
 
 class TestJointModeErrors:

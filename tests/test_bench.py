@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     dag_text,
+    index_bit_words,
     naive_eval,
     random_netlist,
     reference_parse_bench,
@@ -29,6 +30,7 @@ from tvdcamo.bench import (
     eval_vectors,
     eval_words,
     exhaustive_input_words,
+    index_bit_rows,
     pack_words,
     parse_bench,
     serialize_bench,
@@ -582,6 +584,38 @@ class TestWordEngine:
         n = Netlist(["a", "b"], ["y"], [Gate("y", "AND", ("a", "b"))])
         with pytest.raises(UsageError):
             eval_vectors(n, {"a": np.zeros(3, dtype=bool), "b": np.zeros(4, dtype=bool)})
+
+
+class TestIndexBitRows:
+    """``index_bit_rows``, which builds every index-bit row in one array
+    step, against the per-bit ``index_bit_words`` it replaced."""
+
+    @pytest.mark.parametrize("n_words", [1, 4, 64, 1024])
+    @pytest.mark.parametrize("start_word", [0, 1, 3, 1000, 2**20 + 5])
+    def test_rows_equal_per_bit_words(self, n_words, start_word):
+        rng = random.Random(n_words * 31 + start_word)
+        for bits in (
+            [],
+            list(range(17)),
+            list(range(16, -1, -1)),
+            [k for k in range(17) if rng.random() < 0.5],
+            [rng.randrange(17) for _ in range(9)],
+        ):
+            got = index_bit_rows(bits, start_word, n_words)
+            assert got.dtype == np.uint64 and got.shape == (len(bits), n_words)
+            for row, k in zip(got, bits):
+                assert row.tolist() == index_bit_words(k, start_word, n_words).tolist()
+
+    @pytest.mark.parametrize("n_words", [1, 4, 64])
+    @pytest.mark.parametrize("start_word", [0, 7])
+    def test_exhaustive_input_words_unchanged(self, n_words, start_word):
+        for n_inputs in range(17):
+            got = exhaustive_input_words(n_inputs, start_word, n_words)
+            want = [
+                index_bit_words(n_inputs - 1 - j, start_word, n_words)
+                for j in range(n_inputs)
+            ]
+            assert [w.tolist() for w in got] == [w.tolist() for w in want]
 
 
 class TestInputVectors:

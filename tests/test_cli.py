@@ -632,6 +632,71 @@ class TestOutputCollisions:
         assert "joint_survivors" in json.loads((out_dir / "reconstructed.bench").read_text())
 
 
+class TestOutputPlaces:
+    """An output name that names a directory, or lies in a directory that
+    does not exist, is a usage error raised before anything is written: one
+    error line, exit 2 and no output directory."""
+
+    CASES = [
+        ("", "{flag} names a directory: {out}"),
+        (".", "{flag} names a directory: {out}"),
+        ("{tmp}", "{flag} names a directory: {tmp}"),
+        ("sub/x.json", "{flag} is in a directory that does not exist: {out}/sub"),
+        ("sub/../x.json", "{flag} is in a directory that does not exist: {out}/sub/.."),
+        ("{tmp}/nowhere/x.json",
+         "{flag} is in a directory that does not exist: {tmp}/nowhere"),
+    ]
+    IDS = ["empty", "dot", "existing-dir", "missing-subdir", "missing-dot-dot", "absolute"]
+
+    def _rejected(self, argv, tmp_path, capsys, flag, name, message):
+        tmp = tmp_path.resolve()
+        out_dir = tmp / "out"
+        name = name.format(tmp=tmp)
+        code, out, err = run([*argv, flag, name, "-o", str(out_dir)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(flag=flag, out=out_dir, tmp=tmp)}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--out-bench", "--out-config"])
+    @pytest.mark.parametrize("name, message", CASES, ids=IDS)
+    def test_camouflage(self, tmp_path, capsys, c17_file, flag, name, message):
+        argv = ["camouflage", str(c17_file), "--rate", "0.5"]
+        self._rejected(argv, tmp_path, capsys, flag, name, message)
+
+    @pytest.mark.parametrize("kind", ["oracle", "profiling"])
+    @pytest.mark.parametrize("name, message", CASES, ids=IDS)
+    def test_attack(self, tmp_path, capsys, c17_file, kind, name, message):
+        assert run(["camouflage", str(c17_file), "--gates", "16,19", "-o", str(tmp_path)],
+                   capsys)[0] == 0
+        argv = ["attack", str(tmp_path / "camo.bench"), "--config",
+                str(tmp_path / "camo_config.json"), "--kind", kind]
+        self._rejected(argv, tmp_path, capsys, "--out-report", name, message)
+
+    def test_existing_directories_are_accepted(self, tmp_path, capsys, c17_file):
+        # A subdirectory of an existing output directory, a directory
+        # elsewhere, and an output directory nested under missing ones.
+        (tmp_path / "out" / "sub").mkdir(parents=True)
+        (tmp_path / "keep").mkdir()
+        code, _, err = run(
+            ["camouflage", str(c17_file), "--rate", "0.5",
+             "--out-bench", "sub/../sub/c.bench",
+             "--out-config", str(tmp_path / "keep" / "c.json"),
+             "-o", str(tmp_path / "out")],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert (tmp_path / "out" / "sub" / "c.bench").is_file()
+        assert (tmp_path / "keep" / "c.json").is_file()
+        nested = tmp_path / "a" / "b"
+        code, _, err = run(
+            ["camouflage", str(c17_file), "--rate", "0.5", "-o", str(nested)], capsys
+        )
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in nested.iterdir()) == [
+            "camo.bench", "camo_config.json", "manifest.json",
+        ]
+
+
 class TestExitCodes:
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
