@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: sweep, gate, derive-table, camouflage, verify, attack. Each
-``_cmd_*`` writes its outputs into the out dir and returns the paths it read
-and wrote; ``main`` then writes a manifest.json next to them recording the
-resolved parameters, so identical argv (and seed) reproduce byte-identical
-artifacts. A failing command writes no manifest.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+``_cmd_*`` computes and returns the paths it read, its artifacts and its
+stdout summary; it touches no output file. ``main`` alone checks every output
+path, then writes the artifacts and a manifest.json recording the resolved
+parameters, so identical argv (and seed) reproduce byte-identical artifacts,
+and a rejected command writes nothing.
+Exit codes: 0 success, 1 domain or file-system error, 2 usage error.
 """
 
 import argparse
@@ -49,34 +50,28 @@ ERROR_PREFIX = "error:"
 _MAX_SWEEP_ROWS = 10**7
 
 
-def _out_dir(args) -> Path:
-    return Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
-
-
-def _out_path(outdir: Path, name) -> Path:
-    """``outdir / name``, creating ``outdir`` first: a command calls this
-    only once it is about to write, so a rejected command leaves no
-    directory behind."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir / name
-
-
-def _check_outputs(outdir: Path, outputs) -> None:
-    """UsageError if an output of a command cannot be written where it is
-    named, checked before anything is written: two outputs, or one and
-    manifest.json, that resolve to the same path (the later write would
-    replace the earlier); one that names a directory; or one whose parent
+def _check_outputs(outdir: Path, artifacts) -> None:
+    """UsageError if a command's artifacts cannot all be written where they
+    are named, checked before anything is written: an output directory that
+    is a file or lies below one; two outputs, or one and manifest.json, that
+    resolve to the same path (the later write would replace the earlier);
+    one, manifest.json included, that names a directory; or one whose parent
     is neither an existing directory nor the output directory, which is
-    created on the first write. ``outputs`` holds (flag or file name, name)
-    pairs."""
-    resolved = [(label, name, (outdir / name).resolve()) for label, name in outputs]
-    seen = {(outdir / "manifest.json").resolve(): "manifest.json"}
+    created before the first write. ``artifacts`` holds (flag or file name,
+    name, data) triples."""
+    home = outdir.resolve()
+    place = next(p for p in (home, *home.parents) if p.exists())
+    if not place.is_dir():
+        where = "is" if place == home else "lies below"
+        raise UsageError(f"the output directory {where} a file: {place}")
+    manifest = (outdir / "manifest.json").resolve()
+    resolved = [(label, name, (outdir / name).resolve()) for label, name, _ in artifacts]
+    seen = {manifest: "manifest.json"}
     for label, _, path in resolved:
         if path in seen:
             raise UsageError(f"{label} names the same file as {seen[path]}: {path}")
         seen[path] = label
-    home = outdir.resolve()
-    for label, name, path in resolved:
+    for label, name, path in [*resolved, ("manifest.json", "manifest.json", manifest)]:
         if path == home or path.is_dir():
             raise UsageError(f"{label} names a directory: {path}")
         # The write opens ``outdir / name`` as given, so a ".." in the name
@@ -86,11 +81,11 @@ def _check_outputs(outdir: Path, outputs) -> None:
             raise UsageError(f"{label} is in a directory that does not exist: {parent}")
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(outdir: Path, args, inputs, outputs):
+def _manifest(args, inputs, outputs) -> str:
     params = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in sorted(vars(args).items())
@@ -104,7 +99,7 @@ def _write_manifest(outdir: Path, args, inputs, outputs):
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }
-    _write_json(_out_path(outdir, "manifest.json"), manifest)
+    return _json(manifest)
 
 
 def _add_field_flags(p, cls, skip=()):
@@ -129,10 +124,13 @@ def _read_text(path) -> str:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"no such file: {p}")
-    return p.read_text()
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{p} is not UTF-8 text: {exc.reason} at offset {exc.start}") from None
 
 
-def _cmd_sweep(args, outdir: Path) -> tuple[list, list]:
+def _cmd_sweep(args, outdir: Path) -> tuple[list, list, str]:
     params = _from_args(IsfetParams, args)
     if args.vgs_steps < 1:
         raise UsageError("--vgs-steps must be at least 1")
@@ -156,11 +154,8 @@ def _cmd_sweep(args, outdir: Path) -> tuple[list, list]:
         with np.errstate(over="ignore", invalid="ignore"):
             grid = np.linspace(args.vgs_start, args.vgs_stop, args.vgs_steps)
     table = iv_sweep(params, grid, args.vds, phs)
-    csv_path = _out_path(outdir, "sweep.csv")
-    with open(csv_path, "w") as fh:
-        write_sweep_csv(table, fh)
-    print(f"wrote {csv_path} ({table.shape[0]} rows)")
-    return [], [csv_path]
+    csv = ("sweep.csv", "sweep.csv", functools.partial(write_sweep_csv, table))
+    return [], [csv], f"wrote {outdir / 'sweep.csv'} ({table.shape[0]} rows)"
 
 
 def _program_from_args(args) -> GatePhProgram:
@@ -172,7 +167,7 @@ def _program_from_args(args) -> GatePhProgram:
     )
 
 
-def _cmd_gate(args, outdir: Path) -> tuple[list, list]:
+def _cmd_gate(args, outdir: Path) -> tuple[list, list, str]:
     params = _from_args(IsfetParams, args)
     cfg = _from_args(SimConfig, args)
     program = _program_from_args(args)
@@ -184,43 +179,39 @@ def _cmd_gate(args, outdir: Path) -> tuple[list, list]:
             raise UsageError(f"--inputs must be two bits or 'all', got {args.inputs!r}")
         pairs = [(int(token[0]), int(token[1]))]
 
-    outputs = []
+    artifacts = []
+    lines = []
     bits = []
     for a, b in pairs:
         trace = simulate(program, params, cfg, a, b)
         stem = f"gate_{args.func.lower()}_a{a}b{b}"
-        csv_path = _out_path(outdir, f"{stem}.csv")
-        with open(csv_path, "w") as fh:
-            write_trace_csv(trace, fh)
-        meta_path = outdir / f"{stem}.meta.json"
-        _write_json(meta_path, trace_metadata(program, params, cfg, a, b, trace))
-        outputs.extend([csv_path, meta_path])
+        csv, meta = f"{stem}.csv", f"{stem}.meta.json"
+        artifacts += [
+            (csv, csv, functools.partial(write_trace_csv, trace)),
+            (meta, meta, _json(trace_metadata(program, params, cfg, a, b, trace))),
+        ]
         bits.append(trace.output_str)
         rt = "-" if trace.resolve_time is None else f"{trace.resolve_time:.3e} s"
-        print(f"a={a} b={b} -> {trace.output_str} (resolve {rt})")
+        lines.append(f"a={a} b={b} -> {trace.output_str} (resolve {rt})")
 
     if args.margin_csv:
-        margin_path = _out_path(outdir, f"gate_{args.func.lower()}_margin.csv")
-        with open(margin_path, "w") as fh:
-            write_margin_csv(margin_report(program, params, cfg), fh)
-        outputs.append(margin_path)
-    print(f"outputs: {','.join(bits)}")
-    return [], outputs
+        margin = f"gate_{args.func.lower()}_margin.csv"
+        rows = margin_report(program, params, cfg)
+        artifacts.append((margin, margin, functools.partial(write_margin_csv, rows)))
+    lines.append(f"outputs: {','.join(bits)}")
+    return [], artifacts, "\n".join(lines)
 
 
-def _cmd_derive_table(args, outdir: Path) -> tuple[list, list]:
-    print("bits  name         lvt_on_out_side (m=00,01,10,11)")
+def _cmd_derive_table(args, outdir: Path) -> tuple[list, list, str]:
+    lines = ["bits  name         lvt_on_out_side (m=00,01,10,11)"]
     for f in TruthTable2:
         assignment = assignment_for(f)
         flags = ",".join("L" if x else "H" for x in assignment.lvt_on_out_side)
-        print(f"{f.value:04b}  {f.name:<12} {flags}")
-    return [], []
+        lines.append(f"{f.value:04b}  {f.name:<12} {flags}")
+    return [], [], "\n".join(lines)
 
 
-def _cmd_camouflage(args, outdir: Path) -> tuple[list, list]:
-    _check_outputs(
-        outdir, [("--out-bench", args.out_bench), ("--out-config", args.out_config)]
-    )
+def _cmd_camouflage(args, outdir: Path) -> tuple[list, list, str]:
     netlist = parse_bench(_read_text(args.netlist))
     if (args.gates is None) == (args.rate is None):
         raise UsageError("specify exactly one of --gates or --rate")
@@ -237,18 +228,18 @@ def _cmd_camouflage(args, outdir: Path) -> tuple[list, list]:
         params=_from_args(IsfetParams, args),
         **kwargs,
     )
-    bench_path = _out_path(outdir, args.out_bench)
-    bench_path.write_text(serialize_bench(camo_netlist))
-    config_path = outdir / args.out_config
-    config_path.write_text(cfg.to_json())
-    print(
+    artifacts = [
+        ("--out-bench", args.out_bench, serialize_bench(camo_netlist)),
+        ("--out-config", args.out_config, cfg.to_json()),
+    ]
+    summary = (
         f"camouflaged {len(cfg.gates)} of {len(netlist._names)} gates; "
-        f"wrote {bench_path} and {config_path}"
+        f"wrote {outdir / args.out_bench} and {outdir / args.out_config}"
     )
-    return [args.netlist], [bench_path, config_path]
+    return [args.netlist], artifacts, summary
 
 
-def _cmd_verify(args, outdir: Path) -> tuple[list, list]:
+def _cmd_verify(args, outdir: Path) -> tuple[list, list, str]:
     a = parse_bench(_read_text(args.netlist_a))
     b = parse_bench(_read_text(args.netlist_b))
     bindings = None
@@ -263,20 +254,16 @@ def _cmd_verify(args, outdir: Path) -> tuple[list, list]:
         seed=args.seed,
     )
     if result.equivalent:
-        print(f"equivalent ({result.vectors_checked}/{result.vectors_total} vectors)")
+        summary = f"equivalent ({result.vectors_checked}/{result.vectors_total} vectors)"
     else:
         vec = "".join(str(v) for v in result.counterexample)
         outs_a = "".join(str(v) for v in result.outputs_a)
         outs_b = "".join(str(v) for v in result.outputs_b)
-        print(f"not equivalent: counterexample {vec} -> {outs_a} vs {outs_b}")
-    return [args.netlist_a, args.netlist_b] + ([args.config] if args.config else []), []
+        summary = f"not equivalent: counterexample {vec} -> {outs_a} vs {outs_b}"
+    return [args.netlist_a, args.netlist_b] + ([args.config] if args.config else []), [], summary
 
 
-def _cmd_attack(args, outdir: Path) -> tuple[list, list]:
-    outputs = [("--out-report", args.out_report)]
-    if args.kind == "profiling":
-        outputs.append(("reconstructed.bench", "reconstructed.bench"))
-    _check_outputs(outdir, outputs)
+def _cmd_attack(args, outdir: Path) -> tuple[list, list, str]:
     camo = parse_bench(_read_text(args.netlist))
     cfg = CamoConfig.from_json(_read_text(args.config))
 
@@ -297,10 +284,12 @@ def _cmd_attack(args, outdir: Path) -> tuple[list, list]:
                 for name, f in resolution.items()
             },
         }
+        recon = None
         if resolved and len(resolved) == len(resolution):
-            recon_path = _out_path(outdir, "reconstructed.bench")
-            recon_path.write_text(serialize_bench(reconstruct(camo, resolution)))
-            report["reconstructed"] = str(recon_path)
+            recon = serialize_bench(reconstruct(camo, resolution))
+            report["reconstructed"] = str(outdir / "reconstructed.bench")
+        # Checked even when it is not written.
+        extra = [("reconstructed.bench", "reconstructed.bench", recon)]
         summary = (
             f"profiling ({args.mechanism}): resolved "
             f"{len(resolved)}/{len(resolution)} gates"
@@ -317,16 +306,15 @@ def _cmd_attack(args, outdir: Path) -> tuple[list, list]:
             marginal_fallback=args.marginal_fallback,
         )
         report = {"strategy": args.strategy, **resilience_report(state)}
+        extra = []
         summary = (
             f"oracle attack: {state.queries} queries, "
             f"{state.joint_survivors} joint survivors "
             f"({state.ambiguity_bits:.1f} bits)"
         )
     report.update(netlist=str(args.netlist), camo_gates=list(camo.camo_gates))
-    report_path = _out_path(outdir, args.out_report)
-    _write_json(report_path, report)
-    print(f"{summary}; wrote {report_path}")
-    return [args.netlist, args.config], [report_path]
+    artifacts = [("--out-report", args.out_report, _json(report)), *extra]
+    return [args.netlist, args.config], artifacts, f"{summary}; wrote {outdir / args.out_report}"
 
 
 @functools.cache
@@ -421,16 +409,26 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        outdir = _out_dir(args)
-        inputs, outputs = args.func_impl(args, outdir)
-        _write_manifest(outdir, args, inputs, outputs)
+        outdir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
+        inputs, artifacts, summary = args.func_impl(args, outdir)
+        _check_outputs(outdir, artifacts)
+        # The manifest leaves out the profiling attack's reconstructed.bench,
+        # which keeps the bytes of every manifest that pins it.
+        outputs = [outdir / name for label, name, _ in artifacts if label != "reconstructed.bench"]
+        artifacts.append(("manifest.json", "manifest.json", _manifest(args, inputs, outputs)))
+        outdir.mkdir(parents=True, exist_ok=True)
+        for _, name, data in artifacts:
+            if data is not None:
+                with open(outdir / name, "w") as fh:
+                    if isinstance(data, str):
+                        fh.write(data)
+                    else:
+                        data(fh)
+        print(summary)
         return 0
-    except UsageError as exc:
+    except (UsageError, DomainError, OSError) as exc:
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import random
 import tempfile
 import warnings
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 from conftest import dag_text, first_difference, naive_eval
 from tvdcamo.bench import Gate, parse_bench
 from tvdcamo.camo import CamoConfig
-from tvdcamo.cli import main
+from tvdcamo import cli
+from tvdcamo.cli import OUT_DIR_ENV, main
 from tvdcamo.device import BiasPoint, IsfetParams, ids, iv_sweep
 from tvdcamo.gates import TruthTable2, assignment_for
 
@@ -672,6 +676,24 @@ class TestOutputPlaces:
                 str(tmp_path / "camo_config.json"), "--kind", kind]
         self._rejected(argv, tmp_path, capsys, "--out-report", name, message)
 
+    @pytest.mark.parametrize("via", ["-o", OUT_DIR_ENV])
+    @pytest.mark.parametrize("below", ["", "/sub/out"], ids=["file", "below-file"])
+    def test_out_dir_may_not_be_or_lie_below_a_file(
+        self, tmp_path, capsys, monkeypatch, c17_file, via, below
+    ):
+        out_dir = f"{c17_file}{below}"
+        argv = ["camouflage", str(c17_file), "--rate", "0.5"]
+        if via == "-o":
+            argv += ["-o", out_dir]
+        else:
+            monkeypatch.setenv(OUT_DIR_ENV, out_dir)
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        where = "lies below" if below else "is"
+        assert err == f"error: the output directory {where} a file: {c17_file}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_existing_directories_are_accepted(self, tmp_path, capsys, c17_file):
         # A subdirectory of an existing output directory, a directory
         # elsewhere, and an output directory nested under missing ones.
@@ -759,6 +781,20 @@ class TestExitCodes:
         )
         assert code == 1
         assert "line 2" in err
+
+    @pytest.mark.parametrize("which", ["netlist", "config"])
+    def test_non_utf8_file_is_domain_error(self, tmp_path, capsys, c17_file, which):
+        binary = tmp_path / "bin.txt"
+        binary.write_bytes(b"INPUT(a)\n\xff\xfe\n")
+        argv = {
+            "netlist": ["verify", str(binary), str(binary)],
+            "config": ["verify", str(c17_file), str(c17_file), "--config", str(binary)],
+        }[which]
+        out_dir = tmp_path / "out"
+        code, out, err = run(argv + ["-o", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {binary} is not UTF-8 text: invalid start byte at offset 9\n"
+        assert not out_dir.exists()
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
@@ -878,3 +914,138 @@ class TestEveryArgv:
                 assert code in (1, 2)
                 assert len(lines) == 1 and lines[0].startswith("error:"), lines
                 assert not out_dir.exists()
+
+
+class TestWriteErrors:
+    """An OSError raised while an artifact is written is one ``error:``
+    line and exit 1, and no manifest.json is written."""
+
+    @pytest.mark.parametrize(
+        "writer, argv",
+        [
+            ("write_sweep_csv", ["sweep"]),
+            ("write_trace_csv", ["gate", "--func", "XOR", "--inputs", "01",
+                                 "--clock-freq", "1e9"]),
+            ("write_margin_csv", ["gate", "--func", "XOR", "--inputs", "01",
+                                  "--clock-freq", "1e9", "--margin-csv"]),
+        ],
+        ids=["sweep", "gate", "gate-margin"],
+    )
+    def test_no_space_left(self, tmp_path, capsys, monkeypatch, writer, argv):
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, writer, full)
+        out_dir = tmp_path / "out"
+        code, out, err = run(argv + ["-o", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: [Errno 28] No space left on device\n"
+        assert not (out_dir / "manifest.json").exists()
+
+
+# Each subcommand's argv for TestEveryFilesystemState, with the names of the
+# outputs it writes besides manifest.json. The netlist commands run on the
+# files of the ``c17_camo`` fixture; its two gates resolve under implant
+# profiling, so that attack also writes reconstructed.bench.
+FS_COMMANDS = {
+    "sweep": (["sweep", "--vgs-steps", "5"], ["sweep.csv"]),
+    "gate": (
+        ["gate", "--func", "XOR", "--inputs", "01", "--clock-freq", "1e9", "--margin-csv"],
+        ["gate_xor_a0b1.csv", "gate_xor_a0b1.meta.json", "gate_xor_margin.csv"],
+    ),
+    "derive-table": (["derive-table"], []),
+    "camouflage": (
+        ["camouflage", "C17", "--rate", "0.5", "--out-bench", "b.bench"],
+        ["b.bench", "camo_config.json"],
+    ),
+    "verify": (["verify", "C17", "CAMO_BENCH", "--config", "CAMO_CONFIG"], []),
+    "attack": (
+        ["attack", "CAMO_BENCH", "--config", "CAMO_CONFIG", "--out-report", "r.json"],
+        ["r.json"],
+    ),
+    "profiling": (
+        ["attack", "CAMO_BENCH", "--config", "CAMO_CONFIG", "--kind", "profiling",
+         "--mechanism", "implant"],
+        ["attack_report.json", "reconstructed.bench"],
+    ),
+}
+OUT_DIR_STATES = ("file", "below-file", "missing-nested", "existing-dir")
+
+
+@st.composite
+def filesystem_states(draw):
+    """A command, how its output directory is given and what it is, and, in
+    an existing one, output names that already exist as files (which are
+    replaced) and the one, if any, that exists as a directory."""
+    command = draw(st.sampled_from(sorted(FS_COMMANDS)))
+    via = draw(st.sampled_from(("-o", OUT_DIR_ENV)))
+    state = draw(st.sampled_from(OUT_DIR_STATES))
+    names = [*FS_COMMANDS[command][1], "manifest.json"]
+    files, blocked = [], None
+    if state == "existing-dir":
+        files = draw(st.lists(st.sampled_from(names), unique=True))
+        blocked = draw(st.one_of(st.none(), st.sampled_from(names)))
+    return command, via, state, [n for n in files if n != blocked], blocked
+
+
+def tree(root: Path) -> list:
+    """Every path below ``root`` with its bytes (None for a directory)."""
+    return sorted(
+        (p.relative_to(root).as_posix(), None if p.is_dir() else p.read_bytes())
+        for p in root.rglob("*")
+    )
+
+
+class TestEveryFilesystemState:
+    """Every subcommand, against an output directory that is a file, lies
+    below a file, is missing with missing parents or exists, and against
+    an output name that exists as a directory, exits 0 or 2 with at most one
+    ``error:`` line. A rejected run leaves the directory tree as it was; a
+    run that exits 0 writes its manifest."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=filesystem_states())
+    @example(case=("camouflage", "-o", "existing-dir", ["b.bench"], "manifest.json"))
+    @example(case=("gate", "-o", "existing-dir", [], "gate_xor_margin.csv"))
+    @example(case=("derive-table", OUT_DIR_ENV, "file", [], None))
+    def test_rejects_before_writing(self, c17_camo, case):
+        command, via, state, files, blocked = case
+        argv = [str(c17_camo.get(tok, tok)) for tok in FS_COMMANDS[command][0]]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            out_dir = {
+                "file": root / "f",
+                "below-file": root / "f" / "out",
+                "missing-nested": root / "a" / "b" / "out",
+                "existing-dir": root / "out",
+            }[state]
+            if state in ("file", "below-file"):
+                (root / "f").write_text("keep")
+            elif state == "existing-dir":
+                out_dir.mkdir()
+                (out_dir / "old.txt").write_text("keep")
+                for name in files:
+                    (out_dir / name).write_text("old")
+                if blocked:
+                    (out_dir / blocked).mkdir()
+            before = tree(root)
+            err = io.StringIO()
+            with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                os.environ.pop(OUT_DIR_ENV, None)
+                if via == "-o":
+                    argv += ["-o", str(out_dir)]
+                else:
+                    os.environ[OUT_DIR_ENV] = str(out_dir)
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            rejected = state in ("file", "below-file") or blocked is not None
+            if rejected:
+                assert code == 2
+                assert len(lines) == 1 and lines[0].startswith("error:"), lines
+                assert tree(root) == before
+            else:
+                assert (code, lines) == (0, [])
+                assert (out_dir / "manifest.json").is_file()
+                assert all((out_dir / name).read_text() != "old" for name in files)
+                assert state != "existing-dir" or (out_dir / "old.txt").read_text() == "keep"
