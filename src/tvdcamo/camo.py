@@ -21,7 +21,6 @@ from .bench import (
     _KIND_OPS,
     UNARY_KINDS,
     WORD_BITS,
-    Gate,
     Netlist,
     _bound_op,
     _eval_gates,
@@ -145,13 +144,15 @@ class CamoConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "CamoConfig":
-        """The config that ``to_json`` wrote, or DomainError.
+        """The config that ``to_json`` wrote, or DomainError. Each
+        ``params`` value must be an int or a float.
 
         An entry whose ``(function_bits, function_name, assignment)`` is a
-        row of ``_FUNCTION_ROWS`` and whose pH values are ints or floats
-        takes that row's function and assignment, and each distinct pH pair
-        (by value) is checked once. Any other entry is decoded key by key
-        (``_decode_gate``), which raises what it finds first.
+        row of ``_FUNCTION_ROWS``, whose name is a string and whose pH
+        values are ints or floats takes that row's function and assignment,
+        and each distinct pH pair (by value) is checked once. Any other
+        entry is decoded key by key (``_decode_gate``), which raises what it
+        finds first.
         """
         try:
             doc = json.loads(text)
@@ -163,6 +164,12 @@ class CamoConfig:
                 raise DomainError(
                     f"camouflage config params: missing or unknown keys {sorted(odd)}"
                 )
+            for key in doc["params"]:
+                value = doc["params"][key]  # a TypeError if params is a list
+                if value.__class__ not in _NUMBER_TYPES:
+                    raise DomainError(
+                        f"camouflage config params: {key} must be an int or a float, got {value!r}"
+                    )
             try:
                 params = IsfetParams(**doc["params"])
             except UsageError as exc:
@@ -177,13 +184,14 @@ class CamoConfig:
                     name, ph_low, ph_high = entry["name"], entry["ph_low"], entry["ph_high"]
                 except (KeyError, TypeError):
                     row = None
-                # A bool or float function_bits finds the row of its value;
-                # the key-by-key path rejects it.
+                # A bool or float function_bits finds its value's row, and a
+                # name may be any JSON value: the key-by-key path rejects both.
                 if (
                     row is None
                     or entry["function_bits"].__class__ is not int
-                    or ph_low.__class__ not in _PH_TYPES
-                    or ph_high.__class__ not in _PH_TYPES
+                    or name.__class__ is not str
+                    or ph_low.__class__ not in _NUMBER_TYPES
+                    or ph_high.__class__ not in _NUMBER_TYPES
                 ):
                     gates.append(_decode_gate(entry))
                     continue
@@ -198,9 +206,9 @@ class CamoConfig:
         return cls(params=params, gates=tuple(gates))
 
 
-# The types json.loads gives a pH that from_json accepts. A bool is an int
-# but no pH, and (True, 10) would find the checked pair (1, 10).
-_PH_TYPES = frozenset({int, float})
+# The types of a pH or params value that from_json accepts. A bool is an
+# int but no number, and (True, 10) would find the checked pH pair (1, 10).
+_NUMBER_TYPES = frozenset({int, float})
 
 
 def _decode_gate(entry) -> CamoGateSpec:
@@ -217,10 +225,12 @@ def _decode_gate(entry) -> CamoGateSpec:
             f"{entry['function_name']!r} does not match bits {bits}"
         )
     name = entry["name"]
+    if name.__class__ is not str:
+        raise DomainError(f"gate name must be a string, got {name!r}")
     assignment = BranchAssignment(tuple(entry["assignment"]))
     ph_low, ph_high = entry["ph_low"], entry["ph_high"]
     for key, value in (("ph_low", ph_low), ("ph_high", ph_high)):
-        if value.__class__ not in _PH_TYPES:
+        if value.__class__ not in _NUMBER_TYPES:
             raise DomainError(
                 f"gate {name!r}: {key} must be an int or a float, got {value!r}"
             )
@@ -280,15 +290,13 @@ _ENTRY_ROWS = {
 }
 
 
-def _eligible(gate: Gate) -> str | None:
-    """Why a gate cannot be camouflaged, or None if it can."""
-    if gate.kind == "CAMO":
-        return "already camouflaged"
-    if gate.kind not in KIND_TO_FUNCTION:
-        return f"kind {gate.kind} has no camouflaged equivalent"
-    if len(gate.fanin) != 2:
-        return f"has {len(gate.fanin)} inputs (camouflaged cell is 2-input)"
-    return None
+def _eligible(kind: str, n_fanin: int) -> str | None:
+    """Why a gate of this kind and fan-in count cannot be camouflaged, or None."""
+    if (kind, n_fanin) in _CAMO_SHAPES:
+        return None
+    if kind not in KIND_TO_FUNCTION:
+        return f"kind {kind} has no camouflaged equivalent"
+    return f"has {n_fanin} inputs (camouflaged cell is 2-input)"
 
 
 def camouflage(
@@ -333,7 +341,7 @@ def camouflage(
             k = position.get(name)
             if k is None:
                 raise UsageError(f"no gate named {name!r}")
-            problem = _eligible(Gate._unchecked(name, kinds[k], fanins[k]))
+            problem = _eligible(kinds[k], len(fanins[k]))
             if problem:
                 raise NotCamouflageableError(
                     f"gate {name!r} not camouflageable: {problem}"

@@ -36,6 +36,7 @@ from .errors import DomainError, UsageError
 from .gates import GatePhProgram, TruthTable2, assignment_for
 from .transient import (
     SimConfig,
+    check_supply,
     margin_report,
     simulate,
     trace_metadata,
@@ -102,22 +103,20 @@ def _manifest(args, inputs, outputs) -> str:
     return _json(manifest)
 
 
-def _add_field_flags(p, cls, skip=()):
+def _add_field_flags(p, cls):
     """One float ``--field-name`` flag per dataclass field, with its default."""
     for f in fields(cls):
-        if f.name not in skip:
-            p.add_argument(
-                "--" + f.name.replace("_", "-"),
-                type=float,
-                default=f.default,
-                help=f.metadata["help"],
-            )
+        p.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=float,
+            default=f.default,
+            help=f.metadata["help"],
+        )
 
 
 def _from_args(cls, args):
     """Build ``cls`` from the parsed flags named like its fields."""
-    names = [f.name for f in fields(cls) if hasattr(args, f.name)]
-    return cls(**{name: getattr(args, name) for name in names})
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _read_text(path) -> str:
@@ -158,19 +157,12 @@ def _cmd_sweep(args, outdir: Path) -> tuple[list, list, str]:
     return [], [csv], f"wrote {outdir / 'sweep.csv'} ({table.shape[0]} rows)"
 
 
-def _program_from_args(args) -> GatePhProgram:
-    function = TruthTable2.from_name(args.func)
-    return GatePhProgram(
-        ph_low=args.ph_low,
-        ph_high=args.ph_high,
-        assignment=assignment_for(function),
-    )
-
-
 def _cmd_gate(args, outdir: Path) -> tuple[list, list, str]:
     params = _from_args(IsfetParams, args)
     cfg = _from_args(SimConfig, args)
-    program = _program_from_args(args)
+    check_supply(params, cfg)
+    function = TruthTable2.from_name(args.func)
+    program = GatePhProgram(args.ph_low, args.ph_high, assignment_for(function))
     if args.inputs == "all":
         pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
     else:
@@ -342,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gate", help="simulate one camouflaged gate transient")
     _add_field_flags(p, IsfetParams)
-    # vdd comes from the device flags; pmos_vth has no flag.
-    _add_field_flags(p, SimConfig, skip=("vdd", "pmos_vth"))
+    _add_field_flags(p, SimConfig)
     p.add_argument("--func", required=True, help="function name or 0..15")
     p.add_argument("--ph-low", type=float, default=2.0)
     p.add_argument("--ph-high", type=float, default=10.0)

@@ -21,12 +21,13 @@ from .gates import SERIES_K_FACTOR, GatePhProgram, branch_current, minterm_index
 # 400 MB of waveform arrays (five float64 samples per step).
 _MAX_STEPS = 10**7
 
+PMOS_VTH = 0.5  # sense-amp PMOS threshold magnitude, V
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation conditions for one gate-level transient run."""
+    """Simulation conditions for one transient run on the device's supply."""
 
-    vdd: float = field(default=1.8, metadata={"help": "supply rail, V"})
     clock_freq: float = field(
         default=2e7, metadata={"help": "clock, Hz; one simulated period = 1/clock_freq"}
     )
@@ -41,12 +42,9 @@ class SimConfig:
         default=0.1,
         metadata={"help": "|V_OUT - V̄_OUT| needed to call a winner, V"},
     )
-    pmos_vth: float = field(
-        default=0.5, metadata={"help": "sense-amp PMOS threshold magnitude, V"}
-    )
 
     def __post_init__(self):
-        for name in ("vdd", "clock_freq", "c_node", "dt"):
+        for name in ("clock_freq", "c_node", "dt"):
             _check_positive(name, getattr(self, name))
         if self.dt > self.period / 100:
             raise UsageError(
@@ -59,28 +57,27 @@ class SimConfig:
                 f"one clock period takes {steps:.3e} steps of dt, more than "
                 f"{_MAX_STEPS}; raise --clock-freq or --dt"
             )
-        if self.trip is not None and not 0 < self.trip < self.vdd:
-            raise UsageError(f"trip must lie inside (0, vdd), got {self.trip!r}")
-        if not 0 < self.resolve_margin < self.vdd:
-            raise UsageError(
-                f"resolve_margin must lie inside (0, vdd), got {self.resolve_margin!r}"
-            )
-        if not 0 < self.pmos_vth < self.vdd:
-            raise UsageError(
-                f"pmos_vth must lie inside (0, vdd), got {self.pmos_vth!r}"
-            )
 
     @property
     def period(self) -> float:
         return 1.0 / self.clock_freq
 
-    @property
-    def trip_voltage(self) -> float:
-        return self.vdd / 2 if self.trip is None else self.trip
+    def trip_at(self, vdd: float) -> float:
+        return vdd / 2 if self.trip is None else self.trip
 
     @property
     def n_steps(self) -> int:
         return int(round(self.period / self.dt))
+
+
+def check_supply(params: IsfetParams, cfg: SimConfig) -> None:
+    """UsageError unless the trip point, resolve_margin and PMOS_VTH lie
+    inside (0, vdd) of the device supply."""
+    vdd = params.vdd
+    bounds = {"trip": cfg.trip_at(vdd), "resolve_margin": cfg.resolve_margin, "pmos_vth": PMOS_VTH}
+    for name, value in bounds.items():
+        if not 0 < value < vdd:
+            raise UsageError(f"{name} must lie inside (0, vdd), got {value!r}")
 
 
 @dataclass
@@ -115,21 +112,18 @@ def _race(program: GatePhProgram, params: IsfetParams, cfg: SimConfig):
     resolve time; a resolved sample has a nonzero differential, so the
     output flips.
     """
-    if cfg.vdd != params.vdd:
-        raise UsageError(
-            f"config vdd ({cfg.vdd!r}) differs from device vdd ({params.vdd!r})"
-        )
+    check_supply(params, cfg)
     k_eff = params.k_gain * SERIES_K_FACTOR
     return (
         cfg.dt,
-        cfg.vdd,
+        params.vdd,
         cfg.c_node,
         k_eff,
         vth_from_ph(params, program.ph_low),
         k_eff,
         vth_from_ph(params, program.ph_high),
         params.k_gain,
-        cfg.pmos_vth,
+        PMOS_VTH,
     )
 
 
@@ -152,15 +146,15 @@ def _integrate(v_out, v_bar, start: int, stop: int, race) -> None:
         )
 
 
-def _first_resolved(v_out, v_bar, cfg: SimConfig):
+def _first_resolved(v_out, v_bar, cfg: SimConfig, trip: float):
     """(output, index) of the first sample that resolves, or (None, None).
 
     A sample resolves when the differential reaches ``resolve_margin`` and
-    the losing node sits below the inverter trip point.
+    the losing node sits below the inverter trip point ``trip``.
     """
     diff = v_out - v_bar
     loser = np.minimum(v_out, v_bar)
-    cond = (np.abs(diff) >= cfg.resolve_margin) & (loser < cfg.trip_voltage)
+    cond = (np.abs(diff) >= cfg.resolve_margin) & (loser < trip)
     if not cond.any():
         return None, None
     i = int(np.argmax(cond))
@@ -187,13 +181,13 @@ def simulate(
     v_out, v_bar, output, resolve_time = _evaluate(race, cfg, waveform=True)
     if not lvt_on_out_side:
         v_out, v_bar = v_bar, v_out
-    trip = cfg.trip_voltage
+    trip = cfg.trip_at(params.vdd)
     return GateTrace(
         t=np.arange(len(v_out), dtype=np.float64) * cfg.dt,
         v_out=v_out,
         v_out_bar=v_bar,
-        out=np.where(v_out < trip, cfg.vdd, 0.0),
-        out_bar=np.where(v_bar < trip, cfg.vdd, 0.0),
+        out=np.where(v_out < trip, params.vdd, 0.0),
+        out_bar=np.where(v_bar < trip, params.vdd, 0.0),
         resolved_output=_minterm_output(output, lvt_on_out_side),
         resolve_time=resolve_time,
         eval_start_index=cfg.n_steps // 2,
@@ -236,18 +230,20 @@ def _evaluate(race, cfg: SimConfig, waveform: bool):
     """
     n_total = cfg.n_steps
     n_pre = n_total // 2
+    vdd = race[1]
+    trip = cfg.trip_at(vdd)
     v_out = np.empty(n_total + 1, dtype=np.float64)
     v_bar = np.empty(n_total + 1, dtype=np.float64)
     # Precharge half: ideal switches pin both nodes at the rail.
     first = 0 if waveform else n_pre
-    v_out[first : n_pre + 1] = cfg.vdd
-    v_bar[first : n_pre + 1] = cfg.vdd
+    v_out[first : n_pre + 1] = vdd
+    v_bar[first : n_pre + 1] = vdd
     chunk = _FIRST_CHUNK if _cannot_diverge(race) else n_total - n_pre
     start = n_pre
     while start < n_total:
         stop = min(start + chunk, n_total)
         _integrate(v_out, v_bar, start, stop, race)
-        output, i = _first_resolved(v_out[start : stop + 1], v_bar[start : stop + 1], cfg)
+        output, i = _first_resolved(v_out[start : stop + 1], v_bar[start : stop + 1], cfg, trip)
         if output is not None:
             if waveform:
                 _integrate(v_out, v_bar, stop, n_total, race)
@@ -329,7 +325,9 @@ def trace_metadata(
             "lvt_on_out_side": list(program.assignment.lvt_on_out_side),
         },
         "params": asdict(params),
-        "config": {**asdict(cfg), "trip": cfg.trip_voltage},
+        "config": {
+            **asdict(cfg), "vdd": params.vdd, "trip": cfg.trip_at(params.vdd), "pmos_vth": PMOS_VTH
+        },
         "resolved_output": trace.resolved_output,
         "resolve_time": trace.resolve_time,
     }

@@ -53,7 +53,7 @@ from tvdcamo.gates import (
     branch_current,
     minterm_index,
 )
-from tvdcamo.transient import _PROBE_V_DS, GateTrace, _evaluate
+from tvdcamo.transient import _PROBE_V_DS, PMOS_VTH, GateTrace, _evaluate
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -301,7 +301,8 @@ def reference_parse_bench(text: str) -> Netlist:
 def reference_from_json(text: str) -> CamoConfig:
     """``CamoConfig.from_json``, each entry read key by key and each spec
     built through ``CamoGateSpec``'s own checks. ``function_bits`` must be
-    an int and each pH an int or a float, none of them a bool."""
+    an int, each pH and ``params`` value an int or a float, none of them a
+    bool, and each name a string."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -312,6 +313,12 @@ def reference_from_json(text: str) -> CamoConfig:
             raise DomainError(
                 f"camouflage config params: missing or unknown keys {sorted(odd)}"
             )
+        for key in doc["params"]:
+            value = doc["params"][key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DomainError(
+                    f"camouflage config params: {key} must be an int or a float, got {value!r}"
+                )
         try:
             params = IsfetParams(**doc["params"])
         except UsageError as exc:
@@ -331,6 +338,8 @@ def reference_from_json(text: str) -> CamoConfig:
                     f"{entry['function_bits']}"
                 )
             name = entry["name"]
+            if not isinstance(name, str):
+                raise DomainError(f"gate name must be a string, got {name!r}")
             assignment = BranchAssignment(tuple(entry["assignment"]))
             ph_low, ph_high = entry["ph_low"], entry["ph_high"]
             for key, value in (("ph_low", ph_low), ("ph_high", ph_high)):
@@ -693,22 +702,18 @@ def reference_branch_phs(program, m: int) -> tuple[float, float]:
 def reference_race(program, params, cfg, a: int, b: int):
     """Circuit constants of one input pair: ``_kernels.integrate``'s
     arguments after ``n_total``."""
-    if cfg.vdd != params.vdd:
-        raise UsageError(
-            f"config vdd ({cfg.vdd!r}) differs from device vdd ({params.vdd!r})"
-        )
     ph_out, ph_bar = reference_branch_phs(program, minterm_index(a, b))
     k_eff = params.k_gain * SERIES_K_FACTOR
     return (
         cfg.dt,
-        cfg.vdd,
+        params.vdd,
         cfg.c_node,
         k_eff,
         vth_from_ph(params, ph_out),
         k_eff,
         vth_from_ph(params, ph_bar),
         params.k_gain,
-        cfg.pmos_vth,
+        PMOS_VTH,
     )
 
 
@@ -716,13 +721,13 @@ def reference_simulate(program, params, cfg, a: int, b: int) -> GateTrace:
     """``simulate`` on the minterm's own race."""
     race = reference_race(program, params, cfg, a, b)
     v_out, v_bar, output, resolve_time = _evaluate(race, cfg, waveform=True)
-    trip = cfg.trip_voltage
+    trip = cfg.trip_at(params.vdd)
     return GateTrace(
         t=np.arange(len(v_out), dtype=np.float64) * cfg.dt,
         v_out=v_out,
         v_out_bar=v_bar,
-        out=np.where(v_out < trip, cfg.vdd, 0.0),
-        out_bar=np.where(v_bar < trip, cfg.vdd, 0.0),
+        out=np.where(v_out < trip, params.vdd, 0.0),
+        out_bar=np.where(v_bar < trip, params.vdd, 0.0),
         resolved_output=output,
         resolve_time=resolve_time,
         eval_start_index=cfg.n_steps // 2,

@@ -81,11 +81,11 @@ def test_criterion_3_xor_reproduction():
     trace = simulate(prog, PARAMS, CFG, 0, 0)
     ev = trace.v_out[trace.eval_start_index :]
     bar = trace.v_out_bar[trace.eval_start_index :]
-    if not bar[-1] < 0.1 * CFG.vdd:
+    if not bar[-1] < 0.1 * PARAMS.vdd:
         failures.append("V̄_OUT did not collapse on minterm (0,0)")
-    dipped = ev.min() < CFG.vdd - 0.05
+    dipped = ev.min() < PARAMS.vdd - 0.05
     recovered = ev[-1] > ev.min() + 0.05
-    stayed_high = ev.min() > CFG.trip_voltage
+    stayed_high = ev.min() > CFG.trip_at(PARAMS.vdd)
     if not (dipped and recovered and stayed_high):
         failures.append(
             f"V_OUT dip/recovery violated (min {ev.min():.3f}, final {ev[-1]:.3f})"

@@ -349,7 +349,7 @@ class TestSlotForm:
     def test_camouflage_and_reconstruct_reuse_the_slot_form(self, seed):
         rng = random.Random(seed)
         n = slot_form_netlist(rng)
-        eligible = [g.name for g in n.gates if _eligible(g) is None]
+        eligible = [g.name for g in n.gates if _eligible(g.kind, len(g.fanin)) is None]
         camo, cfg = camouflage(n, gates=rng.sample(eligible, min(3, len(eligible))))
         partial = {name: f for name, f in cfg.bindings().items() if rng.random() < 0.5}
         rebuilt = reconstruct(camo, partial)
@@ -367,7 +367,7 @@ class TestSlotForm:
     def test_eval_words_matches_naive(self, seed):
         rng = random.Random(seed)
         n = slot_form_netlist(rng)
-        eligible = [g.name for g in n.gates if _eligible(g) is None]
+        eligible = [g.name for g in n.gates if _eligible(g.kind, len(g.fanin)) is None]
         camo, cfg = camouflage(n, gates=rng.sample(eligible, min(3, len(eligible))))
         bindings = {name: TruthTable2(rng.randrange(16)) for name in cfg.bindings()}
         width = len(n.inputs)

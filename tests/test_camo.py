@@ -84,7 +84,7 @@ class TestCamouflage:
     @pytest.mark.parametrize("seed", range(10))
     def test_config_lists_gates_in_file_order(self, seed):
         n = random_netlist(random.Random(seed), max_gates=30)
-        eligible = [g.name for g in n.gates if camo_module._eligible(g) is None]
+        eligible = [g.name for g in n.gates if camo_module._eligible(g.kind, len(g.fanin)) is None]
         for camo, cfg in (
             camouflage(n, fraction=0.7, seed=seed),
             camouflage(n, gates=eligible[::-1]),
@@ -101,6 +101,27 @@ class TestCamouflage:
         n = Netlist(["a", "b", "c"], ["y"], [Gate("y", "AND", ("a", "b", "c"))])
         with pytest.raises(NotCamouflageableError):
             camouflage(n, gates=["y"])
+
+    @pytest.mark.parametrize("n_fanin", [1, 2, 3, 4])
+    def test_eligibility_is_the_shape_table(self, n_fanin):
+        inputs = [f"i{k}" for k in range(n_fanin)]
+        unary = camo_module.UNARY_KINDS
+        for kind in sorted(camo_module.KIND_TO_FUNCTION.keys() | unary):
+            if (kind in unary) != (n_fanin == 1):
+                continue
+            problem = camo_module._eligible(kind, n_fanin)
+            assert (problem is None) == ((kind, n_fanin) in camo_module._CAMO_SHAPES)
+            n = Netlist(inputs, ["y"], [Gate("y", kind, tuple(inputs))])
+            if problem is None:
+                assert camouflage(n, gates=["y"])[0].camo_gates == ("y",)
+                continue
+            with pytest.raises(NotCamouflageableError) as exc:
+                camouflage(n, gates=["y"])
+            assert str(exc.value) == f"gate 'y' not camouflageable: {problem}"
+            if kind in camo_module.KIND_TO_FUNCTION:
+                assert problem == f"has {n_fanin} inputs (camouflaged cell is 2-input)"
+            else:
+                assert problem == f"kind {kind} has no camouflaged equivalent"
 
     def test_unknown_gate_rejected(self, c17):
         with pytest.raises(UsageError):
@@ -217,15 +238,12 @@ def _reference_json(cfg: CamoConfig) -> str:
 _PH = st.one_of(st.integers(0, 14), st.floats(0, 14), st.just(-0.0))
 # Names that need escaping: quotes, backslashes, control and non-ASCII
 # characters, and surrogates; and names that are not strings at all.
-_NAMES = st.one_of(
-    st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr))),
-    st.integers(), st.none(),
-    st.floats(allow_nan=False),
-)
+_TEXT_NAMES = st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr)))
+_NAMES = st.one_of(_TEXT_NAMES, st.integers(), st.none(), st.floats(allow_nan=False))
 
 
 @st.composite
-def _configs(draw):
+def _configs(draw, names=_NAMES):
     vdd = draw(st.one_of(st.integers(2, 5), st.floats(0.5, 5.0)))
     vth0 = draw(st.floats(0.01, 0.49)) * vdd
     if isinstance(vdd, int) and draw(st.booleans()):
@@ -238,7 +256,7 @@ def _configs(draw):
                                    st.floats(0, 1))),
         vdd=vdd,
     )
-    names = draw(st.lists(_NAMES, max_size=6, unique=True))
+    names = draw(st.lists(names, max_size=6, unique=True))
     gates = []
     for name in names:
         low, high = sorted(draw(st.lists(_PH, min_size=2, max_size=2, unique=True)))
@@ -253,9 +271,13 @@ class TestConfigJson:
     def test_to_json_is_the_json_encoders_text(self, cfg):
         text = cfg.to_json()
         assert text == _reference_json(cfg)
+        if not all(g.name.__class__ is str for g in cfg.gates):
+            # from_json reads a name that is not a string as no name.
+            with pytest.raises(DomainError, match="^gate name must be a string, got "):
+                CamoConfig.from_json(text)
         # json.loads joins an escaped surrogate pair into one character,
         # whatever wrote the text.
-        if not re.search("[\ud800-\udfff]", "".join(map(str, (g.name for g in cfg.gates)))):
+        elif not re.search("[\ud800-\udfff]", "".join(g.name for g in cfg.gates)):
             assert CamoConfig.from_json(text) == cfg
 
     def test_to_json_of_leaves_the_template_does_not_write(self):
@@ -408,14 +430,17 @@ _ENTRY_EDITS = {
     "not an object": lambda draw, e, doc: doc["gates"].__setitem__(
         doc["gates"].index(e), draw(_JSON_VALUES)
     ),
+    "params value": lambda draw, e, doc: doc["params"].update(
+        {draw(st.sampled_from(sorted(doc["params"]))): draw(_JSON_VALUES)}
+    ),
 }
 
 
 @st.composite
 def _config_documents(draw):
-    """The text of a ``_configs()`` config with up to four of its entries
-    edited, or with a ``gates`` that is not a list."""
-    doc = json.loads(draw(_configs()).to_json())
+    """The text of a ``_configs()`` config with string names and up to four
+    of its entries edited, or with a ``gates`` that is not a list."""
+    doc = json.loads(draw(_configs(_TEXT_NAMES)).to_json())
     for _ in range(draw(st.integers(0, 4))):
         entries = [e for e in doc["gates"] if isinstance(e, dict)]
         if not entries:
@@ -472,6 +497,52 @@ class TestConfigTablePath:
         with pytest.raises(DomainError) as exc:
             CamoConfig.from_json(json.dumps(doc))
         assert type(exc.value) is DomainError and str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            (["16"], "gate name must be a string, got ['16']"),
+            (16, "gate name must be a string, got 16"),
+            (None, "gate name must be a string, got None"),
+            ({"16": 1}, "gate name must be a string, got {'16': 1}"),
+        ],
+    )
+    def test_rejects_a_name_that_is_not_a_string(self, c17, name, message):
+        # A list name once raised TypeError from CamoConfig's duplicate
+        # check, and an int name loaded and left gate '16' unprogrammed.
+        _, cfg = camouflage(c17, gates=["16", "19"])
+        doc = json.loads(cfg.to_json())
+        doc["gates"][0]["name"] = name
+        with pytest.raises(DomainError) as exc:
+            CamoConfig.from_json(json.dumps(doc))
+        assert type(exc.value) is DomainError and str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("k_gain", True, "k_gain must be an int or a float, got True"),
+            ("vdd", False, "vdd must be an int or a float, got False"),
+            ("vth0", "0.3", "vth0 must be an int or a float, got '0.3'"),
+            ("ph_ref", None, "ph_ref must be an int or a float, got None"),
+            ("sensitivity", [0.059], "sensitivity must be an int or a float, got [0.059]"),
+        ],
+    )
+    def test_rejects_a_params_value_that_is_a_bool_or_no_number(self, c17, key, value, message):
+        _, cfg = camouflage(c17, gates=["16"])
+        doc = json.loads(cfg.to_json())
+        doc["params"][key] = value
+        with pytest.raises(DomainError) as exc:
+            CamoConfig.from_json(json.dumps(doc))
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == f"camouflage config params: {message}"
+
+    def test_int_params_keep_their_type(self, c17):
+        _, cfg = camouflage(c17, gates=["16"])
+        doc = json.loads(cfg.to_json())
+        doc["params"].update(vdd=2, ph_ref=2)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        got = CamoConfig.from_json(text)
+        assert got.params.vdd.__class__ is int and got.to_json() == text
 
     def test_accepts_what_the_table_does_not_hold(self, c17):
         # Truthy flags that are not 1 and floats of an int pH miss the
@@ -846,7 +917,7 @@ def _miter_cases(seed: int):
     rng = random.Random(seed)
     n = random_netlist(rng, max_inputs=8, max_gates=30)
     cases = [(n, n, None), (n, _rewrite(n, rng), None), (n, _unrelated(n, rng), None)]
-    if any(camo_module._eligible(g) is None for g in n.gates):
+    if any(camo_module._eligible(g.kind, len(g.fanin)) is None for g in n.gates):
         camo, cfg = camouflage(n, fraction=rng.choice([0.3, 1.0]), seed=seed)
         true = cfg.bindings()
         flipped = dict(true)
@@ -1137,7 +1208,7 @@ def _slot_paired_cases(seed: int):
     n = slot_form_netlist(rng)
     other, renamed = _rekind(n, rng), _renamed(n, rng)
     cases += [(n, n, None), (n, other, None), (other, n, None), (n, renamed, None)]
-    eligible = [g.name for g in n.gates if camo_module._eligible(g) is None]
+    eligible = [g.name for g in n.gates if camo_module._eligible(g.kind, len(g.fanin)) is None]
     if eligible:
         one, cfg_one = camouflage(n, gates=rng.sample(eligible, -(-len(eligible) // 2)))
         two, cfg_two = camouflage(n, gates=rng.sample(eligible, -(-len(eligible) // 2)))

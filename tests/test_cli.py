@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -22,6 +23,7 @@ from tvdcamo import cli
 from tvdcamo.cli import OUT_DIR_ENV, main
 from tvdcamo.device import BiasPoint, IsfetParams, ids, iv_sweep
 from tvdcamo.gates import TruthTable2, assignment_for
+from tvdcamo.transient import SimConfig
 
 
 def run(argv, capsys):
@@ -438,6 +440,14 @@ class TestParameterFlags:
         assert "threshold shift, V/pH" in out
         assert "differential node capacitance, F" in out
 
+    def test_every_device_and_sim_field_is_a_gate_flag(self):
+        parse = cli.build_parser().parse_args
+        defaults = vars(parse(["gate", "--func", "XOR"]))
+        for f in [*dataclasses.fields(IsfetParams), *dataclasses.fields(SimConfig)]:
+            assert defaults[f.name] == f.default, f.name
+            flag = "--" + f.name.replace("_", "-")
+            assert getattr(parse(["gate", "--func", "XOR", flag, "0.25"]), f.name) == 0.25
+
     def test_impossible_ph_rejected_at_compile_time(self, tmp_path, capsys, c17_file):
         code, _, err = run(
             ["camouflage", str(c17_file), "--rate", "0.5", "--ph-high", "20",
@@ -560,6 +570,41 @@ class TestParameterFlags:
         assert code == 1
         assert err.startswith("error:")
         assert "k_gain" in err
+
+
+# Gate supply bounds: argv tail -> the one error line that `gate` prints.
+SUPPLY_ERRORS = {
+    "trip": (["--trip", "2.0"], "error: trip must lie inside (0, vdd), got 2.0\n"),
+    "resolve-margin": (
+        ["--resolve-margin", "1.9"], "error: resolve_margin must lie inside (0, vdd), got 1.9\n"
+    ),
+    "low-vdd": (
+        ["--vdd", "0.4", "--vth0", "0.1"], "error: pmos_vth must lie inside (0, vdd), got 0.5\n"
+    ),
+}
+
+
+class TestGateSupplyErrors:
+    """A trip point, resolve margin or PMOS threshold outside (0, vdd) of
+    the device supply is one ``error:`` line and exit 2, reported before
+    ``--func``, the pH pair and ``--inputs`` are read."""
+
+    @pytest.mark.parametrize("case", sorted(SUPPLY_ERRORS))
+    def test_pinned_error_line(self, tmp_path, capsys, case):
+        tail, line = SUPPLY_ERRORS[case]
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            ["gate", "--func", "XOR", "--inputs", "01", *tail, "-o", str(out_dir)], capsys
+        )
+        assert (code, out, err) == (2, "", line)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("case", sorted(SUPPLY_ERRORS))
+    def test_reported_before_function_ph_and_inputs(self, tmp_path, capsys, case):
+        tail, line = SUPPLY_ERRORS[case]
+        argv = ["gate", "--func", "XAND", "--ph-low", "10", "--ph-high", "2",
+                "--inputs", "2", *tail, "-o", str(tmp_path / "out")]
+        assert run(argv, capsys) == (2, "", line)
 
 
 class TestOutputCollisions:
@@ -794,6 +839,40 @@ class TestExitCodes:
         code, out, err = run(argv + ["-o", str(out_dir)], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: {binary} is not UTF-8 text: invalid start byte at offset 9\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("subcommand", ["verify", "attack"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (("gates", 0, "name", ["16"]), "gate name must be a string, got ['16']"),
+            (("gates", 0, "name", 16), "gate name must be a string, got 16"),
+            (("params", "k_gain", True),
+             "camouflage config params: k_gain must be an int or a float, got True"),
+            (("params", "vdd", "1.8"),
+             "camouflage config params: vdd must be an int or a float, got '1.8'"),
+        ],
+        ids=["list-name", "int-name", "bool-param", "string-param"],
+    )
+    def test_config_of_wrong_type_is_domain_error(
+        self, tmp_path, capsys, c17_file, subcommand, edit, message
+    ):
+        run(["camouflage", str(c17_file), "--gates", "16,19", "-o", str(tmp_path)], capsys)
+        doc = json.loads((tmp_path / "camo_config.json").read_text())
+        *path, key, value = edit
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        netlists = {
+            "verify": ["verify", str(c17_file), str(tmp_path / "camo.bench")],
+            "attack": ["attack", str(tmp_path / "camo.bench")],
+        }[subcommand]
+        out_dir = tmp_path / "out"
+        code, out, err = run([*netlists, "--config", str(bad), "-o", str(out_dir)], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not out_dir.exists()
 
     def test_version_flag(self, capsys):

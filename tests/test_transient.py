@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import random
@@ -60,10 +61,10 @@ class TestXorReproduction:
         ev = trace.v_out[trace.eval_start_index :]
         bar = trace.v_out_bar[trace.eval_start_index :]
         # V̄_OUT collapses while V_OUT dips but stays above the trip point.
-        assert bar[-1] < 0.1 * CFG.vdd
-        assert ev.min() < CFG.vdd - 0.05
+        assert bar[-1] < 0.1 * PARAMS.vdd
+        assert ev.min() < PARAMS.vdd - 0.05
         assert ev[-1] > ev.min() + 0.05
-        assert ev.min() > CFG.trip_voltage
+        assert ev.min() > CFG.trip_at(PARAMS.vdd)
 
     def test_resolve_time_positive_and_within_eval(self, xor_traces):
         for trace in xor_traces.values():
@@ -76,13 +77,13 @@ class TestSimulateContracts:
         for trace in xor_traces.values():
             for wave in (trace.v_out, trace.v_out_bar, trace.out, trace.out_bar):
                 assert wave.min() >= 0.0
-                assert wave.max() <= CFG.vdd
+                assert wave.max() <= PARAMS.vdd
 
     def test_precharge_pins_nodes_high_and_outputs_low(self, xor_traces):
         trace = xor_traces[(0, 0)]
         i0 = trace.eval_start_index
-        assert np.all(trace.v_out[: i0 + 1] >= 0.99 * CFG.vdd)
-        assert np.all(trace.v_out_bar[: i0 + 1] >= 0.99 * CFG.vdd)
+        assert np.all(trace.v_out[: i0 + 1] >= 0.99 * PARAMS.vdd)
+        assert np.all(trace.v_out_bar[: i0 + 1] >= 0.99 * PARAMS.vdd)
         assert np.all(trace.out[: i0 + 1] == 0.0)
         assert np.all(trace.out_bar[: i0 + 1] == 0.0)
 
@@ -124,9 +125,15 @@ class TestSimulateContracts:
                 assert t1.resolved_output == t2.resolved_output
                 assert abs(t1.resolve_time - t2.resolve_time) < 0.05 * t1.resolve_time
 
-    def test_vdd_mismatch_rejected(self):
-        with pytest.raises(UsageError):
-            simulate(XOR_PROGRAM, IsfetParams(vdd=1.5, vth0=0.3), CFG, 0, 0)
+    def test_supply_is_the_device_vdd(self):
+        params = IsfetParams(vdd=1.5, vth0=0.3)
+        for a, b in product((0, 1), repeat=2):
+            trace = simulate(XOR_PROGRAM, params, CFG, a, b)
+            i0 = trace.eval_start_index
+            assert np.all(trace.v_out[: i0 + 1] == 1.5)
+            assert np.all(trace.v_out_bar[: i0 + 1] == 1.5)
+            assert set(np.unique(np.concatenate([trace.out, trace.out_bar]))) <= {0.0, 1.5}
+            assert trace.resolved_output == evaluate_static(XOR_PROGRAM, params, a, b)
 
     def test_overcoarse_dt_raises_simulation_error(self):
         # dt = 0.4 ns passes config validation but a single Euler step then
@@ -147,7 +154,7 @@ class TestSimConfig:
     def test_defaults(self):
         assert CFG.period == pytest.approx(5e-8)
         assert CFG.n_steps == 50000
-        assert CFG.trip_voltage == pytest.approx(0.9)
+        assert CFG.trip_at(PARAMS.vdd) == pytest.approx(0.9)
 
     def test_coarse_dt_rejected(self):
         with pytest.raises(UsageError):
@@ -165,11 +172,76 @@ class TestSimConfig:
 
     def test_bad_trip_rejected(self):
         with pytest.raises(UsageError):
-            SimConfig(trip=2.0)
+            transient.check_supply(PARAMS, SimConfig(trip=2.0))
 
     def test_bad_margin_rejected(self):
         with pytest.raises(UsageError):
-            SimConfig(resolve_margin=0.0)
+            transient.check_supply(PARAMS, SimConfig(resolve_margin=0.0))
+
+    def test_supply_bounds_are_not_checked_at_construction(self):
+        # They need the device supply, which a SimConfig does not hold.
+        assert SimConfig(trip=2.0).trip == 2.0
+        assert SimConfig(resolve_margin=0.0).resolve_margin == 0.0
+
+
+# (device params, config) -> the UsageError that check_supply raises.
+SUPPLY_BOUND_CASES = {
+    "trip above vdd": (PARAMS, SimConfig(trip=2.0), "trip must lie inside (0, vdd), got 2.0"),
+    "trip at zero": (PARAMS, SimConfig(trip=0.0), "trip must lie inside (0, vdd), got 0.0"),
+    "trip at vdd": (
+        IsfetParams(vdd=1.5), SimConfig(trip=1.5), "trip must lie inside (0, vdd), got 1.5"
+    ),
+    "margin at zero": (
+        PARAMS, SimConfig(resolve_margin=0.0),
+        "resolve_margin must lie inside (0, vdd), got 0.0",
+    ),
+    "margin above vdd": (
+        PARAMS, SimConfig(resolve_margin=1.9),
+        "resolve_margin must lie inside (0, vdd), got 1.9",
+    ),
+    "pmos threshold above vdd": (
+        IsfetParams(vdd=0.4, vth0=0.1), CFG, "pmos_vth must lie inside (0, vdd), got 0.5"
+    ),
+    "pmos threshold at vdd": (
+        IsfetParams(vdd=0.5, vth0=0.1), CFG, "pmos_vth must lie inside (0, vdd), got 0.5"
+    ),
+}
+
+
+class TestSupplyBounds:
+    """The trip point, the resolve margin and ``PMOS_VTH`` each lie inside
+    (0, vdd) of the device supply, checked by ``check_supply`` before any
+    race runs."""
+
+    @pytest.mark.parametrize("case", sorted(SUPPLY_BOUND_CASES))
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda p, c: transient.check_supply(p, c),
+            lambda p, c: simulate(XOR_PROGRAM, p, c, 0, 1),
+            lambda p, c: margin_report(XOR_PROGRAM, p, c),
+        ],
+        ids=["check_supply", "simulate", "margin_report"],
+    )
+    def test_rejected(self, case, run):
+        params, cfg, message = SUPPLY_BOUND_CASES[case]
+        with pytest.raises(UsageError) as exc:
+            run(params, cfg)
+        assert str(exc.value) == message
+
+    def test_trip_is_checked_first(self):
+        cfg = SimConfig(trip=2.0, resolve_margin=1.9)
+        with pytest.raises(UsageError, match="^trip "):
+            simulate(XOR_PROGRAM, IsfetParams(vdd=0.4, vth0=0.1), cfg, 0, 1)
+
+    def test_pmos_threshold_is_a_constant(self):
+        assert transient.PMOS_VTH == 0.5
+        assert reference_race(XOR_PROGRAM, PARAMS, CFG, 0, 1)[-1] == transient.PMOS_VTH
+        assert transient._race(XOR_PROGRAM, PARAMS, CFG)[-1] == transient.PMOS_VTH
+
+    def test_sim_config_fields(self):
+        names = [f.name for f in dataclasses.fields(SimConfig)]
+        assert names == ["clock_freq", "c_node", "dt", "trip", "resolve_margin"]
 
 
 class TestMarginReport:
@@ -251,8 +323,8 @@ class TestResolveOnly:
         race = reference_race(XOR_PROGRAM, PARAMS, cfg, 0, 1)
         n_total = cfg.n_steps
         n_pre = n_total // 2
-        whole = [np.full(n_total + 1, cfg.vdd) for _ in range(2)]
-        chunked = [np.full(n_total + 1, cfg.vdd) for _ in range(2)]
+        whole = [np.full(n_total + 1, PARAMS.vdd) for _ in range(2)]
+        chunked = [np.full(n_total + 1, PARAMS.vdd) for _ in range(2)]
         bad_whole = _kernels.integrate(*whole, n_pre, n_total, *race)
         bounds = [n_pre, n_pre + 1, n_pre + 8, n_pre + 300, n_pre + 4097, n_total]
         bad_chunked = -1
@@ -343,7 +415,7 @@ def random_race(rng: random.Random):
     )
 
 
-VDD = CFG.vdd
+VDD = PARAMS.vdd
 # Races on a V_OUT held at the rail: no pull-down (threshold above vdd) and
 # no p-current (zero source-drain voltage), so V_OUT freezes on the first
 # step while a depletion PMOS (negative threshold) feeds V̄_OUT a constant
@@ -432,7 +504,7 @@ class TestKernelMatchesReference:
             assert (side, last) == (frozen, n_total)
             fixed, moving = (v_out, v_bar) if frozen == "out" else (v_bar, v_out)
             assert np.all(fixed[first:] == fixed[first])
-            assert np.all(CFG.vdd - moving[first:] == CFG.vdd)
+            assert np.all(PARAMS.vdd - moving[first:] == PARAMS.vdd)
 
     def test_start_states(self, tails):
         # Every pair of start values, on races whose branches conduct or never
@@ -722,8 +794,8 @@ def reference_half(race, cfg: SimConfig):
     """One ``reference_integrate`` call over the whole evaluation half, from
     both nodes at the rail: ``(return value, v_out, v_bar)``."""
     n_total = cfg.n_steps
-    v_out = np.full(n_total + 1, cfg.vdd)
-    v_bar = np.full(n_total + 1, cfg.vdd)
+    v_out = np.full(n_total + 1, race[1])
+    v_bar = np.full(n_total + 1, race[1])
     bad = reference_integrate(v_out, v_bar, n_total // 2, n_total, *race)
     return bad, v_out, v_bar
 
@@ -749,7 +821,9 @@ class TestChunkedSimulate:
         assert trace.v_out.tobytes() == v_out.tobytes()
         assert trace.v_out_bar.tobytes() == v_bar.tobytes()
         n_pre = cfg.n_steps // 2
-        output, i = transient._first_resolved(v_out[n_pre:], v_bar[n_pre:], cfg)
+        output, i = transient._first_resolved(
+            v_out[n_pre:], v_bar[n_pre:], cfg, cfg.trip_at(PARAMS.vdd)
+        )
         assert trace.resolved_output == output
         assert trace.resolve_time == (None if i is None else i * cfg.dt)
         return trace
@@ -800,7 +874,9 @@ class TestChunkedSimulate:
         bad, v_out, v_bar = reference_half(race, cfg)
         assert bad >= 0
         n_pre = cfg.n_steps // 2
-        resolved, _ = transient._first_resolved(v_out[n_pre:bad], v_bar[n_pre:bad], cfg)
+        resolved, _ = transient._first_resolved(
+            v_out[n_pre:bad], v_bar[n_pre:bad], cfg, cfg.trip_at(PARAMS.vdd)
+        )
         assert (resolved is not None) == resolves_first
         want = (
             f"node voltage diverged at t={bad * cfg.dt:.3e} s; reduce dt "
