@@ -85,6 +85,8 @@ class CamoGateSpec:
     ph_high: float
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DomainError(f"gate name must be a string, got {self.name!r}")
         if self.assignment != assignment_for(self.function):
             raise DomainError(
                 f"gate {self.name!r}: assignment does not realize "

@@ -51,6 +51,16 @@ ERROR_PREFIX = "error:"
 _MAX_SWEEP_ROWS = 10**7
 
 
+def _resolve(outdir: Path, home: Path, name: str) -> Path:
+    """``(outdir / name).resolve()``, ``home`` being ``outdir.resolve()``: a
+    bare file name that is not a symlink is ``home / name`` after one lstat."""
+    if name not in ("", ".", "..") and os.path.basename(name) == name:
+        path = home / name
+        if not os.path.islink(path):
+            return path
+    return (outdir / name).resolve()
+
+
 def _check_outputs(outdir: Path, artifacts) -> None:
     """UsageError if a command's artifacts cannot all be written where they
     are named, checked before anything is written: an output directory that
@@ -65,8 +75,8 @@ def _check_outputs(outdir: Path, artifacts) -> None:
     if not place.is_dir():
         where = "is" if place == home else "lies below"
         raise UsageError(f"the output directory {where} a file: {place}")
-    manifest = (outdir / "manifest.json").resolve()
-    resolved = [(label, name, (outdir / name).resolve()) for label, name, _ in artifacts]
+    manifest = _resolve(outdir, home, "manifest.json")
+    resolved = [(label, name, _resolve(outdir, home, name)) for label, name, _ in artifacts]
     seen = {manifest: "manifest.json"}
     for label, _, path in resolved:
         if path in seen:

@@ -218,18 +218,32 @@ def _fill_fixed(out: np.ndarray, columns: np.ndarray) -> bool:
     """Fill ``out`` (rows, c) with the fixed-width cells of ``columns`` (c, rows).
 
     Each run of bit-identical values in a column is formatted once, so -0.0
-    and 0.0, and NaNs of different payloads, stay apart. A "%" fallback cell
-    of 12 characters (a near-tie, such as the first Euler steps of some pH
-    pairs produce) is written in place. Returns False, with ``out`` partly
-    written, when some cell has a sign, a 3-digit exponent or is nan or inf.
+    and 0.0, and NaNs of different payloads, stay apart. The block is
+    written by its runs:
+    - every column one run: one row of text, its cells formatted by "%",
+      copied into every row;
+    - every column one run or one run per row: each column's cells are
+      copied into it, a single cell broadcast down its column;
+    - otherwise: one np.repeat by run length over all columns, then one
+      transposed copy.
+    A "%" fallback cell of 12 characters (a near-tie, such as the first
+    Euler steps of some pH pairs produce) is written in place. Returns
+    False, with ``out`` partly written, when some cell has a sign, a
+    3-digit exponent or is nan or inf.
     """
     width, rows = columns.shape
     bits = columns.view(np.uint64)
     new_run = np.empty(columns.shape, dtype=bool)
     new_run[:, 0] = True
     np.not_equal(bits[:, 1:], bits[:, :-1], out=new_run[:, 1:])
-    new_run = new_run.reshape(-1)
     starts = np.flatnonzero(new_run)
+    if len(starts) == width:
+        cells = ["%.6e" % v for v in columns[:, 0].tolist()]
+        if any(len(cell) != _CELL_WIDTH - 1 for cell in cells):
+            return False
+        row = (",".join(cells) + "\n").encode("ascii")
+        out.view(np.dtype((np.void, len(row))))[...] = row
+        return True
     values = columns.reshape(-1)[starts]
     buf, slow = _digits(values)
     for j in slow.tolist():
@@ -240,6 +254,16 @@ def _fill_fixed(out: np.ndarray, columns: np.ndarray) -> bool:
     buf[-1] = ord(",")
     buf[-1, np.searchsorted(starts, (width - 1) * rows) :] = ord("\n")
     cells = np.ascontiguousarray(buf.T).view(_FIXED_CELL)[:, 0]
+    # With a columns of one run per row and width - a of one run, there are
+    # width + a * (rows - 1) runs; only then are the columns counted.
+    if (len(starts) - width) % (rows - 1) == 0:
+        counts = np.count_nonzero(new_run, axis=1).tolist()
+        if all(k in (1, rows) for k in counts):
+            lo = 0
+            for j, k in enumerate(counts):
+                out[:, j] = cells[lo : lo + k]
+                lo += k
+            return True
     ends = np.empty_like(starts)
     ends[:-1] = starts[1:]
     ends[-1] = new_run.size
@@ -309,7 +333,8 @@ def _write_csv(fh, header: str, columns) -> None:
                 rows[:, 0] = first[start:stop]
             elif filling is not None:
                 filling[start:stop] = rows[:, 0]
-            fh.write(rows.tobytes().decode("ascii"))
+            # Decoded from the buffer itself, with no bytes copy between.
+            fh.write(str(rows.data, "ascii"))
         else:
             filling = None
             fh.write(_format_rows(np.column_stack([c[start:stop] for c in columns])))

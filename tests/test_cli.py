@@ -666,6 +666,33 @@ class TestOutputCollisions:
         assert err == f"error: {message.format(out=out_dir)}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "link, target, extra, message",
+        [
+            ("link", "camo.bench", ["--out-config", "link"],
+             "--out-config names the same file as --out-bench: {out}/camo.bench"),
+            ("link", "manifest.json", ["--out-bench", "link"],
+             "--out-bench names the same file as manifest.json: {out}/manifest.json"),
+            ("manifest.json", "camo_config.json", [],
+             "--out-config names the same file as manifest.json: {out}/camo_config.json"),
+        ],
+        ids=["config-to-bench", "bench-to-manifest", "manifest-to-config"],
+    )
+    def test_symlink_to_another_output(
+        self, tmp_path, capsys, c17_file, link, target, extra, message
+    ):
+        # A symlink in the output directory whose target, not yet written,
+        # is another output of the same command.
+        out_dir = (tmp_path / "out").resolve()
+        out_dir.mkdir()
+        (out_dir / link).symlink_to(target)
+        code, out, err = run(
+            ["camouflage", str(c17_file), "--rate", "0.5", *extra, "-o", str(out_dir)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(out=out_dir)}\n"
+        assert [p.name for p in out_dir.iterdir()] == [link]
+
     def test_an_oracle_report_may_take_the_reconstruction_name(self, tmp_path, capsys, c17_file):
         # Only a profiling attack writes reconstructed.bench.
         run(["camouflage", str(c17_file), "--gates", "16,19", "-o", str(tmp_path)], capsys)

@@ -1,5 +1,6 @@
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,22 @@ from tvdcamo.device import (
 from tvdcamo.errors import PhRangeError, UsageError
 
 DEFAULTS = IsfetParams()
+
+
+def _near_ties() -> np.ndarray:
+    """Values whose scaled mantissa sits at a .5 tie, some of them at a
+    decade boundary where the tie decides the exponent, and their 8 float
+    neighbours on each side."""
+    below = above = np.array([999999.95, 9.9999995, 0.99999995, 1.0000005, 123456.75])
+    near_ties = [below]
+    for _ in range(8):
+        below = np.nextafter(below, -np.inf)
+        above = np.nextafter(above, np.inf)
+        near_ties += [below, above]
+    return np.concatenate(near_ties)
+
+
+_NEAR_TIES = _near_ties()
 
 
 def savetxt_reference(table) -> str:
@@ -221,17 +238,7 @@ class TestIvSweep:
         raw = np.random.default_rng(8).integers(0, 2**64, 6000, dtype=np.uint64)
         three_digit = [1e100, -1e-100, 1.234567e-150, 9.9999995e99, 9.99999949e299,
                        -1e-300, 1.0000001e-300, 9.999999e299, 2.5e-307, -7.5e305]
-        # Neighbours of values whose scaled mantissa sits at a .5 tie, some
-        # of them at a decade boundary where the tie decides the exponent.
-        below = above = np.array([999999.95, 9.9999995, 0.99999995, 1.0000005, 123456.75])
-        near_ties = [below]
-        for _ in range(8):
-            below = np.nextafter(below, -np.inf)
-            above = np.nextafter(above, np.inf)
-            near_ties += [below, above]
-        values = np.concatenate(
-            [raw.view(np.float64), three_digit, np.concatenate(near_ties), values]
-        )
+        values = np.concatenate([raw.view(np.float64), three_digit, _NEAR_TIES, values])
         values = np.concatenate([values, -values])
         table = values[: len(values) // 3 * 3].reshape(-1, 3)
         assert savetxt_mismatch(table) is None
@@ -283,3 +290,206 @@ class TestIvSweep:
         other = iv_sweep(DEFAULTS, np.linspace(0.0, 1.8, 2000), 0.2, [2.0, 7.0, 10.0])
         assert savetxt_mismatch(other) is None
         assert len(device._first_column_cache) == 1
+
+
+def columns_mismatch(columns):
+    """First difference between the writer's text of ``columns`` and
+    np.savetxt's, or None."""
+    got = io.StringIO()
+    device._write_csv(got, "h", columns)
+    want = io.StringIO()
+    want.write("h\n")
+    np.savetxt(want, np.column_stack(columns), fmt="%.6e", delimiter=",")
+    return first_difference(got.getvalue(), want.getvalue())
+
+
+def run_column(*pairs) -> np.ndarray:
+    """A column of runs: ``run_column((value, length), ...)``."""
+    return np.concatenate([np.full(length, value, dtype=np.float64) for value, length in pairs])
+
+
+def bits_equal(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@pytest.fixture(params=[1, 2, 3, 7])
+def writer(request, monkeypatch):
+    """The CSV writer at ``request.param`` rows a block, with an empty
+    first-column cache. Records each block written through "%" rows
+    (``fallback``) and the size of each _digits call (``digits``)."""
+    monkeypatch.setattr(device, "_CSV_BLOCK_ROWS", request.param)
+    monkeypatch.setattr(device, "_first_column_cache", [])
+    seen = SimpleNamespace(rows=request.param, fallback=[], digits=[])
+    format_rows, digits = device._format_rows, device._digits
+
+    def format_spy(block):
+        seen.fallback.append(block.copy())
+        return format_rows(block)
+
+    def digits_spy(x):
+        seen.digits.append(len(x))
+        return digits(x)
+
+    monkeypatch.setattr(device, "_format_rows", format_spy)
+    monkeypatch.setattr(device, "_digits", digits_spy)
+    return seen
+
+
+class TestCsvBlockShapes:
+    """Each block is written by its runs (device._fill_fixed): every column
+    one run, every column one run or one run per row, or anything else. All
+    three give np.savetxt's bytes."""
+
+    N = 40
+
+    def t_column(self):
+        return np.arange(self.N) * 2.5e-11
+
+    def test_one_run_blocks_after_a_cached_first_column(self, writer):
+        r, t = writer.rows, self.t_column()
+        # Run edges on block edges, so each block past t is one run a column.
+        edges = run_column((1.5, 2 * r), (0.25, 3 * r), (1.5, self.N - 5 * r))
+        assert columns_mismatch([t, np.full(self.N, 1.8), edges, np.zeros(self.N)]) is None
+        assert len(device._first_column_cache) == 1
+        writer.digits.clear()
+        for value in (0.0, 2.5e-7, 9.99e99, 1.0000005):
+            table = [t, np.full(self.N, value), edges, np.full(self.N, 1.8)]
+            assert columns_mismatch(table) is None
+        # t came from the cache, so every block was one row of "%" text.
+        assert writer.digits == []
+        assert writer.fallback == []
+
+    def test_one_run_blocks_with_no_cached_first_column(self, writer):
+        r = writer.rows
+        first = run_column((3.0, 4 * r), (0.5, self.N - 4 * r))
+        assert columns_mismatch([first, np.zeros(self.N), np.full(self.N, 7.5e-12)]) is None
+        assert columns_mismatch([np.full(self.N, 1.8)]) is None
+        assert writer.digits == []
+        assert writer.fallback == []
+        # The first write cached the first column; this one takes it from
+        # the cache.
+        assert columns_mismatch([first, np.full(self.N, 2.0)]) is None
+        assert writer.digits == []
+
+    @pytest.mark.parametrize("value", [-0.0, -1.25, 1e-120, 2.5e150, np.nan])
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_one_run_cell_not_12_characters_falls_back(self, writer, value, cached):
+        r, t = writer.rows, self.t_column()
+        if cached:
+            assert columns_mismatch([t, np.full(self.N, 0.5), np.full(self.N, 1.8)]) is None
+            writer.fallback.clear()
+        # value fills blocks 1 and 2 of the middle column.
+        column = run_column((0.5, r), (value, 2 * r), (0.5, self.N - 3 * r))
+        assert columns_mismatch([t, column, np.full(self.N, 1.8)]) is None
+        assert [len(block) for block in writer.fallback] == [r, r]
+        for i, block in enumerate(writer.fallback, start=1):
+            assert bits_equal(block[:, 0], t[i * r : (i + 1) * r])
+            assert bits_equal(block[:, 1], np.full(r, value))
+
+    def test_one_run_columns_of_near_ties(self, writer):
+        t = self.t_column()
+        ties = [np.full(self.N, v) for v in _NEAR_TIES]
+        for _ in ("first column formatted", "first column cached"):
+            assert columns_mismatch([t, *ties]) is None
+            assert columns_mismatch([t, *ties[::-1], t]) is None
+        # Every near-tie prints 12 characters, so no block falls back.
+        assert writer.fallback == []
+
+    def test_one_run_per_row_columns_beside_one_run_columns(self, writer):
+        t = self.t_column()
+        alternating = np.tile([0.25, 0.75], self.N)[: self.N]
+        ramp = 1.0 + np.arange(self.N) / 8
+        step = run_column((0.0, 11), (1.8, self.N - 11))
+        fives = np.repeat([0.5, 1.25, 0.5, 2.0, 3.0, 0.5, 0.5, 1.0], 5)
+        tables = [
+            [t, alternating, np.full(self.N, 1.8), ramp, step],
+            [t, np.full(self.N, 1.8), step, alternating],
+            [t, fives, alternating, step, ramp[::-1].copy()],
+            [ramp, np.full(self.N, 0.0), t],
+        ]
+        for _ in ("first column formatted", "first column cached"):
+            for table in tables:
+                assert columns_mismatch(table) is None
+        assert writer.fallback == []
+
+    def test_blocks_of_one_run_and_one_run_per_row_columns_repeat_nothing(
+        self, writer, monkeypatch
+    ):
+        r, t = writer.rows, self.t_column()
+        alternating = np.tile([0.25, 0.75], self.N)[: self.N]
+        edges = run_column((0.0, 2 * r), (1.8, self.N - 2 * r))
+        table = [t, alternating, np.full(self.N, 1.8), 1.0 + t, edges]
+        repeats = []
+        repeat = np.repeat
+
+        def spy(*args, **kwargs):
+            repeats.append(args)
+            return repeat(*args, **kwargs)
+
+        for _ in ("first column formatted", "first column cached"):
+            with monkeypatch.context() as m:
+                m.setattr(np, "repeat", spy)
+                device._write_csv(io.StringIO(), "h", table)
+            assert repeats == []
+            assert columns_mismatch(table) is None
+        assert writer.fallback == []
+
+    def test_tie_cells_inside_one_run_per_row_columns(self, writer):
+        t = self.t_column()
+        table = [t, np.resize(_NEAR_TIES, self.N), np.full(self.N, 1.0000005)]
+        for _ in ("first column formatted", "first column cached"):
+            assert columns_mismatch(table) is None
+        assert writer.fallback == []
+
+
+def _nan(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+_CELL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.8, -1.8, 1e-120, 2.5e150, 5e-324, 1e-300, 1e300,
+                     9.999999e299, math.inf, -math.inf, math.nan]),
+    st.integers(1, 2**52 - 1).flatmap(
+        lambda m: st.sampled_from([_nan(0x7FF0000000000000 | m), _nan(0xFFF0000000000000 | m)])
+    ),
+    st.sampled_from(_NEAR_TIES.tolist()).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(allow_nan=False),
+    st.floats(1e-12, 2.0),
+)
+
+
+@st.composite
+def _run_tables(draw):
+    """Columns of equal length built from runs: one run, one run per row,
+    or runs of drawn lengths."""
+    n = draw(st.integers(1, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape = draw(st.sampled_from(["one run", "per row", "runs"]))
+        if shape == "one run":
+            column = [draw(_CELL_VALUES)] * n
+        elif shape == "per row":
+            column = draw(st.lists(_CELL_VALUES, min_size=n, max_size=n))
+        else:
+            column = []
+            while len(column) < n:
+                column += [draw(_CELL_VALUES)] * draw(st.integers(1, 12))
+        columns.append(np.array(column[:n], dtype=np.float64))
+    return columns
+
+
+class TestCsvBlockShapesDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        columns=_run_tables(),
+        block_rows=st.sampled_from([1, 2, 3, 7]),
+        writes=st.integers(1, 2),
+    )
+    def test_matches_savetxt(self, columns, block_rows, writes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(device, "_CSV_BLOCK_ROWS", block_rows)
+            mp.setattr(device, "_first_column_cache", [])
+            # A second write takes the first column from the cache when
+            # every block of the first was fixed-width.
+            for _ in range(writes):
+                assert columns_mismatch(columns) is None

@@ -1101,6 +1101,16 @@ def runs(*pairs) -> np.ndarray:
     return np.concatenate([np.full(length, value) for value, length in pairs])
 
 
+def changing_blocks(trace: GateTrace) -> int:
+    """Blocks of the CSV writer in which v_out, v_out_bar, out or out_bar
+    changes."""
+    columns = np.array([trace.v_out, trace.v_out_bar, trace.out, trace.out_bar])
+    size = device._CSV_BLOCK_ROWS
+    starts = range(0, len(trace.t), size)
+    blocks = [columns[:, start : start + size].view(np.uint64) for start in starts]
+    return sum(bool(np.any(block[:, 1:] != block[:, :-1])) for block in blocks)
+
+
 @pytest.fixture
 def fallback_blocks(monkeypatch):
     """Every block the CSV writer formats row by row through "%", with an
@@ -1118,21 +1128,37 @@ def fallback_blocks(monkeypatch):
 
 
 class TestTraceCsv:
-    def test_gate_char_matrix_matches_savetxt(self, fallback_blocks):
-        # Every 1 and 2 GHz waveform of the benchmark's gate-char matrix: 16
-        # functions x 11 pH pairs x 4 minterms make 22 distinct races a clock.
-        for clock in GATE_CHAR_CLOCKS[1:]:
+    def test_gate_char_matrix_matches_savetxt(self, fallback_blocks, monkeypatch):
+        # Every waveform of the benchmark's gate-char matrix: 16 functions x
+        # 11 pH pairs x 4 minterms make 22 distinct races a clock.
+        digits_calls = []
+        digits = device._digits
+
+        def spy(x):
+            digits_calls.append(len(x))
+            return digits(x)
+
+        monkeypatch.setattr(device, "_digits", spy)
+        for clock in GATE_CHAR_CLOCKS:
             cfg = SimConfig(clock_freq=clock)
             races = {}
             for f, pair, m in product(TruthTable2, GATE_CHAR_PAIRS, range(4)):
                 race = reference_race(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
                 races.setdefault(race, (f, pair, m))
             assert len(races) == 22
-            for f, pair, m in races.values():
+            for i, (f, pair, m) in enumerate(races.values()):
                 trace = simulate(program_for(f, *pair), PARAMS, cfg, m >> 1, m & 1)
                 # 2/2.5 never resolves at 2 GHz; every other race does.
                 assert trace.is_resolved == (clock != 2e9 or pair != GATE_CHAR_PAIRS[-1])
+                digits_calls.clear()
                 assert savetxt_mismatch(trace) is None, (clock, f, pair, m)
+                if i:
+                    # t comes from the cache, and a block whose other
+                    # columns are one run each is one row of "%" text.
+                    assert len(digits_calls) == changing_blocks(trace)
+                if clock == GATE_CHAR_CLOCKS[0]:
+                    # 13 blocks; the 6 of the precharge half are one row.
+                    assert changing_blocks(trace) <= 7
         # Their cells are 12 characters, near-ties included: no fallback block.
         assert fallback_blocks == []
 
