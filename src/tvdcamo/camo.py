@@ -158,7 +158,7 @@ class CamoConfig:
         """
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits or too deep
             raise DomainError(f"malformed camouflage config: {exc}") from exc
         try:
             odd = set(doc["params"]) ^ {f.name for f in fields(IsfetParams)}
@@ -427,18 +427,18 @@ _SYMMETRIC = frozenset(f for f in TruthTable2 if f.minterm(1) == f.minterm(2))
 _A, _B = int(TruthTable2.A), int(TruthTable2.B)
 
 
-def _miter(a: Netlist, b: Netlist, bindings):
+def _miter(a: Netlist, ops_a, b: Netlist, ops_b):
     """One slot program for ``a`` and ``b``, their shared nodes computed once.
 
     The miter of a pair whose slots differ, such as a rewrite or an
     unrelated netlist; a pair that shares its slots takes ``_slot_miter``.
-    Structural hashing over the slot programs of ``a``, then ``b``: inputs
-    are nodes 0..n-1, and an entry's node is keyed by its op and fan-in
-    nodes, sorted when the op is symmetric. A CAMO entry takes its bound
-    function's op, so the program holds word ops only. A and B entries
-    (BUF) alias an input. An n-ary gate folds its fan-in nodes in sorted
-    order, so AND(x, y, z) and AND(z, x, y) share a node. The first unbound
-    or malformed binding raises as evaluating a, then b would.
+    Structural hashing over the gates of ``a``, then ``b``, each in its
+    ``_order`` under its bound op column, so the program holds word ops
+    only. Inputs are nodes 0..n-1, and a gate's node is keyed by its op and
+    fan-in nodes, sorted when the op is symmetric. An A or B op (BUF, or a
+    CAMO gate bound to A or B) aliases its input. An n-ary gate folds its
+    fan-in nodes in sorted order, so AND(x, y, z) and AND(z, x, y) share a
+    node.
 
     Returns ``(program, outs_a, outs_b)``: one entry per node (entry j
     writes node n + j) and each output's node. Equal nodes mean a merged
@@ -457,26 +457,19 @@ def _miter(a: Netlist, b: Netlist, bindings):
         return node
 
     outs = []
-    for net in (a, b):
-        limit = n_in + len(net._names)  # scratch slots of n-ary folds lie past it
-        node_of = list(range(limit))  # net slot -> node
-        for op, out, x, y in net._program:
-            if out >= limit:
-                continue  # a fold step: the gate's last entry folds anew
-            if op.__class__ is str:
-                op = _bound_op(op, bindings)
-            if x >= limit:  # the last entry of an n-ary gate
-                fan = sorted([node_of[s] for s in net._fanin[out - n_in]])
-                x = fan[0]
-                for y in fan[1:-1]:
-                    x = node_for(_FOLD_OPS[op], x, y)
-                node_of[out] = node_for(op, x, fan[-1])
-            elif op == _A:
-                node_of[out] = node_of[x]
-            elif op == _B:
-                node_of[out] = node_of[y]
-            else:
-                node_of[out] = node_for(op, node_of[x], node_of[y])
+    for net, ops in ((a, ops_a), (b, ops_b)):
+        fanin, node_of = net._fanin, list(range(n_in + len(ops)))  # slot -> node
+        for k in net._order:
+            op, fan = ops[k], [node_of[s] for s in fanin[k]]
+            if op == _A or op == _B:
+                node_of[n_in + k] = fan[0] if op == _A else fan[-1]
+                continue
+            if len(fan) > 2:
+                fan.sort()
+            x = fan[0]
+            for y in fan[1:-1]:
+                x = node_for(_FOLD_OPS[op], x, y)
+            node_of[n_in + k] = node_for(op, x, fan[-1])
         outs.append([node_of[s] for s in net._out_slots])
     return program, outs[0], outs[1]
 
@@ -490,22 +483,22 @@ def _bound_ops(net: Netlist, bindings) -> list:
     return ops
 
 
-def _slot_miter(a: Netlist, b: Netlist, bindings):
-    """The miter of ``a`` and a ``b`` with a's slots, paired slot by slot.
+def _slot_miter(net: Netlist, ops_a, ops_b, out_slots_b):
+    """The miter of ``net`` under two op columns, paired slot by slot: a
+    takes ``ops_a`` and ``net``'s outputs, b ``ops_b`` and ``out_slots_b``.
 
-    b's gate k reads a's fan-in slots, so where its bound op equals a's and
-    no gate upstream differs it computes a's slot k. Every other gate of b,
+    b's gate k reads a's fan-in slots, so where its op equals a's and no
+    gate upstream differs it computes a's slot k. Every other gate of b,
     a differing op and its fan-out cone, gets entries of its own. The
-    program is a's slot program with its CAMO ops bound, then those gates
-    of b on fresh nodes in program order, an n-ary gate folding through
-    nodes of its own by its own op's fold op. When every output pair shares
-    a slot, the program is empty and none is compiled.
+    program is net's slot program under ``ops_a``, then those gates of b
+    on fresh nodes in program order, an n-ary gate folding through nodes
+    of its own by its own op's fold op. When every output pair shares a
+    slot, the program is empty and none is compiled.
 
     Returns what ``_miter`` returns.
     """
-    n_in = len(a.inputs)
-    ops_a, ops_b = _bound_ops(a, bindings), _bound_ops(b, bindings)
-    order, fanin = a._order, a._fanin
+    n_in = len(net.inputs)
+    order, fanin = net._order, net._fanin
     cone = []  # b's gates downstream of a differing op, in program order
     dirty = set()  # their slots
     if ops_a != ops_b:
@@ -517,10 +510,10 @@ def _slot_miter(a: Netlist, b: Netlist, bindings):
             if k in differs or not dirty.isdisjoint(fanin[k]):
                 cone.append(k)
                 dirty.add(n_in + k)
-    outs_a = list(a._out_slots)
-    if a._out_slots == b._out_slots and dirty.isdisjoint(outs_a):
+    outs_a = list(net._out_slots)
+    if net._out_slots == out_slots_b and dirty.isdisjoint(outs_a):
         return [], outs_a, outs_a
-    program = _slot_program(a, ops_a)
+    program = _slot_program(net, ops_a)
     node = {}  # slot of a gate in the cone -> its node
     for k in cone:
         op = ops_b[k]
@@ -532,7 +525,7 @@ def _slot_miter(a: Netlist, b: Netlist, bindings):
             x = fold
         out = node[n_in + k] = n_in + len(program)
         program.append((op, out, x, fan[-1]))
-    return program, outs_a, [node.get(s, s) for s in b._out_slots]
+    return program, outs_a, [node.get(s, s) for s in out_slots_b]
 
 
 def _int_words(words) -> int:
@@ -589,10 +582,12 @@ def verify_equivalence(
     ``TruthTable2`` its cell realises. Exhaustive mode enumerates every
     input vector and is sound and complete up to 24 inputs; random mode
     samples ``n_vectors`` vectors from ``seed`` and reports the first
-    counterexample it finds, if any. Both evaluate one miter of a and b.
-    When b has a's slots (the same fan-in slots and program order, as a
-    camouflaged copy has), the miter pairs them slot by slot
-    (``_slot_miter``); any other pair is structurally hashed (``_miter``).
+    counterexample it finds, if any. Both evaluate one miter of a and b,
+    built from their op columns with each CAMO gate bound, a's then b's in
+    program order (``_bound_ops``). When b has a's slots (the same fan-in
+    slots and program order, as a camouflaged copy has), the miter pairs
+    them slot by slot (``_slot_miter``); any other pair is structurally
+    hashed (``_miter``).
     Nothing is evaluated when every output pair shares its node;
     ``vectors_checked`` counts the vectors the answer covers.
     """
@@ -613,11 +608,11 @@ def verify_equivalence(
     if mode not in ("exhaustive", "random"):
         raise UsageError(f"unknown equivalence mode {mode!r}")
     total, input_words, vector = _input_vectors(a.inputs, mode, n_vectors, seed)
-
+    ops_a, ops_b = _bound_ops(a, bindings), _bound_ops(b, bindings)
     if a._fanin == b._fanin and a._order == b._order:
-        miter = _slot_miter(a, b, bindings)
+        miter = _slot_miter(a, ops_a, ops_b, b._out_slots)
     else:
-        miter = _miter(a, b, bindings)
+        miter = _miter(a, ops_a, b, ops_b)
     hit = _first_mismatch(miter, input_words, total)
     if hit is None:
         return EquivalenceResult(

@@ -6,6 +6,7 @@ programmable after fabrication by exchanging the electrolyte.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +26,9 @@ def _check_ph(ph):
 
 
 def _check_positive(name: str, value) -> None:
-    """UsageError unless value is a finite number above zero (NaN fails)."""
-    if not (value > 0 and math.isfinite(value)):
+    """UsageError unless value is a finite number above zero: NaN, inf and
+    an int past the largest float (an OverflowError in math.isfinite) fail."""
+    if not 0 < value <= sys.float_info.max:
         raise UsageError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -47,7 +49,7 @@ class IsfetParams:
     def __post_init__(self):
         _check_positive("k_gain", self.k_gain)
         _check_positive("vdd", self.vdd)
-        if not (self.sensitivity >= 0 and math.isfinite(self.sensitivity)):
+        if not 0 <= self.sensitivity <= sys.float_info.max:
             raise UsageError(
                 f"sensitivity must be non-negative and finite, got {self.sensitivity!r}"
             )

@@ -1038,7 +1038,8 @@ class TestVerifyMiter:
         ]
         assert flipped == TruthTable2.AND and run_bindings is None
         assert all(type(word) is int for word in inputs)
-        _, outs_a, outs_b = camo_module._miter(c17, camo, bindings)
+        ops_c17, ops_camo = (camo_module._bound_ops(n, bindings) for n in (c17, camo))
+        _, outs_a, outs_b = camo_module._miter(c17, ops_c17, camo, ops_camo)
         assert (outs_a, outs_b) == ([node["22"], node["23"]], [12, 13])
 
     def test_merged_random_verify_draws_nothing(self, c17, monkeypatch):
@@ -1141,6 +1142,86 @@ class TestVerifyMiter:
         assert verify_equivalence(a, b, bindings=bindings) == EquivalenceResult(
             True, "exhaustive", 8, 8
         )
+
+    def test_hash_program_and_output_nodes(self, monkeypatch):
+        # The miter that verify hands to _first_mismatch, node for node: a
+        # then b in program order, inputs x, y, z as nodes 0-2. A 3-input XOR
+        # folds its sorted fan-in nodes, BUF and a CAMO gate bound to A or B
+        # alias one, and a NOT reads its fan-in twice.
+        miters = []
+        first_mismatch = camo_module._first_mismatch
+
+        def spy(miter, input_words, total):
+            miters.append(miter)
+            return first_mismatch(miter, input_words, total)
+
+        monkeypatch.setattr(camo_module, "_first_mismatch", spy)
+        inputs = ["x", "y", "z"]
+        merged = (
+            Netlist(inputs, ["p", "q", "r"], [
+                Gate("p", "NAND", ("x", "y")),
+                Gate("q", "XOR", ("x", "y", "z")),
+                Gate("r", "CAMO", ("p", "z")),
+            ]),
+            Netlist(inputs, ["p", "q", "r"], [
+                Gate("y1", "BUF", ("y",)),
+                Gate("p", "CAMO", ("y1", "x")),
+                Gate("q", "XOR", ("z", "x", "y1")),
+                Gate("p1", "BUF", ("p",)),
+                Gate("r", "OR", ("z", "p1")),
+            ]),
+            {"p": TruthTable2.NAND, "r": TruthTable2.OR},
+        )
+        apart = (
+            Netlist(inputs, ["p", "q", "r"], [
+                Gate("n", "NOT", ("x",)),
+                Gate("q", "XOR", ("x", "y", "z")),
+                Gate("r", "CAMO", ("z", "n")),
+                Gate("p", "AND", ("n", "q")),
+            ]),
+            Netlist(inputs, ["p", "q", "r"], [
+                Gate("q", "XOR", ("z", "y", "x")),
+                Gate("n1", "NOT", ("x",)),
+                Gate("p", "NOR", ("q", "x")),
+                Gate("r", "CAMO", ("x", "n1")),
+            ]),
+            {"r": TruthTable2.B},
+        )
+        for a, b, bindings in (merged, apart):
+            assert a._fanin != b._fanin
+            verify_equivalence(a, b, bindings=bindings)
+        nand, xor, op_or = (int(f) for f in (TruthTable2.NAND, TruthTable2.XOR, TruthTable2.OR))
+        op_and, nor, not_a = (int(f) for f in (TruthTable2.AND, TruthTable2.NOR, TruthTable2.NOT_A))
+        assert miters == [
+            (
+                [(nand, 3, 0, 1), (xor, 4, 0, 1), (xor, 5, 4, 2), (op_or, 6, 3, 2)],
+                [3, 5, 6],
+                [3, 5, 6],
+            ),
+            (
+                [(not_a, 3, 0, 0), (xor, 4, 0, 1), (xor, 5, 4, 2), (op_and, 6, 3, 5),
+                 (nor, 7, 5, 0)],
+                [6, 5, 3],
+                [7, 5, 3],
+            ),
+        ]
+
+    def test_hash_compiles_no_slot_program(self, c17_text):
+        # The hash reads gate order, fan-in slots and bound op columns, so a
+        # verify of two netlists whose slots differ compiles neither program.
+        c17 = parse_bench(c17_text)
+        camo, cfg = camouflage(c17, gates=["10", "16", "22"])
+        rng = random.Random(3)
+        rewritten = _rewrite(c17, rng)
+        for a, b, bindings in (
+            (c17, rewritten, None),
+            (camo, rewritten, cfg.bindings()),
+            (_unrelated(c17, rng), camo, cfg.bindings()),
+        ):
+            assert a._fanin != b._fanin
+            verify_equivalence(a, b, bindings=bindings)
+            verify_equivalence(a, b, bindings=bindings, mode="random", n_vectors=10)
+            assert "_program" not in vars(a) and "_program" not in vars(b)
 
     @pytest.mark.parametrize("pair", [
         # An asymmetric function of swapped fan-ins: x AND NOT y vs y AND NOT x.
@@ -1257,8 +1338,9 @@ class TestSlotPairedMiter:
 
         monkeypatch.setattr(camo_module, "_miter", fail)
         for a, b, bindings in _slot_paired_cases(seed):
-            paired = camo_module._slot_miter(a, b, bindings)
-            miter = hashed(a, b, bindings)
+            ops_a, ops_b = camo_module._bound_ops(a, bindings), camo_module._bound_ops(b, bindings)
+            paired = camo_module._slot_miter(a, ops_a, ops_b, b._out_slots)
+            miter = hashed(a, ops_a, b, ops_b)
             for mode, n_vectors in (("exhaustive", 1024), ("random", 1), ("random", 70), ("random", 300)):
                 total, words, _ = bench_module._input_vectors(a.inputs, mode, n_vectors, seed)
                 hit = camo_module._first_mismatch(paired, words, total)
@@ -1281,7 +1363,7 @@ class TestSlotPairedMiter:
                     for name, op_a, op_b in zip(b._names, ops_a, ops_b) if op_a != op_b
                 ))
                 fans = [len(g.fanin) for g in b.gates if g.name in cone]
-                program, _, _ = camo_module._slot_miter(a, b, bindings)
+                program, _, _ = camo_module._slot_miter(a, ops_a, ops_b, b._out_slots)
                 if program:
                     assert len(program) == len(a._program) + sum(max(1, f - 1) for f in fans)
                 kahn += a._order.__class__ is tuple
@@ -1323,7 +1405,10 @@ class TestSlotPairedMiter:
         )
         cone = _fan_out_cone(original, victim)
         flipped = {**cfg.bindings(), victim: cfg.bindings()[victim].complement()}
-        miter = camo_module._miter(camo, original, flipped)
+        miter = camo_module._miter(
+            camo, camo_module._bound_ops(camo, flipped),
+            original, camo_module._bound_ops(original, flipped),
+        )
         compiled, evaluated = [], []
         compile_program, run = bench_module._slot_program, bench_module._eval_gates
 

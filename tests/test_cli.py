@@ -902,6 +902,57 @@ class TestExitCodes:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("subcommand", ["verify", "attack"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+            ('{"gates": [{"function_bits": ' + "9" * 5000 + "}]}", "5000 digits"),
+        ],
+        ids=["deep-nesting", "5000-digit-int"],
+    )
+    def test_config_past_the_decoder_limits_is_domain_error(
+        self, tmp_path, capsys, c17_file, subcommand, text, message
+    ):
+        # json.loads raises RecursionError for the first and ValueError for
+        # the second: past Python's 4300-digit limit on int conversion.
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        netlists = {
+            "verify": ["verify", str(c17_file), str(c17_file)],
+            "attack": ["attack", str(c17_file)],
+        }[subcommand]
+        out_dir = tmp_path / "out"
+        code, out, err = run([*netlists, "--config", str(bad), "-o", str(out_dir)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: malformed camouflage config: ") and message in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key, bound", [
+        ("k_gain", "positive"), ("vdd", "positive"), ("sensitivity", "non-negative"),
+    ])
+    def test_config_params_past_the_largest_float_is_domain_error(
+        self, tmp_path, capsys, c17_file, key, bound
+    ):
+        run(["camouflage", str(c17_file), "--gates", "16", "-o", str(tmp_path)], capsys)
+        doc = json.loads((tmp_path / "camo_config.json").read_text())
+        doc["params"][key] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            ["verify", str(c17_file), str(tmp_path / "camo.bench"), "--config", str(bad),
+             "-o", str(out_dir)],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: camouflage config params: {key} must be {bound} and finite, "
+            f"got {10**400}\n"
+        )
+        assert not out_dir.exists()
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         out = capsys.readouterr().out

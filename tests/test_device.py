@@ -164,6 +164,15 @@ class TestParamsValidation:
         with pytest.raises(UsageError):
             IsfetParams(sensitivity=-0.01)
 
+    @pytest.mark.parametrize("key, bound", [
+        ("k_gain", "positive"), ("vdd", "positive"), ("sensitivity", "non-negative"),
+    ])
+    def test_int_past_the_largest_float_is_not_finite(self, key, bound):
+        # math.isfinite(10**400) raises OverflowError; no float holds it.
+        with pytest.raises(UsageError) as exc:
+            IsfetParams(**{key: 10**400})
+        assert str(exc.value) == f"{key} must be {bound} and finite, got {10**400}"
+
     def test_negative_v_ds(self):
         with pytest.raises(UsageError):
             BiasPoint(v_gs=1.0, v_ds=-0.1, ph=7.0)
