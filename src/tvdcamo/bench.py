@@ -26,6 +26,7 @@ from .errors import (
     NetlistError,
     UnprogrammedGateError,
     UsageError,
+    _shown,
 )
 from .gates import TruthTable2
 
@@ -71,6 +72,8 @@ _GATE_LINES = _line_shape(
     rf"(?:,[ \t]*({_NAME})[ \t]*((?:,[ \t]*{_NAME}[ \t]*)*))?\)"
 )
 _BLANK_LINES = _line_shape("")
+# serialize_bench's 2-input gate lines: _GATE_LINES rows with no blank, comment or third fan-in.
+_PAIR_LINES = re.compile(rf"\n({_NAME}) = ({_NAME})\(({_NAME}), ({_NAME})\)(?![^\n])").findall
 
 
 def _check_arity(kind: str, n: int) -> str | None:
@@ -335,23 +338,25 @@ def _fanin_columns(line: str) -> list[int]:
 
 def _parse_text(text: str) -> Netlist | None:
     """The netlist of well-formed text whose only line break is "\\n", from
-    one findall per line shape and no loop per gate; None for any other
+    findall scans by line shape and no loop per gate; None for any other
     text, which ``_parse_lines`` then reads line by line."""
     text = "\n" + text
-    inputs, outputs, rows = _INPUT_LINES(text), _OUTPUT_LINES(text), _GATE_LINES(text)
-    if len(inputs) + len(outputs) + len(rows) + len(_BLANK_LINES(text)) != text.count("\n"):
+    inputs, outputs = _INPUT_LINES(text), _OUTPUT_LINES(text)
+    n_gates = text.count("\n") - len(inputs) - len(outputs) - len(_BLANK_LINES(text))
+    rows = _PAIR_LINES(text)
+    if len(rows) != n_gates and len(rows := _GATE_LINES(text)) != n_gates:
         return None  # a line of no shape, or another line break
-    names, kind_toks, firsts, seconds, more = zip(*rows) if rows else ((),) * 5
+    names, kind_toks, firsts, seconds, *more = zip(*rows) if rows else ((),) * 4
     tokens = set(kind_toks)
     # Tokens that are all kinds already are the kind column as written.
     kinds = kind_toks if tokens <= GATE_KINDS else tuple(map(str.upper, kind_toks))
-    if all(seconds) and not any(more):  # every gate has two fan-ins
+    if all(seconds) and not any(chain(*more)):  # every gate has two fan-ins
         pairs = firsts, seconds
         fanins = tuple(zip(firsts, seconds))
         shapes = {(token.upper(), 2) for token in tokens}
     else:
         pairs = None
-        fanins = tuple(map(tuple, map(_find_names, map(" ".join, zip(firsts, seconds, more)))))
+        fanins = tuple(map(tuple, map(_find_names, map(" ".join, zip(firsts, seconds, *more)))))
         shapes = set(zip(kinds, map(len, fanins)))
     for kind, arity in shapes:
         if kind not in GATE_KINDS or _check_arity(kind, arity):
@@ -450,10 +455,11 @@ def _parse_lines(text: str) -> Netlist:
 def parse_bench(text: str) -> Netlist:
     """Parse .bench source into a Netlist, or raise a located BenchParseError.
 
-    Well-formed text whose only line break is "\\n" takes ``_parse_text``,
-    which checks kinds and arities once per distinct (kind, fan-in count)
-    and nets through the slot map. Any other text, and every file with an
-    error, goes through ``_parse_lines``, which locates the first error.
+    Well-formed text whose only line break is "\\n" takes ``_parse_text``:
+    the strict gate-line scan for serialize_bench's spacing, else the general
+    one, then kind and arity checks per distinct (kind, fan-in count) and
+    nets through the slot map. Other text, and every file with an error,
+    goes through ``_parse_lines``, which locates the first error.
     """
     netlist = _parse_text(text)
     return _parse_lines(text) if netlist is None else netlist
@@ -686,7 +692,7 @@ def _input_vectors(names: tuple[str, ...], mode: str, count, seed):
 
     if count * n > _MAX_RANDOM_CELLS:
         raise UsageError(
-            f"{count} random vectors of {n} inputs are {count * n} bits, "
+            f"{_shown(count)} random vectors of {n} inputs are {_shown(count * n)} bits, "
             f"more than {_MAX_RANDOM_CELLS}"
         )
 

@@ -36,6 +36,7 @@ from .errors import (
     NotCamouflageableError,
     SignatureMismatchError,
     UsageError,
+    _shown,
 )
 from .gates import (
     _ASSIGNMENTS,
@@ -68,7 +69,7 @@ def _check_ph_pair(ph_low: float, ph_high: float, where: str) -> None:
     """DomainError unless ph_low < ph_high, both inside [0, 14]."""
     if not ph_low < ph_high:
         raise DomainError(
-            f"{where}: ph_low ({ph_low!r}) must be below ph_high ({ph_high!r})"
+            f"{where}: ph_low ({_shown(ph_low)}) must be below ph_high ({_shown(ph_high)})"
         )
     _check_ph(ph_low)
     _check_ph(ph_high)
@@ -352,7 +353,7 @@ def camouflage(
         chosen = selected.values()
     else:
         if not 0 <= fraction <= 1:
-            raise UsageError(f"fraction must lie in [0, 1], got {fraction!r}")
+            raise UsageError(f"fraction must lie in [0, 1], got {_shown(fraction)}")
         shapes = zip(kinds, map(len, fanins))
         eligible = list(compress(count(), map(_CAMO_SHAPES.__contains__, shapes)))
         rng = random.Random(seed)
@@ -604,7 +605,7 @@ def verify_equivalence(
         )
     if mode == "random" and not (_is_count(n_vectors) and n_vectors > 0):
         need = "positive" if n_vectors is None or _is_count(n_vectors) else "an int"
-        raise UsageError(f"n_vectors must be {need}, got {n_vectors!r}")
+        raise UsageError(f"n_vectors must be {need}, got {_shown(n_vectors)}")
     if mode not in ("exhaustive", "random"):
         raise UsageError(f"unknown equivalence mode {mode!r}")
     total, input_words, vector = _input_vectors(a.inputs, mode, n_vectors, seed)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PhRangeError, UsageError
+from .errors import PhRangeError, UsageError, _shown
 
 PH_MIN = 0.0
 PH_MAX = 14.0
@@ -29,7 +29,7 @@ def _check_positive(name: str, value) -> None:
     """UsageError unless value is a finite number above zero: NaN, inf and
     an int past the largest float (an OverflowError in math.isfinite) fail."""
     if not 0 < value <= sys.float_info.max:
-        raise UsageError(f"{name} must be positive and finite, got {value!r}")
+        raise UsageError(f"{name} must be positive and finite, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,12 @@ class IsfetParams:
         _check_positive("vdd", self.vdd)
         if not 0 <= self.sensitivity <= sys.float_info.max:
             raise UsageError(
-                f"sensitivity must be non-negative and finite, got {self.sensitivity!r}"
+                f"sensitivity must be non-negative and finite, got {_shown(self.sensitivity)}"
             )
         _check_ph(self.ph_ref)
         if not 0 < self.vth0 < self.vdd:
             raise UsageError(
-                f"vth0 must lie inside (0, vdd), got {self.vth0!r} with vdd {self.vdd!r}"
+                f"vth0 must lie inside (0, vdd), got {_shown(self.vth0)} with vdd {self.vdd!r}"
             )
 
 
@@ -70,7 +70,7 @@ class BiasPoint:
 
     def __post_init__(self):
         if self.v_ds < 0:
-            raise UsageError(f"v_ds must be non-negative, got {self.v_ds!r}")
+            raise UsageError(f"v_ds must be non-negative, got {_shown(self.v_ds)}")
         _check_ph(self.ph)
 
 
@@ -113,7 +113,7 @@ def iv_sweep(params: IsfetParams, v_gs_values, v_ds: float, ph_values) -> np.nda
     if not np.all(np.isfinite(grid)):
         raise UsageError("v_gs grid must be finite")
     if not (v_ds >= 0 and math.isfinite(v_ds)):
-        raise UsageError(f"v_ds must be non-negative and finite, got {v_ds!r}")
+        raise UsageError(f"v_ds must be non-negative and finite, got {_shown(v_ds)}")
     diffs = np.diff(grid)
     if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise UsageError("v_gs grid must be strictly monotone")

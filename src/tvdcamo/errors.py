@@ -5,6 +5,18 @@ hit a modeling or data constraint; CLI exit code 1) and ``UsageError`` (the
 request itself was malformed; CLI exit code 2).
 """
 
+import math
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or the digit count of an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        k = int(math.log10(abs(value)))  # one off at worst, near a power of ten
+        digits = k + 1 + (abs(value) >= 10 ** (k + 1)) - (abs(value) < 10**k)
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
 
 class TvdCamoError(Exception):
     """Base class for all toolkit errors."""
@@ -23,7 +35,7 @@ class PhRangeError(DomainError):
 
     def __init__(self, ph):
         self.ph = ph
-        super().__init__(f"pH {ph!r} outside the valid range [0, 14]")
+        super().__init__(f"pH {_shown(ph)} outside the valid range [0, 14]")
 
 
 class UnresolvableGateError(DomainError):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels
 from .device import IsfetParams, _check_positive, _write_csv, vth_from_ph
-from .errors import SimulationError, UsageError
+from .errors import SimulationError, UsageError, _shown
 from .gates import SERIES_K_FACTOR, GatePhProgram, branch_current, minterm_index
 
 
@@ -77,7 +77,7 @@ def check_supply(params: IsfetParams, cfg: SimConfig) -> None:
     bounds = {"trip": cfg.trip_at(vdd), "resolve_margin": cfg.resolve_margin, "pmos_vth": PMOS_VTH}
     for name, value in bounds.items():
         if not 0 < value < vdd:
-            raise UsageError(f"{name} must lie inside (0, vdd), got {value!r}")
+            raise UsageError(f"{name} must lie inside (0, vdd), got {_shown(value)}")
 
 
 @dataclass

@@ -3,6 +3,7 @@ import random
 import re
 from itertools import product
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -339,6 +340,87 @@ class TestWholeTextParse:
         original = parse_bench("\n".join(lines))
         assert tuple(original._order) == tuple(range(2000))
         assert verify_equivalence(shuffled, original).equivalent
+
+
+# Edits of one gate line of serialize_bench's text that leave it in that
+# spacing, so the strict gate scan still reads it, and edits that take it
+# out, so the general scan must.
+_IN_SPACING = {
+    "lowercase kind": lambda line: re.sub(r"= (\w+)\(", lambda m: f"= {m[1].lower()}(", line),
+    "CAMO kind": lambda line: re.sub(r"= \w+\(", "= CAMO(", line),
+}
+_OFF_SPACING = {
+    "double space": lambda line: line.replace(" = ", "  = ", 1),
+    "tab": lambda line: line.replace(" = ", "\t= ", 1),
+    "trailing comment": lambda line: line + " # note",
+    "NOT gate": lambda line: re.sub(r"= \w+\((\w+), \w+\)", r"= NOT(\1)", line),
+    "3-input gate": lambda line: line.replace(")", ", i0)"),
+    "no space after the comma": lambda line: line.replace(", ", ","),
+}
+
+
+@st.composite
+def _near_canonical_bench(draw):
+    """Text in serialize_bench's spacing, from dag_text or serialize_bench,
+    with drawn near misses: up to three line edits, the gate g0 renamed
+    INPUT, CRLF line breaks and no final line break."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        text = dag_text(rng, draw(st.integers(2, 12)), draw(st.integers(1, 40)))
+    else:
+        text = serialize_bench(random_netlist(rng, max_gates=12, unary_weight=0, wide_weight=0))
+    lines = text.splitlines()
+    at = [k for k, line in enumerate(lines) if " = " in line]
+    edits = {**_IN_SPACING, **_OFF_SPACING}
+    for edit in draw(st.lists(st.sampled_from(sorted(edits)), max_size=3)):
+        k = draw(st.sampled_from(at))
+        lines[k] = edits[edit](lines[k])
+    if draw(st.booleans()):
+        lines = [re.sub(r"\bg0\b", "INPUT", line) for line in lines]
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    return sep.join(lines) + draw(st.sampled_from([sep, ""]))
+
+
+class TestCanonicalGateScan:
+    """``_parse_text`` reads 2-input gate lines in serialize_bench's spacing
+    with the strict ``_PAIR_LINES`` scan and runs ``_GATE_LINES`` only when a
+    gate line is in no such spacing; both give the netlist of the general
+    scan alone."""
+
+    @given(text=_near_canonical_bench())
+    @settings(max_examples=300, deadline=None)
+    def test_strict_scan_parses_like_the_general_scan(self, text):
+        assert _parse_outcome(parse_bench, text) == _parse_outcome(reference_parse_bench, text)
+        fast = bench._parse_text(text)
+        with mock.patch.object(bench, "_PAIR_LINES", lambda text: []):
+            general = bench._parse_text(text)
+        assert (fast is None) == (general is None)
+        if fast is not None:
+            assert fast == general
+            assert (fast._fanin, fast._out_slots) == (general._fanin, general._out_slots)
+            assert tuple(fast._order) == tuple(general._order)
+
+    def test_general_scan_runs_once_for_a_line_off_the_spacing(self, monkeypatch):
+        calls = []
+        general = bench._GATE_LINES
+        monkeypatch.setattr(bench, "_GATE_LINES", lambda text: calls.append(text) or general(text))
+        text = dag_text(random.Random(11), 20, 200)
+        original = reference_parse_bench(text)
+        camo, _ = camouflage(original, fraction=0.1, seed=11)
+        for canonical in (text, serialize_bench(original), serialize_bench(camo)):
+            assert parse_bench(canonical) == reference_parse_bench(canonical)
+        assert calls == []
+        lines = text.splitlines()
+        k = next(k for k, line in enumerate(lines) if " = " in line)
+        edits = {**_IN_SPACING, **_OFF_SPACING, "CRLF": lambda line: line + "\r"}
+        for edit, change in edits.items():
+            calls.clear()
+            edited = "\n".join([*lines[:k], change(lines[k]), *lines[k + 1 :]]) + "\n"
+            got = parse_bench(edited)
+            assert got == reference_parse_bench(edited), edit
+            assert len(calls) == (edit not in _IN_SPACING), edit
+            # Only the stray "\r" sends the text line by line.
+            assert (bench._parse_text(edited) is None) == (edit == "CRLF"), edit
 
 
 class TestSlotForm:

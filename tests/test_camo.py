@@ -75,6 +75,12 @@ class TestCamouflage:
         assert len(camo.camo_gates) == 6
         assert len(cfg.gates) == 6
 
+    @pytest.mark.parametrize("sign, named", [(1, "an int"), (-1, "a negative int")])
+    def test_fraction_too_long_to_print_is_named_by_its_digits(self, c17, sign, named):
+        with pytest.raises(UsageError) as exc:
+            camouflage(c17, fraction=sign * 10**5000)
+        assert str(exc.value) == f"fraction must lie in [0, 1], got {named} of 5001 digits"
+
     def test_fraction_selection_deterministic(self, c17):
         a1, c1 = camouflage(c17, fraction=0.5, seed=11)
         a2, c2 = camouflage(c17, fraction=0.5, seed=11)
@@ -294,6 +300,16 @@ class TestConfigJson:
         with pytest.raises(DomainError) as exc:
             CamoGateSpec(name, TruthTable2.XOR, assignment_for(TruthTable2.XOR), 2.0, 10.0)
         assert str(exc.value) == f"gate name must be a string, got {name!r}"
+
+    @pytest.mark.parametrize("low, high, message", [
+        (10**5000, 10.0, "gate 'x': ph_low (an int of 5001 digits) must be below ph_high (10.0)"),
+        (-(10**5000), 10.0, "pH a negative int of 5001 digits outside the valid range [0, 14]"),
+        (2.0, 10**5000, "pH an int of 5001 digits outside the valid range [0, 14]"),
+    ], ids=["low", "-low", "high"])
+    def test_spec_ph_too_long_to_print_is_named_by_its_digits(self, low, high, message):
+        with pytest.raises(DomainError) as exc:
+            CamoGateSpec("x", TruthTable2.XOR, assignment_for(TruthTable2.XOR), low, high)
+        assert str(exc.value) == message
 
     def test_exact_key_names(self, c17):
         _, cfg = camouflage(c17, gates=["16"])
@@ -1102,6 +1118,11 @@ class TestVerifyMiter:
         ("kahn", {"mode": "random", "n_vectors": 10,
                   "bindings": {"w": TruthTable2.AND, "y": TruthTable2.OR, "x": "AND"}},
          UsageError, "gate 'x' bound to 'AND', not a TruthTable2"),
+        # Ints too long to print are named by their digit counts.
+        (True, {"mode": "random", "n_vectors": -(10**5000)}, UsageError,
+         "n_vectors must be positive, got a negative int of 5001 digits"),
+        (True, {"mode": "random", "n_vectors": 10**5000}, UsageError,
+         "an int of 5001 digits random vectors of 25 inputs are an int of 5002 digits bits"),
     ])
     def test_error_order(self, monkeypatch, pair, kwargs, error, message):
         def fail(seed):

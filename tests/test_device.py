@@ -17,7 +17,7 @@ from tvdcamo.device import (
     vth_from_ph,
     write_sweep_csv,
 )
-from tvdcamo.errors import PhRangeError, UsageError
+from tvdcamo.errors import PhRangeError, TvdCamoError, UsageError, _shown
 
 DEFAULTS = IsfetParams()
 
@@ -172,6 +172,35 @@ class TestParamsValidation:
         with pytest.raises(UsageError) as exc:
             IsfetParams(**{key: 10**400})
         assert str(exc.value) == f"{key} must be {bound} and finite, got {10**400}"
+
+    @pytest.mark.parametrize("key", ["k_gain", "vdd", "sensitivity", "vth0", "ph_ref"])
+    @pytest.mark.parametrize("sign, named", [(1, "an int"), (-1, "a negative int")])
+    def test_int_too_long_to_print_is_named_by_its_digits(self, key, sign, named):
+        # repr() of an int past sys.get_int_max_str_digits() (4300 by
+        # default) raises ValueError, so the message gives its digit count.
+        with pytest.raises(TvdCamoError) as exc:
+            IsfetParams(**{key: sign * 10**5000})
+        message = str(exc.value)
+        assert f"got {named} of 5001 digits" in message or (
+            message == f"pH {named} of 5001 digits outside the valid range [0, 14]"
+        )
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("k", [4301, 4302, 5000, 9999, 22000])
+    def test_digit_count_next_to_a_power_of_ten(self, k):
+        # Where the float log10 may round across an integer.
+        for value, digits in ((10**k, k + 1), (10**k - 1, k), (10**k + 1, k + 1)):
+            assert _shown(value) == f"an int of {digits} digits"
+            assert _shown(-value) == f"a negative int of {digits} digits"
+
+    def test_v_ds_too_long_to_print_is_named_by_its_digits(self):
+        message = "v_ds must be non-negative{}, got a negative int of 5001 digits"
+        with pytest.raises(UsageError) as exc:
+            BiasPoint(v_gs=1.0, v_ds=-(10**5000), ph=7.0)
+        assert str(exc.value) == message.format("")
+        with pytest.raises(UsageError) as exc:
+            iv_sweep(IsfetParams(), [0.0, 1.0], -(10**5000), [2.0])
+        assert str(exc.value) == message.format(" and finite")
 
     def test_negative_v_ds(self):
         with pytest.raises(UsageError):

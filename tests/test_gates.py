@@ -134,6 +134,15 @@ class TestGatePhProgram:
                 GatePhProgram(ph_low=low, ph_high=high, assignment=assignment_for(TruthTable2.XOR))
             assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize(
+        "low, high", [(10**5000, 10.0), (2.0, 10**5000), (-(10**5000), 10.0)], ids=["low", "high", "-low"]
+    )
+    def test_int_too_long_to_print_is_named_by_its_digits(self, low, high):
+        with pytest.raises(PhRangeError) as exc:
+            GatePhProgram(ph_low=low, ph_high=high, assignment=assignment_for(TruthTable2.XOR))
+        digits = "an int" if 10**5000 in (low, high) else "a negative int"
+        assert str(exc.value) == f"pH {digits} of 5001 digits outside the valid range [0, 14]"
+
     def test_inverted_ph_pair_rejected(self):
         with pytest.raises(DomainError):
             GatePhProgram(ph_low=10.0, ph_high=2.0, assignment=assignment_for(TruthTable2.XOR))

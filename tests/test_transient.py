@@ -174,6 +174,11 @@ class TestSimConfig:
         with pytest.raises(UsageError):
             transient.check_supply(PARAMS, SimConfig(trip=2.0))
 
+    def test_trip_too_long_to_print_is_named_by_its_digits(self):
+        with pytest.raises(UsageError) as exc:
+            transient.check_supply(PARAMS, SimConfig(trip=10**5000))
+        assert str(exc.value) == "trip must lie inside (0, vdd), got an int of 5001 digits"
+
     def test_bad_margin_rejected(self):
         with pytest.raises(UsageError):
             transient.check_supply(PARAMS, SimConfig(resolve_margin=0.0))
