@@ -29,7 +29,7 @@ from .bench import (
     _slot_program,
     eval_vectors,  # noqa: F401  (perfbench/test_perfbench.py reads camo.eval_vectors)
 )
-from .device import IsfetParams, _check_ph
+from .device import _NUMBER_TYPES, IsfetParams, _check_ph, _number
 from .errors import (
     CoverageError,
     DomainError,
@@ -53,8 +53,6 @@ KIND_TO_FUNCTION = {
     kind: TruthTable2(op) for kind, op in _KIND_OPS.items() if kind not in UNARY_KINDS
 }
 FUNCTION_TO_KIND = {f: k for k, f in KIND_TO_FUNCTION.items()}
-# The (kind, fan-in count) of every gate that _eligible admits.
-_CAMO_SHAPES = frozenset((kind, 2) for kind in KIND_TO_FUNCTION)
 
 EXHAUSTIVE_INPUT_LIMIT = 24
 # Words per evaluation pass: 2048 words are 131072 vectors, 16 KiB per net
@@ -66,8 +64,8 @@ _CHUNK_WORDS = 2048
 
 
 def _check_ph_pair(ph_low: float, ph_high: float, where: str) -> None:
-    """DomainError unless ph_low < ph_high, both inside [0, 14]."""
-    if not ph_low < ph_high:
+    """DomainError unless ph_low < ph_high inside [0, 14]; UsageError for a non-number."""
+    if not _number("ph_low", ph_low) < _number("ph_high", ph_high):
         raise DomainError(
             f"{where}: ph_low ({_shown(ph_low)}) must be below ph_high ({_shown(ph_high)})"
         )
@@ -88,12 +86,12 @@ class CamoGateSpec:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise DomainError(f"gate name must be a string, got {self.name!r}")
+        _check_ph_pair(self.ph_low, self.ph_high, f"gate {self.name!r}")
         if self.assignment != assignment_for(self.function):
             raise DomainError(
                 f"gate {self.name!r}: assignment does not realize "
                 f"{self.function.name}"
             )
-        _check_ph_pair(self.ph_low, self.ph_high, f"gate {self.name!r}")
 
     @classmethod
     def _unchecked(cls, name, function, assignment, ph_low, ph_high) -> "CamoGateSpec":
@@ -167,12 +165,6 @@ class CamoConfig:
                 raise DomainError(
                     f"camouflage config params: missing or unknown keys {sorted(odd)}"
                 )
-            for key in doc["params"]:
-                value = doc["params"][key]  # a TypeError if params is a list
-                if value.__class__ not in _NUMBER_TYPES:
-                    raise DomainError(
-                        f"camouflage config params: {key} must be an int or a float, got {value!r}"
-                    )
             try:
                 params = IsfetParams(**doc["params"])
             except UsageError as exc:
@@ -187,8 +179,8 @@ class CamoConfig:
                     name, ph_low, ph_high = entry["name"], entry["ph_low"], entry["ph_high"]
                 except (KeyError, TypeError):
                     row = None
-                # A bool or float function_bits finds its value's row, and a
-                # name may be any JSON value: the key-by-key path rejects both.
+                # A bool or float function_bits finds its value's row and a bool
+                # pH its int's checked pair: the key-by-key path rejects them.
                 if (
                     row is None
                     or entry["function_bits"].__class__ is not int
@@ -209,11 +201,6 @@ class CamoConfig:
         return cls(params=params, gates=tuple(gates))
 
 
-# The types of a pH or params value that from_json accepts. A bool is an
-# int but no number, and (True, 10) would find the checked pH pair (1, 10).
-_NUMBER_TYPES = frozenset({int, float})
-
-
 def _decode_gate(entry) -> CamoGateSpec:
     """One ``gates`` entry of a config document, read key by key."""
     bits = entry["function_bits"]
@@ -231,19 +218,16 @@ def _decode_gate(entry) -> CamoGateSpec:
     if name.__class__ is not str:
         raise DomainError(f"gate name must be a string, got {name!r}")
     assignment = BranchAssignment(tuple(entry["assignment"]))
-    ph_low, ph_high = entry["ph_low"], entry["ph_high"]
-    for key, value in (("ph_low", ph_low), ("ph_high", ph_high)):
-        if value.__class__ not in _NUMBER_TYPES:
-            raise DomainError(
-                f"gate {name!r}: {key} must be an int or a float, got {value!r}"
-            )
-    return CamoGateSpec(name, function, assignment, ph_low, ph_high)
+    try:
+        return CamoGateSpec(name, function, assignment, entry["ph_low"], entry["ph_high"])
+    except UsageError as exc:  # a pH that is no number
+        raise DomainError(f"gate {name!r}: {exc}") from exc
 
 
 def _json_leaf(value, depth: int) -> str:
     """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at
-    ``depth`` levels of indent. Strings, finite floats, ints and bools are
-    written directly; any other type goes through the ``json`` encoder."""
+    ``depth`` levels of indent. Strings, finite floats and ints are written
+    directly; any other type goes through the ``json`` encoder."""
     cls = value.__class__
     if cls is str:
         return encode_basestring_ascii(value)
@@ -251,8 +235,6 @@ def _json_leaf(value, depth: int) -> str:
         return float.__repr__(value)
     if cls is int:
         return int.__repr__(value)
-    if cls is bool:
-        return "true" if value else "false"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
@@ -281,7 +263,7 @@ _GATE_HEAD = """\
 # One row per function, indexed by truth-table value.
 _FUNCTION_ROWS = tuple(
     _FunctionRow(f, a, _GATE_HEAD.format(
-        *[_json_leaf(flag, 4) for flag in a.lvt_on_out_side], int(f), _json_leaf(f.name, 3)
+        *map(json.dumps, a.lvt_on_out_side), int(f), _json_leaf(f.name, 3)
     ))
     for f, a in zip(TruthTable2, _ASSIGNMENTS)
 )
@@ -295,7 +277,7 @@ _ENTRY_ROWS = {
 
 def _eligible(kind: str, n_fanin: int) -> str | None:
     """Why a gate of this kind and fan-in count cannot be camouflaged, or None."""
-    if (kind, n_fanin) in _CAMO_SHAPES:
+    if n_fanin == 2 and kind in KIND_TO_FUNCTION:
         return None
     if kind not in KIND_TO_FUNCTION:
         return f"kind {kind} has no camouflaged equivalent"
@@ -323,11 +305,12 @@ def camouflage(
     if (gates is None) == (fraction is None):
         raise UsageError("specify exactly one of gates= or fraction=")
     _check_ph_pair(ph_low, ph_high, "camouflage")
-    # The pair programs every selected gate alike. Raises
-    # UnresolvableGateError if its two branches draw equal current at full
-    # drive (as at zero sensitivity) or a non-finite one (an overflow).
+    # The pair programs every selected gate alike. UnresolvableGateError if
+    # its branches draw equal current at full drive (as at zero sensitivity)
+    # or a non-finite one (an overflow, silent for np.float64 params too).
     program = GatePhProgram(ph_low, ph_high, assignment_for(TruthTable2.FALSE))
-    evaluate_static(program, params, 0, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluate_static(program, params, 0, 0)
 
     if "CAMO" in n._kinds:
         raise NotCamouflageableError(
@@ -352,10 +335,11 @@ def camouflage(
             selected[name] = k
         chosen = selected.values()
     else:
-        if not 0 <= fraction <= 1:
+        if not 0 <= _number("fraction", fraction) <= 1:
             raise UsageError(f"fraction must lie in [0, 1], got {_shown(fraction)}")
-        shapes = zip(kinds, map(len, fanins))
-        eligible = list(compress(count(), map(_CAMO_SHAPES.__contains__, shapes)))
+        eligible = [
+            k for k, fanin in enumerate(fanins) if len(fanin) == 2 and kinds[k] in KIND_TO_FUNCTION
+        ]
         rng = random.Random(seed)
         chosen = rng.sample(eligible, round(fraction * len(eligible)))
 

@@ -20,16 +20,27 @@ PH_MAX = 14.0
 NERNST_SENSITIVITY = 0.059
 
 
-def _check_ph(ph):
-    if not PH_MIN <= ph <= PH_MAX:
+# The classes of a number and their subclasses (np.float64); a bool is no number.
+_NUMBER_TYPES = (int, float)
+
+
+def _number(name: str, value, bound: str = "") -> float:
+    """``value`` as a float, an int past the largest float as ±inf. UsageError for a bool,
+    a non-number and, given ``bound`` ("positive", "non-negative"), one not finite or out of it."""
+    if value.__class__ is bool or not isinstance(value, _NUMBER_TYPES):
+        raise UsageError(f"{name} must be an int or a float, got {_shown(value)}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if bound and not ((x > 0 if bound == "positive" else x >= 0) and x <= sys.float_info.max):
+        raise UsageError(f"{name} must be {bound} and finite, got {_shown(value)}")
+    return x
+
+
+def _check_ph(ph, name: str = "pH") -> None:
+    if not PH_MIN <= _number(name, ph) <= PH_MAX:
         raise PhRangeError(ph)
-
-
-def _check_positive(name: str, value) -> None:
-    """UsageError unless value is a finite number above zero: NaN, inf and
-    an int past the largest float (an OverflowError in math.isfinite) fail."""
-    if not 0 < value <= sys.float_info.max:
-        raise UsageError(f"{name} must be positive and finite, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -47,14 +58,14 @@ class IsfetParams:
     vdd: float = field(default=1.8, metadata={"help": "supply rail, V"})
 
     def __post_init__(self):
-        _check_positive("k_gain", self.k_gain)
-        _check_positive("vdd", self.vdd)
-        if not 0 <= self.sensitivity <= sys.float_info.max:
-            raise UsageError(
-                f"sensitivity must be non-negative and finite, got {_shown(self.sensitivity)}"
-            )
-        _check_ph(self.ph_ref)
-        if not 0 < self.vth0 < self.vdd:
+        # Every class first, in a config's (sorted) key order, as its reader reports them.
+        for key in ("k_gain", "ph_ref", "sensitivity", "vdd", "vth0"):
+            _number(key, getattr(self, key))
+        _number("k_gain", self.k_gain, "positive")
+        vdd = _number("vdd", self.vdd, "positive")
+        _number("sensitivity", self.sensitivity, "non-negative")
+        _check_ph(self.ph_ref, "ph_ref")
+        if not 0 < _number("vth0", self.vth0) < vdd:
             raise UsageError(
                 f"vth0 must lie inside (0, vdd), got {_shown(self.vth0)} with vdd {self.vdd!r}"
             )
@@ -69,9 +80,10 @@ class BiasPoint:
     ph: float  # solution pH
 
     def __post_init__(self):
-        if self.v_ds < 0:
+        _number("v_gs", self.v_gs)
+        if _number("v_ds", self.v_ds) < 0:
             raise UsageError(f"v_ds must be non-negative, got {_shown(self.v_ds)}")
-        _check_ph(self.ph)
+        _check_ph(self.ph, "ph")
 
 
 def vth_from_ph(params: IsfetParams, ph: float) -> float:
@@ -103,7 +115,7 @@ def iv_sweep(params: IsfetParams, v_gs_values, v_ds: float, ph_values) -> np.nda
     v_ds finite and non-negative. Each i_ds is bit for bit ``ids`` of its row.
     """
     grid = np.asarray(v_gs_values, dtype=np.float64)
-    phs = [float(p) for p in ph_values]
+    phs = list(ph_values)
     if grid.ndim != 1:
         raise UsageError("v_gs grid must be one-dimensional")
     if not grid.size:
@@ -112,8 +124,7 @@ def iv_sweep(params: IsfetParams, v_gs_values, v_ds: float, ph_values) -> np.nda
         raise UsageError("pH list is empty")
     if not np.all(np.isfinite(grid)):
         raise UsageError("v_gs grid must be finite")
-    if not (v_ds >= 0 and math.isfinite(v_ds)):
-        raise UsageError(f"v_ds must be non-negative and finite, got {_shown(v_ds)}")
+    _number("v_ds", v_ds, "non-negative")
     diffs = np.diff(grid)
     if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise UsageError("v_gs grid must be strictly monotone")
@@ -122,7 +133,7 @@ def iv_sweep(params: IsfetParams, v_gs_values, v_ds: float, ph_values) -> np.nda
 
     # The operations of ids(), in its order, so every row is bit-identical;
     # like its Python floats, they overflow to inf or nan without a warning.
-    ph = np.array(phs)
+    ph = np.array(phs, dtype=np.float64)
     v_gs = np.repeat(grid, len(phs))
     with np.errstate(over="ignore", invalid="ignore"):
         vth = params.vth0 + params.sensitivity * (ph - params.ph_ref)

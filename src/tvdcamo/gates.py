@@ -139,8 +139,8 @@ class GatePhProgram:
     assignment: BranchAssignment
 
     def __post_init__(self):
-        _check_ph(self.ph_low)
-        _check_ph(self.ph_high)
+        _check_ph(self.ph_low, "ph_low")
+        _check_ph(self.ph_high, "ph_high")
         if self.ph_low > self.ph_high:
             raise DomainError(
                 f"ph_low ({self.ph_low!r}) must not exceed ph_high ({self.ph_high!r})"

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels
-from .device import IsfetParams, _check_positive, _write_csv, vth_from_ph
+from .device import IsfetParams, _number, _write_csv, vth_from_ph
 from .errors import SimulationError, UsageError, _shown
 from .gates import SERIES_K_FACTOR, GatePhProgram, branch_current, minterm_index
 
@@ -44,19 +44,23 @@ class SimConfig:
     )
 
     def __post_init__(self):
-        for name in ("clock_freq", "c_node", "dt"):
-            _check_positive(name, getattr(self, name))
-        if self.dt > self.period / 100:
+        # Python floats, so steps may be inf where np.float64 would warn.
+        freq, _, dt = (
+            _number(name, getattr(self, name), "positive") for name in ("clock_freq", "c_node", "dt")
+        )
+        if dt > 1 / freq / 100:
             raise UsageError(
                 f"dt {self.dt!r} too coarse for clock period {self.period!r}"
             )
-        # Checked as a float, which may be inf, before n_steps rounds it.
-        steps = self.period / self.dt
+        steps = 1 / freq / dt
         if steps > _MAX_STEPS + 0.5:
             raise UsageError(
                 f"one clock period takes {steps:.3e} steps of dt, more than "
                 f"{_MAX_STEPS}; raise --clock-freq or --dt"
             )
+        if self.trip is not None:
+            _number("trip", self.trip)
+        _number("resolve_margin", self.resolve_margin)
 
     @property
     def period(self) -> float:

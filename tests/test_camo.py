@@ -116,7 +116,7 @@ class TestCamouflage:
             if (kind in unary) != (n_fanin == 1):
                 continue
             problem = camo_module._eligible(kind, n_fanin)
-            assert (problem is None) == ((kind, n_fanin) in camo_module._CAMO_SHAPES)
+            assert (problem is None) == (n_fanin == 2 and kind in camo_module.KIND_TO_FUNCTION)
             n = Netlist(inputs, ["y"], [Gate("y", kind, tuple(inputs))])
             if problem is None:
                 assert camouflage(n, gates=["y"])[0].camo_gates == ("y",)

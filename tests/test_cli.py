@@ -6,6 +6,7 @@ import json
 import os
 import random
 import tempfile
+import tracemalloc
 import warnings
 from itertools import product
 from pathlib import Path
@@ -208,6 +209,22 @@ class TestSweepCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "rows" in err and "10000000" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("n_grid", [10**5, 1])
+    def test_sweep_peak_memory_scaled_to_the_ceiling_stays_in_its_figure(self, n_grid):
+        # 10**5 rows as one pH or one v_gs, the costliest shapes a row; the
+        # _MAX_SWEEP_ROWS comment budgets under 1 GB at the ceiling. numpy
+        # reports its buffers to tracemalloc.
+        rows = 10**5
+        grid = np.linspace(0.0, 1.8, n_grid)
+        phs = np.linspace(0.0, 14.0, rows // n_grid).tolist()
+        tracemalloc.start()
+        try:
+            iv_sweep(IsfetParams(), grid, 0.1, phs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak * cli._MAX_SWEEP_ROWS / rows < 1e9
 
 
 class TestDeriveTable:
