@@ -513,17 +513,17 @@ _WORD_OPS = (
 
 
 def _bound_op(name: str, bindings) -> int:
-    """The op of the one function that ``bindings`` binds CAMO gate ``name`` to."""
+    """The op of the one function that ``bindings`` binds CAMO gate ``name`` to:
+    a ``TruthTable2``, or an int in 0..15 that is not a bool."""
     if bindings is None or name not in bindings:
         raise UnprogrammedGateError(f"unprogrammed camouflaged gate {name!r}")
     bound = bindings[name]
     if bound.__class__ is TruthTable2:
         return bound._value_
-    try:
-        return int(TruthTable2(bound))
-    except ValueError:
-        value = "per-lane masks" if isinstance(bound, tuple) else repr(bound)
-        raise UsageError(f"gate {name!r} bound to {value}, not a TruthTable2") from None
+    if _is_count(bound) and 0 <= bound <= 15:
+        return int(bound)
+    value = "per-lane masks" if isinstance(bound, tuple) else _shown(bound)
+    raise UsageError(f"gate {name!r} bound to {value}, not a TruthTable2")
 
 
 def _camo_op(name: str, bindings):
@@ -665,7 +665,7 @@ _MAX_RANDOM_CELLS = 2**28
 
 
 def _is_count(value) -> bool:
-    """Whether ``value`` is an int and not a bool: a vector or query count."""
+    """Whether ``value`` is an int and not a bool, as a count, seed or binding must be."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -675,9 +675,10 @@ def _input_vectors(names: tuple[str, ...], mode: str, count, seed):
     "exhaustive" mode is every vector in index order, index bit n-1-j on
     input j; "random" is the ``count`` rows of one ``default_rng(seed)`` 0/1
     matrix, drawn on the first ``words`` or ``vector`` call, so a verify
-    whose output pairs all merge draws nothing. ``words(start, n)`` holds
-    words [start, start + n) per input, bits past ``total`` unspecified;
-    ``vector(i)`` is vector i as a tuple.
+    whose output pairs all merge draws nothing. Its ``seed`` is None (fresh
+    entropy) or a non-negative int, checked before anything is drawn.
+    ``words(start, n)`` holds words [start, start + n) per input, bits past
+    ``total`` unspecified; ``vector(i)`` is vector i as a tuple.
     """
     n = len(names)
     if mode == "exhaustive":
@@ -690,6 +691,8 @@ def _input_vectors(names: tuple[str, ...], mode: str, count, seed):
 
         return 1 << n, words, vector
 
+    if seed is not None and not (_is_count(seed) and seed >= 0):
+        raise UsageError(f"seed must be a non-negative int, got {_shown(seed)}")
     if count * n > _MAX_RANDOM_CELLS:
         raise UsageError(
             f"{_shown(count)} random vectors of {n} inputs are {_shown(count * n)} bits, "

@@ -305,12 +305,10 @@ def camouflage(
     if (gates is None) == (fraction is None):
         raise UsageError("specify exactly one of gates= or fraction=")
     _check_ph_pair(ph_low, ph_high, "camouflage")
-    # The pair programs every selected gate alike. UnresolvableGateError if
-    # its branches draw equal current at full drive (as at zero sensitivity)
-    # or a non-finite one (an overflow, silent for np.float64 params too).
+    # The pair programs every selected gate alike. UnresolvableGateError if its branches
+    # draw equal current at full drive (as at zero sensitivity) or a non-finite one.
     program = GatePhProgram(ph_low, ph_high, assignment_for(TruthTable2.FALSE))
-    with np.errstate(over="ignore", invalid="ignore"):
-        evaluate_static(program, params, 0, 0)
+    evaluate_static(program, params, 0, 0)
 
     if "CAMO" in n._kinds:
         raise NotCamouflageableError(

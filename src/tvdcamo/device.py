@@ -89,21 +89,22 @@ class BiasPoint:
 def vth_from_ph(params: IsfetParams, ph: float) -> float:
     """Threshold voltage at the given solution pH (exactly linear in pH)."""
     _check_ph(ph)
-    return params.vth0 + params.sensitivity * (ph - params.ph_ref)
+    return float(params.vth0) + float(params.sensitivity) * (float(ph) - float(params.ph_ref))
+
+
+def _square_law(k: float, v_ov: float, v_ds: float) -> float:
+    """Drain current at gain k, overdrive v_ov and drain bias v_ds: cutoff, triode or saturation."""
+    if v_ov <= 0.0:
+        return 0.0
+    if v_ds < v_ov:
+        return k * (v_ov * v_ds - 0.5 * v_ds * v_ds)
+    return 0.5 * k * v_ov * v_ov
 
 
 def ids(params: IsfetParams, bias: BiasPoint) -> float:
-    """Drain-source current in amperes for the quadratic device model.
-
-    Cutoff below threshold, quadratic triode for v_ds below the overdrive,
-    and the standard saturation clamp above it. Never negative.
-    """
-    v_ov = bias.v_gs - vth_from_ph(params, bias.ph)
-    if v_ov <= 0.0:
-        return 0.0
-    if bias.v_ds < v_ov:
-        return params.k_gain * (v_ov * bias.v_ds - 0.5 * bias.v_ds * bias.v_ds)
-    return 0.5 * params.k_gain * v_ov * v_ov
+    """Drain-source current in amperes for the quadratic device model; never negative."""
+    v_ov = float(bias.v_gs) - vth_from_ph(params, bias.ph)
+    return _square_law(float(params.k_gain), v_ov, _number("v_ds", bias.v_ds))
 
 
 def iv_sweep(params: IsfetParams, v_gs_values, v_ds: float, ph_values) -> np.ndarray:

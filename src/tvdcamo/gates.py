@@ -7,10 +7,10 @@ is a current race between the two conducting branches.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
-from .device import BiasPoint, IsfetParams, _check_ph, ids
+from .device import IsfetParams, _check_ph, _number, _square_law, vth_from_ph
 from .errors import DomainError, UnresolvableGateError, UsageError
 
 # Each pull-down branch stacks two devices in series; collapse the stack into
@@ -147,10 +147,16 @@ class GatePhProgram:
             )
 
 
+def _branch(params: IsfetParams, ph: float) -> tuple[float, float]:
+    """``(k, vth)`` of the one device a pull-down branch's series stack acts as."""
+    return float(params.k_gain) * SERIES_K_FACTOR, vth_from_ph(params, ph)
+
+
 def branch_current(params: IsfetParams, ph: float, v_ds: float) -> float:
-    """Current through one conducting pull-down branch at full gate drive."""
-    series = replace(params, k_gain=params.k_gain * SERIES_K_FACTOR)
-    return ids(series, BiasPoint(v_gs=params.vdd, v_ds=v_ds, ph=ph))
+    """Current through one conducting pull-down branch at full gate drive and
+    drain bias ``v_ds``, which the caller keeps non-negative."""
+    k, vth = _branch(params, ph)
+    return _square_law(k, float(params.vdd) - vth, _number("v_ds", v_ds))
 
 
 def evaluate_static(

@@ -12,9 +12,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels
-from .device import IsfetParams, _number, _write_csv, vth_from_ph
+from .device import IsfetParams, _number, _write_csv
 from .errors import SimulationError, UsageError, _shown
-from .gates import SERIES_K_FACTOR, GatePhProgram, branch_current, minterm_index
+from .gates import GatePhProgram, _branch, branch_current, minterm_index
 
 
 # Most Euler steps one simulated clock period may take: 10**7 steps are
@@ -108,7 +108,7 @@ class GateTrace:
 
 def _race(program: GatePhProgram, params: IsfetParams, cfg: SimConfig):
     """The program's race, ``_kernels.integrate``'s arguments after
-    ``n_total``, with the ``ph_low`` branch on the V_OUT side.
+    ``n_total`` as Python floats, with the ``ph_low`` branch on the V_OUT side.
 
     Minterm m runs this race when ``program.assignment[m]`` is set, else its
     mirror image, the two branches swapped. The kernel treats both nodes
@@ -117,17 +117,10 @@ def _race(program: GatePhProgram, params: IsfetParams, cfg: SimConfig):
     output flips.
     """
     check_supply(params, cfg)
-    k_eff = params.k_gain * SERIES_K_FACTOR
     return (
-        cfg.dt,
-        params.vdd,
-        cfg.c_node,
-        k_eff,
-        vth_from_ph(params, program.ph_low),
-        k_eff,
-        vth_from_ph(params, program.ph_high),
-        params.k_gain,
-        PMOS_VTH,
+        float(cfg.dt), float(params.vdd), float(cfg.c_node),
+        *_branch(params, program.ph_low), *_branch(params, program.ph_high),
+        float(params.k_gain), PMOS_VTH,
     )
 
 

@@ -2,7 +2,7 @@ import json
 import random
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -38,7 +38,7 @@ from tvdcamo.bench import (
     unpack_words,
 )
 from tvdcamo.camo import CamoConfig, CamoGateSpec
-from tvdcamo.device import IsfetParams, vth_from_ph
+from tvdcamo.device import BiasPoint, IsfetParams, vth_from_ph
 from tvdcamo.errors import (
     BenchParseError,
     CycleError,
@@ -732,6 +732,21 @@ def reference_simulate(program, params, cfg, a: int, b: int) -> GateTrace:
         resolve_time=resolve_time,
         eval_start_index=cfg.n_steps // 2,
     )
+
+
+# branch_current as it was before the series stack had one owner: an IsfetParams
+# of the halved gain and a BiasPoint per call, then ids and vth_from_ph of that
+# version, verbatim, computing on the classes of the values given. Kept as the
+# reference for branch_current's differential test.
+def reference_branch_current(params, ph, v_ds):
+    series = replace(params, k_gain=params.k_gain * SERIES_K_FACTOR)
+    bias = BiasPoint(v_gs=params.vdd, v_ds=v_ds, ph=ph)
+    v_ov = bias.v_gs - (series.vth0 + series.sensitivity * (bias.ph - series.ph_ref))
+    if v_ov <= 0.0:
+        return 0.0
+    if bias.v_ds < v_ov:
+        return series.k_gain * (v_ov * bias.v_ds - 0.5 * bias.v_ds * bias.v_ds)
+    return 0.5 * series.k_gain * v_ov * v_ov
 
 
 def reference_evaluate_static(program, params, a: int, b: int) -> int:

@@ -739,6 +739,20 @@ class TestInputVectors:
         with pytest.raises(UsageError):
             _input_vectors(names, "random", 11, 0)
 
+    @pytest.mark.parametrize(
+        "seed", [-1, True, 1.5, "3", np.int64(3), [1, 2]],
+        ids=["negative", "bool", "float", "str", "np.int64", "list"],
+    )
+    def test_random_seed_checked_before_drawing(self, seed):
+        names = ("i0", "i1")
+        with pytest.raises(UsageError) as exc:
+            _input_vectors(names, "random", 10, seed)
+        assert str(exc.value) == f"seed must be a non-negative int, got {seed!r}"
+        # Exhaustive mode ignores the seed; None draws from fresh entropy.
+        assert _input_vectors(names, "exhaustive", 10, seed)[0] == 4
+        total, _, vector = _input_vectors(names, "random", 10, None)
+        assert total == 10 and set(vector(9)) <= {0, 1}
+
     @pytest.mark.parametrize("seed", range(6))
     def test_verify_and_attack_draw_the_same_rows(self, seed):
         # a and b differ only where all four inputs are 1, so verify stops at

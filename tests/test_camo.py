@@ -48,6 +48,7 @@ from tvdcamo.errors import (
     UnprogrammedGateError,
     UnresolvableGateError,
     UsageError,
+    _shown,
 )
 from tvdcamo.gates import BranchAssignment, TruthTable2, assignment_for
 
@@ -1473,7 +1474,11 @@ class TestSlotPairedMiter:
 
 
 class TestMalformedBindings:
-    @pytest.mark.parametrize("value", [99, None, "AND"])
+    @pytest.mark.parametrize(
+        "value",
+        [99, None, "AND", True, 1.0, np.int64(1), 10**5000],
+        ids=["99", "None", "AND", "True", "1.0", "np.int64", "huge int"],
+    )
     def test_every_entry_point_names_the_gate_and_value(self, c17, value):
         camo, _ = camouflage(c17, gates=["16"])
         bad = {"16": value}
@@ -1490,7 +1495,7 @@ class TestMalformedBindings:
             with pytest.raises(UsageError) as exc:
                 call()
             assert type(exc.value) is UsageError
-            assert str(exc.value) == f"gate '16' bound to {value!r}, not a TruthTable2"
+            assert str(exc.value) == f"gate '16' bound to {_shown(value)}, not a TruthTable2"
 
     def test_verify_rejects_per_lane_masks(self, c17):
         camo, _ = camouflage(c17, gates=["16"])

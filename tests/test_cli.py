@@ -851,6 +851,49 @@ class TestExitCodes:
         assert "1000000000000 random vectors of 5 inputs" in err and str(2**28) in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("case", ["verify", "merged verify", "attack"])
+    def test_negative_random_seed_is_usage_error(self, tmp_path, capsys, c17_file, case):
+        # Checked before any vector is drawn: also when every output pair of
+        # a verify merges, which draws none.
+        (tmp_path / "t.bench").write_text("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n")
+        (tmp_path / "u.bench").write_text("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = OR(a, b)\n")
+        (tmp_path / "wire.bench").write_text("INPUT(a)\nOUTPUT(a)\n")
+        run(["camouflage", str(c17_file), "--gates", "16", "-o", str(tmp_path)], capsys)
+        head = {
+            "verify": ["verify", str(tmp_path / "t.bench"), str(tmp_path / "u.bench")],
+            "merged verify": ["verify", str(tmp_path / "wire.bench"), str(tmp_path / "wire.bench")],
+            "attack": ["attack", str(tmp_path / "camo.bench"), "--config",
+                       str(tmp_path / "camo_config.json"), "--queries", "5"],
+        }[case]
+        out_dir = tmp_path / "out"
+        flag = "--strategy" if case == "attack" else "--mode"
+        code, out, err = run(head + [flag, "random", "--seed", "-1", "-o", str(out_dir)], capsys)
+        assert (code, out, err) == (2, "", "error: seed must be a non-negative int, got -1\n")
+        assert not out_dir.exists()
+
+    def test_underflowing_half_gain(self, tmp_path, capsys, c17_file):
+        # --k-gain 5e-324 halves to 0.0 in each series branch: both branches
+        # draw no current, so camouflage finds the pair unresolvable, and the
+        # margin report runs like the waveforms.
+        code, _, err = run(
+            ["camouflage", str(c17_file), "--gates", "16", "--k-gain", "5e-324",
+             "-o", str(tmp_path / "camo")],
+            capsys,
+        )
+        assert code == 1
+        assert err == (
+            "error: unresolvable gate: branch currents are equal (0.000000e+00 A) "
+            "for pH pair (2.0, 10.0)\n"
+        )
+        code, out, _ = run(
+            ["gate", "--func", "AND", "--k-gain", "5e-324", "--margin-csv",
+             "-o", str(tmp_path / "gate")],
+            capsys,
+        )
+        assert code == 0 and "outputs: unresolved,unresolved,unresolved,unresolved" in out
+        margin = (tmp_path / "gate" / "gate_and_margin.csv").read_text().splitlines()
+        assert margin[1] == "0,0,0,inf,,unresolved"
+
     def test_parser_reuse_keeps_defaults(self, tmp_path, capsys):
         # The parser is built once per process; a flag given to one call
         # must not become the default of the next.

@@ -1,19 +1,33 @@
+import io
+import struct
+from dataclasses import replace
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import GATE_CHAR_PAIRS, reference_evaluate_static
+from conftest import GATE_CHAR_PAIRS, reference_branch_current, reference_evaluate_static
 from tvdcamo import device
-from tvdcamo.device import IsfetParams
-from tvdcamo.errors import DomainError, PhRangeError, UnresolvableGateError, UsageError
+from tvdcamo.device import BiasPoint, IsfetParams, iv_sweep
+from tvdcamo.errors import (
+    DomainError,
+    PhRangeError,
+    TvdCamoError,
+    UnresolvableGateError,
+    UsageError,
+)
 from tvdcamo.gates import (
     BranchAssignment,
     GatePhProgram,
     TruthTable2,
     assignment_for,
+    branch_current,
     evaluate_static,
     function_of,
 )
+from tvdcamo.transient import SimConfig, margin_report, simulate, write_trace_csv
 
 PARAMS = IsfetParams()
 
@@ -228,3 +242,87 @@ class TestRealizableFunctions:
             for bits in product((False, True), repeat=4)
         }
         assert enumerated == set(TruthTable2)
+
+
+class _Float(float):
+    """A float subclass, accepted like a float."""
+
+
+def _classes(floats, ints):
+    """A value of ``floats`` as a float, an np.float64 or a float subclass, or
+    one of ``ints``: the number rule's classes. The ints stay below 2**20, where
+    the reference's exact int arithmetic and the float path agree."""
+    as_class = st.sampled_from([float, np.float64, _Float])
+    return st.one_of(ints, st.builds(lambda cls, x: cls(x), as_class, floats))
+
+
+def _floats(lo, hi, *typical):
+    return st.one_of(st.sampled_from(typical), st.floats(lo, hi))
+
+
+_PH = _classes(_floats(-1.0, 15.0, 2.0, 10.0, 0.0, 14.0), st.integers(0, 14))
+_BRANCH_PARAMS = st.fixed_dictionaries({
+    "k_gain": _classes(_floats(5e-324, 1e300, 1e-4, 5e-324, 1e-323), st.integers(1, 2**20)),
+    "vth0": _classes(_floats(1e-6, 10.0, 0.3, 1.0), st.integers(1, 8)),
+    "ph_ref": _PH,
+    "sensitivity": _classes(_floats(0.0, 1e300, 0.059, 0.0), st.integers(0, 2**20)),
+    "vdd": _classes(_floats(1e-3, 1e300, 1.8, 1e200), st.integers(1, 2**20)),
+})
+_V_DS = _classes(_floats(0.0, 1e300, 0.1, 1.8), st.integers(0, 2**20))
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestOneBranchPath:
+    """``branch_current`` and the race take each branch from ``gates._branch``
+    and compute on Python floats, with no IsfetParams or BiasPoint built."""
+
+    @given(fields=_BRANCH_PARAMS, ph=_PH, v_ds=st.one_of(_V_DS, st.none()))
+    def test_matches_reference_bit_for_bit(self, fields, ph, v_ds):
+        try:
+            params = IsfetParams(**fields)
+        except TvdCamoError:
+            return
+        v_ds = params.vdd if v_ds is None else v_ds
+        reference = params
+        if params.k_gain / 2 == 0:
+            # The halved gain underflows, and the reference rejects a value
+            # the caller never gave. The one branch path draws no current,
+            # and raises where the reference at a unit gain raises.
+            reference = replace(params, k_gain=1)
+        try:
+            with np.errstate(all="ignore"):
+                want = reference_branch_current(reference, ph, v_ds)
+        except TvdCamoError as exc:
+            with pytest.raises(type(exc)) as got:
+                branch_current(params, ph, v_ds)
+            assert str(got.value) == str(exc)
+            return
+        got = branch_current(params, ph, v_ds)
+        assert got.__class__ is float
+        assert _bits(got) == _bits(0.0 if reference is not params else want)
+
+    def test_one_gate_char_job_builds_one_isfet_params_and_no_bias_point(self, monkeypatch):
+        built = {IsfetParams: 0, BiasPoint: 0}
+        for cls in built:
+            check = cls.__post_init__
+
+            def spy(self, cls=cls, check=check):
+                built[cls] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", spy)
+        # The calls of one perfbench gate-char job (perfbench/workloads.py, run).
+        function, clock, pair, (a, b) = 6, 1e9, (2.0, 10.0), (0, 1)
+        grid = [1.8 * i / 36 for i in range(37)]
+        params = IsfetParams()
+        cfg = SimConfig(clock_freq=clock)
+        program = GatePhProgram(pair[0], pair[1], assignment_for(TruthTable2(function)))
+        iv_sweep(params, grid, 0.1, pair)
+        [evaluate_static(program, params, m >> 1, m & 1) for m in range(4)]
+        margin_report(program, params, cfg)
+        trace = simulate(program, params, cfg, a, b)
+        write_trace_csv(trace, io.StringIO())
+        assert built == {IsfetParams: 1, BiasPoint: 0}

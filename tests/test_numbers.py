@@ -2,6 +2,7 @@
 (subclasses such as np.float64 included) and never a bool, and every call
 either succeeds or raises a TvdCamoError, with no warning."""
 
+import math
 import warnings
 
 import numpy as np
@@ -10,10 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvdcamo.camo import CamoConfig, CamoGateSpec, camouflage
-from tvdcamo.device import BiasPoint, IsfetParams, iv_sweep
-from tvdcamo.errors import PhRangeError, TvdCamoError, UnresolvableGateError, UsageError
-from tvdcamo.gates import GatePhProgram, TruthTable2, assignment_for
-from tvdcamo.transient import SimConfig, check_supply
+from tvdcamo.device import BiasPoint, IsfetParams, ids, iv_sweep
+from tvdcamo.errors import (
+    PhRangeError,
+    SimulationError,
+    TvdCamoError,
+    UnresolvableGateError,
+    UsageError,
+)
+from tvdcamo.gates import GatePhProgram, TruthTable2, assignment_for, evaluate_static
+from tvdcamo.transient import SimConfig, check_supply, margin_report, simulate
 
 XOR = assignment_for(TruthTable2.XOR)
 
@@ -192,12 +199,20 @@ class TestNumberRule:
 
     def test_np_float64_overflow_gives_no_warning(self, c17):
         # numpy scalar math warns on an overflow that Python floats take to inf.
+        params = IsfetParams(vdd=np.float64(1e200))
+        program = GatePhProgram(2.0, 10.0, XOR)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UnresolvableGateError):
-                camouflage(c17, gates=["16"], params=IsfetParams(vdd=np.float64(1e200)))
+                camouflage(c17, gates=["16"], params=params)
             with pytest.raises(UsageError, match="takes inf steps of dt"):
                 SimConfig(clock_freq=np.float64(1e-300))
+            assert ids(params, BiasPoint(params.vdd, params.vdd, 2.0)) == math.inf
+            with pytest.raises(UnresolvableGateError, match="are not finite"):
+                evaluate_static(program, params, 0, 1)
+            for call in (margin_report, lambda *args: simulate(*args, 0, 1)):
+                with pytest.raises(SimulationError, match="overflows the drive current"):
+                    call(program, params, SimConfig())
 
     @pytest.mark.parametrize(
         "kwargs, message",

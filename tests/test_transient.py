@@ -1307,6 +1307,36 @@ class TestTraceCsv:
         assert lines[1].startswith("0.000000e+00,1.800000e+00,1.800000e+00")
 
 
+class TestRaceOnFloats:
+    def test_kernel_gets_python_floats_from_numpy_scalar_fields(self, monkeypatch):
+        # Every field an np.float64: the kernel still gets Python floats, and
+        # the waveforms and margins keep their bits.
+        f64_params = IsfetParams(
+            **{k: np.float64(v) for k, v in dataclasses.asdict(PARAMS).items()}
+        )
+        cfg = SimConfig(clock_freq=1e9, trip=0.9)
+        f64_cfg = SimConfig(**{k: np.float64(v) for k, v in dataclasses.asdict(cfg).items()})
+        classes = set()
+        integrate = _kernels.integrate
+
+        def spy(v_out, v_bar, n_pre, n_total, *constants):
+            classes.update(c.__class__ for c in constants)
+            return integrate(v_out, v_bar, n_pre, n_total, *constants)
+
+        for pair in GATE_CHAR_PAIRS:
+            program = program_for(TruthTable2.XOR, *pair)
+            want = simulate(program, PARAMS, cfg, 0, 1), margin_report(program, PARAMS, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, "integrate", spy)
+                got = simulate(program, f64_params, f64_cfg, 0, 1)
+                rows = margin_report(program, f64_params, f64_cfg)
+            assert got.v_out.tobytes() == want[0].v_out.tobytes()
+            assert got.v_out_bar.tobytes() == want[0].v_out_bar.tobytes()
+            assert got.resolved_output == want[0].resolved_output
+            assert rows == want[1]
+        assert classes == {float}
+
+
 class TestKernelBackends:
     def test_active_backend_reported(self):
         assert _kernels.get_backend() == "python"
